@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -32,6 +33,34 @@ def _exponent_list(text: str) -> tuple[float, ...]:
     if not values:
         raise argparse.ArgumentTypeError("exponent list must not be empty")
     return values
+
+
+def _parsed(kind, text: str):
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a valid {kind.__name__}: '{text}'") from exc
+
+
+def _jobs(text: str) -> int:
+    value = _parsed(int, text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    value = _parsed(float, text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, not {text}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, not {text}")
+    return value
 
 
 def _add_segmenter_args(parser: argparse.ArgumentParser) -> None:
@@ -57,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     tis0.add_argument("--input", required=True, help="video directory (frames/flow/saliency layout)")
     tis0.add_argument("--output", required=True, help="directory for %%05d.pgm masks and diagnostics")
     _add_segmenter_args(tis0)
-    tis0.add_argument("--jobs", type=int, default=1, help="worker threads for per-frame stages")
+    tis0.add_argument("--jobs", type=_jobs, default=1, help="worker threads for per-frame stages")
 
     refine = sub.add_parser("refine", help="segment, then refine boundaries with supervoxel consensus")
     refine.add_argument("--input", required=True,
@@ -66,9 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_segmenter_args(refine)
     refine.add_argument("--mode", choices=("local", "nonlocal"), default="nonlocal",
                         help="consensus mode (default nonlocal)")
-    refine.add_argument("--w0", type=float, default=None,
+    refine.add_argument("--w0", type=_finite_float, default=None,
                         help="override the local-consensus weight (default 1 local, 1/3 nonlocal)")
-    refine.add_argument("--jobs", type=int, default=1)
+    refine.add_argument("--jobs", type=_jobs, default=1)
 
     combine = sub.add_parser("combine", help="fuse the masks of several methods")
     combine.add_argument("--input", required=True,
@@ -77,15 +106,15 @@ def build_parser() -> argparse.ArgumentParser:
     combine.add_argument("--strategy", choices=fusion.STRATEGIES, default="tism",
                          help="fusion rule (default tism)")
     combine.add_argument("--k-fences", type=float, default=1.5)
-    combine.add_argument("--jobs", type=int, default=1)
+    combine.add_argument("--jobs", type=_jobs, default=1)
 
     evaluate = sub.add_parser("eval", help="score predicted masks against ground truth")
     evaluate.add_argument("--input", required=True, help="prediction root (one directory per sequence)")
     evaluate.add_argument("--ground-truth", required=True, help="ground-truth root")
     evaluate.add_argument("--output", default=None, help="also write the CSV table to this file")
-    evaluate.add_argument("--tolerance", type=float, default=None,
+    evaluate.add_argument("--tolerance", type=_tolerance, default=None,
                           help="contour tolerance in pixels (default: 0.0075 * image diagonal)")
-    evaluate.add_argument("--jobs", type=int, default=1)
+    evaluate.add_argument("--jobs", type=_jobs, default=1)
 
     return parser
 

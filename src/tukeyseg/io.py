@@ -407,10 +407,3 @@ def read_mask_dir(directory) -> list[np.ndarray]:
             raise ValueError(f"{path}: dimensions differ from {paths[0]}")
     return masks
 
-
-def save_masks(masks, directory) -> None:
-    """Write masks as %05d.pgm files into a directory (created if needed)."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for i, mask in enumerate(masks):
-        (directory / f"{i:05d}.pgm").write_bytes(write_mask_pgm(mask))

@@ -8,13 +8,22 @@ non-local consensus is an inverse-square-distance weighted vote among its
 nearest neighbors in mean-LAB color. Both are added to the (rescaled)
 foregroundness field and the sign of the result decides each pixel, keeping
 the two strongest segments per frame.
+
+Memory does not grow with LAB frames: each frame is converted, summed per
+supervoxel and dropped, and the video-wide per-channel LAB bounds are
+tracked on the way. Min-max normalization is affine, so it is applied to the
+per-supervoxel means at the end rather than to every pixel. The neighbor
+search computes all n^2 city-block distances, a block of rows at a time in
+bounded memory, and selects each row's k nearest with a partial sort; ties
+at the k-th distance go to the smaller id.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,36 +71,49 @@ class RefineConfig:
         return 1.0 if self.mode == "local" else 1.0 / 3.0
 
 
+def _srgb_linear(c: np.ndarray) -> np.ndarray:
+    """Undo the sRGB transfer curve on values in [0, 1]."""
+    return np.where(c <= 0.04045, c / 12.92, ((c + 0.055) / 1.055) ** 2.4)
+
+
+# Linear-light value of every 8-bit sRGB level, computed once.
+_SRGB_LINEAR_LUT = _srgb_linear(np.arange(256, dtype=np.float64) / 255.0)
+
+
 def rgb_to_lab(rgb) -> np.ndarray:
-    """Convert 8-bit sRGB to CIE L*a*b* under the D65 white point."""
+    """Convert 8-bit sRGB (a uint8 array) to CIE L*a*b* under the D65 white point."""
     a = np.asarray(rgb)
     if a.ndim < 1 or a.shape[-1] != 3:
         raise ValueError("rgb array must have a trailing dimension of 3")
-    c = a.astype(np.float64) / 255.0
-    linear = np.where(c <= 0.04045, c / 12.92, ((c + 0.055) / 1.055) ** 2.4)
-    xyz = linear @ _SRGB_TO_XYZ.T
-    t = xyz / _D65_WHITE
+    if a.dtype != np.uint8:
+        raise ValueError(f"rgb array must be uint8, not {a.dtype}")
+    t = _SRGB_LINEAR_LUT[a] @ _SRGB_TO_XYZ.T
+    t /= _D65_WHITE
     delta = 6.0 / 29.0
-    f = np.where(t > delta**3, np.cbrt(t), t / (3.0 * delta**2) + 4.0 / 29.0)
+    f = np.cbrt(t)
+    dark = t <= delta**3  # the linear toe of the L*a*b* transfer function
+    f[dark] = t[dark] / (3.0 * delta**2) + 4.0 / 29.0
     lightness = 116.0 * f[..., 1] - 16.0
     a_axis = 500.0 * (f[..., 0] - f[..., 1])
     b_axis = 200.0 * (f[..., 1] - f[..., 2])
     return np.stack([lightness, a_axis, b_axis], axis=-1)
 
 
-def normalize_lab(lab_frames) -> list[np.ndarray]:
-    """Min-max map each LAB channel to [0, 1] over the whole video.
+def normalize_lab(lab, low, high) -> np.ndarray:
+    """Min-max map each LAB channel to [0, 1] given its video-wide bounds.
 
-    A channel that is constant across the video maps to 0 everywhere.
+    ``lab`` is any array with a trailing channel axis of 3, typically the
+    ``(n, 3)`` per-supervoxel means; ``low`` and ``high`` are the per-channel
+    extremes over every pixel of the video (``SupervoxelStats.lab_min`` and
+    ``lab_max``). The map is affine, so normalizing the means equals taking
+    the mean of the normalized pixels, up to rounding. A channel that is
+    constant across the video maps to 0.
     """
-    frames = [np.asarray(f, dtype=np.float64) for f in lab_frames]
-    if not frames:
-        raise ValueError("no frames to normalize")
-    lows = np.min([f.min(axis=(0, 1)) for f in frames], axis=0)
-    highs = np.max([f.max(axis=(0, 1)) for f in frames], axis=0)
-    span = highs - lows
+    lab = np.asarray(lab, dtype=np.float64)
+    low = np.asarray(low, dtype=np.float64)
+    span = np.asarray(high, dtype=np.float64) - low
     safe = np.where(span > 0, span, 1.0)
-    return [np.where(span > 0, (f - lows) / safe, 0.0) for f in frames]
+    return np.where(span > 0, (lab - low) / safe, 0.0)
 
 
 @dataclass(frozen=True)
@@ -101,7 +123,9 @@ class SupervoxelStats:
     ids: np.ndarray           # (n,) distinct supervoxel ids, ascending
     pixel_counts: np.ndarray  # (n,) pixels carrying each id, all frames
     label_sums: np.ndarray    # (n,) of those, pixels labeled foreground
-    mean_lab: np.ndarray      # (n, 3) mean normalized LAB color
+    mean_lab: np.ndarray      # (n, 3) mean LAB color of the frames tallied
+    lab_min: np.ndarray | None = None  # (3,) per-channel minimum over every pixel tallied
+    lab_max: np.ndarray | None = None  # (3,) per-channel maximum over every pixel tallied
 
     @property
     def local_consensus(self) -> np.ndarray:
@@ -118,56 +142,83 @@ class ConsensusTable:
     f_nonlocal: np.ndarray
 
 
-def supervoxel_stats(label_frames, lab_frames, mask_frames) -> SupervoxelStats:
-    """Accumulate per-supervoxel tallies across all frames.
+def _grown(a: np.ndarray, size: int) -> np.ndarray:
+    """``a`` zero-padded along its first axis to ``size`` rows."""
+    out = np.zeros((size, *a.shape[1:]), dtype=a.dtype)
+    out[: len(a)] = a
+    return out
 
-    Per-frame partial sums are merged in frame order, so the result does
-    not depend on how the frames were scheduled.
+
+def supervoxel_stats(label_frames, lab_frames, mask_frames) -> SupervoxelStats:
+    """Accumulate per-supervoxel tallies across all frames in one pass.
+
+    The three arguments are equal-length iterables of per-frame arrays and
+    may be lazy (generators), so no more than one LAB frame need be held at
+    a time. ``mean_lab`` is the mean of the LAB values given; ``lab_min``
+    and ``lab_max`` are the per-channel extremes over every pixel, the
+    bounds ``normalize_lab`` needs. Per-frame partial sums are merged in
+    frame order, so the result does not depend on how the frames were
+    scheduled.
     """
-    if not (len(label_frames) == len(lab_frames) == len(mask_frames)):
-        raise ValueError("label, LAB, and mask frame lists must have equal length")
-    if not label_frames:
-        raise ValueError("no frames")
-    size = 0
-    for labels, lab, mask in zip(label_frames, lab_frames, mask_frames):
-        labels = np.asarray(labels)
-        if labels.shape != np.asarray(mask).shape or labels.shape != np.asarray(lab).shape[:2]:
+    counts = np.zeros(0, dtype=np.int64)
+    label_sums = np.zeros(0, dtype=np.int64)
+    lab_sums = np.zeros((0, 3), dtype=np.float64)
+    lab_min = np.full(3, np.inf)
+    lab_max = np.full(3, -np.inf)
+    for labels, lab, mask in itertools.zip_longest(label_frames, lab_frames, mask_frames):
+        if labels is None or lab is None or mask is None:
+            raise ValueError("label, LAB, and mask frame lists must have equal length")
+        labels, lab, mask = np.asarray(labels), np.asarray(lab, dtype=np.float64), np.asarray(mask)
+        if labels.shape != mask.shape or labels.shape != lab.shape[:2]:
             raise ValueError(
-                f"dimension mismatch: labels {labels.shape}, lab {np.asarray(lab).shape}, "
-                f"mask {np.asarray(mask).shape}"
+                f"dimension mismatch: labels {labels.shape}, lab {lab.shape}, mask {mask.shape}"
             )
         if labels.min() < 0:
             raise ValueError("supervoxel ids must be non-negative")
-        size = max(size, int(labels.max()) + 1)
-    counts = np.zeros(size, dtype=np.int64)
-    label_sums = np.zeros(size, dtype=np.int64)
-    lab_sums = np.zeros((size, 3), dtype=np.float64)
-    for labels, lab, mask in zip(label_frames, lab_frames, mask_frames):
-        flat = np.asarray(labels).ravel()
-        counts += np.bincount(flat, minlength=size)
-        label_sums += np.bincount(
-            flat, weights=(np.asarray(mask).ravel() != 0).astype(np.float64), minlength=size
-        ).astype(np.int64)
-        lab = np.asarray(lab, dtype=np.float64)
-        for channel in range(3):
-            lab_sums[:, channel] += np.bincount(
-                flat, weights=lab[..., channel].ravel(), minlength=size
+        flat = labels.ravel()
+        frame_counts = np.bincount(flat, minlength=len(counts))
+        if len(frame_counts) > len(counts):
+            counts, label_sums, lab_sums = (
+                _grown(a, len(frame_counts)) for a in (counts, label_sums, lab_sums)
             )
+        counts += frame_counts
+        label_sums += np.bincount(flat[mask.ravel() != 0], minlength=len(counts))
+        for channel in range(3):
+            values = lab[..., channel].ravel()
+            lab_sums[:, channel] += np.bincount(flat, weights=values, minlength=len(counts))
+            lab_min[channel] = min(lab_min[channel], values.min())
+            lab_max[channel] = max(lab_max[channel], values.max())
+    if not len(counts):
+        raise ValueError("no frames")
     present = np.nonzero(counts)[0]
     return SupervoxelStats(
         ids=present,
         pixel_counts=counts[present],
         label_sums=label_sums[present],
         mean_lab=lab_sums[present] / counts[present, None],
+        lab_min=lab_min,
+        lab_max=lab_max,
     )
+
+
+# Rows of supervoxels per block of the consensus distance pass are chosen so
+# that a block's (rows, n) float64 distance matrix holds about 512 KB and
+# stays in cache.
+_BLOCK_ELEMENTS = 2**16
 
 
 def build_consensus(stats: SupervoxelStats, cfg: RefineConfig | None = None) -> ConsensusTable:
     """Compute local consensus and, in non-local mode, neighbor votes.
 
-    Each supervoxel's neighbors are the ceil(n/100) others closest in
-    city-block mean-LAB distance (ties by smaller id). Raw weights are
-    1 / max(distance, epsilon)^2, rescaled to sum to 2/3.
+    Each supervoxel's neighbors are the k = ceil(n/100) others closest in
+    city-block mean-LAB distance; a tie at the k-th distance goes to the
+    smaller id. Raw weights are 1 / max(distance, epsilon)^2, rescaled to
+    sum to 2/3, and the vote adds neighbors in (distance, id) order.
+
+    All n^2 distances are computed, but a block of rows at a time, so
+    memory stays at a few MB for any n: per block, ``argpartition`` picks
+    the k nearest and only rows with a tie at the k-th distance are fully
+    sorted.
     """
     cfg = cfg or RefineConfig()
     f_local = stats.local_consensus
@@ -176,15 +227,31 @@ def build_consensus(stats: SupervoxelStats, cfg: RefineConfig | None = None) -> 
     n = len(stats.ids)
     if n < 2:
         raise ValueError("non-local consensus needs at least 2 supervoxels")
-    n_neighbors = math.ceil(n / 100)
+    k = math.ceil(n / 100)
+    ids = stats.ids
+    channels = np.ascontiguousarray(stats.mean_lab.T, dtype=np.float64)
+    block = max(1, _BLOCK_ELEMENTS // n)
+    dist_buffer, term_buffer = np.empty((block, n)), np.empty((block, n))
     f_nonlocal = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        distances = np.abs(stats.mean_lab - stats.mean_lab[i]).sum(axis=1)
-        order = np.lexsort((stats.ids, distances))
-        neighbors = order[order != i][:n_neighbors]
-        weights = 1.0 / np.maximum(distances[neighbors], cfg.epsilon) ** 2
-        weights *= NONLOCAL_WEIGHT_TOTAL / weights.sum()
-        f_nonlocal[i] = float(weights @ f_local[neighbors])
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        rows = np.arange(stop - start)
+        # |dL| + |da| + |db|, added in that order, into buffers reused across blocks
+        dist, term = dist_buffer[: len(rows)], term_buffer[: len(rows)]
+        np.abs(np.subtract(channels[0], channels[0, start:stop, None], out=dist), out=dist)
+        for channel in channels[1:]:
+            dist += np.abs(np.subtract(channel, channel[start:stop, None], out=term), out=term)
+        dist[rows, rows + start] = np.inf
+        near = np.argpartition(dist, k - 1, axis=1)[:, :k]
+        kth = dist[rows, near[:, -1]]
+        for row in np.nonzero(np.count_nonzero(dist <= kth[:, None], axis=1) > k)[0]:
+            near[row] = np.lexsort((ids, dist[row]))[:k]
+        near_dist = np.take_along_axis(dist, near, axis=1)
+        order = np.lexsort((ids[near], near_dist), axis=1)
+        near = np.take_along_axis(near, order, axis=1)
+        weights = 1.0 / np.maximum(np.take_along_axis(near_dist, order, axis=1), cfg.epsilon) ** 2
+        weights *= NONLOCAL_WEIGHT_TOTAL / weights.sum(axis=1, keepdims=True)
+        f_nonlocal[start:stop] = (weights[:, None, :] @ f_local[near][:, :, None])[:, 0, 0]
     return ConsensusTable(stats.ids, f_local, f_nonlocal)
 
 
@@ -259,6 +326,14 @@ class RefinementResult:
     consensus: ConsensusTable
 
 
+def _lab_frames(seq, jobs: int):
+    """Yield every frame's raw LAB in order, converting ``jobs`` frames at a time."""
+    step = max(1, jobs)
+    for start in range(0, seq.num_frames, step):
+        batch = range(start, min(start + step, seq.num_frames))
+        yield from parallel_map(lambda i: rgb_to_lab(seq.frame(i)), batch, jobs)
+
+
 def refine_sequence(
     seq,
     seg_cfg: SegmenterConfig | None = None,
@@ -271,12 +346,9 @@ def refine_sequence(
     if not seq.has_labels:
         raise ValueError(f"sequence '{seq.name}': supervoxel label rasters are required")
     initial = segment_sequence(seq, seg_cfg, jobs)
-    lab_frames = parallel_map(
-        lambda i: rgb_to_lab(seq.frame(i)), range(seq.num_frames), jobs
-    )
-    lab_frames = normalize_lab(lab_frames)
     label_frames = [seq.labels(i) for i in range(seq.num_frames)]
-    stats = supervoxel_stats(label_frames, lab_frames, initial.masks)
+    stats = supervoxel_stats(label_frames, _lab_frames(seq, jobs), initial.masks)
+    stats = replace(stats, mean_lab=normalize_lab(stats.mean_lab, stats.lab_min, stats.lab_max))
     table = build_consensus(stats, ref_cfg)
     log.info("consensus over %d supervoxels (mode=%s)", len(table.ids), ref_cfg.mode)
     masks = refine_masks(

@@ -4,12 +4,18 @@ Everything here is deliberately written in plain Python (loops, lists,
 ``math``) so it shares no code path with the numpy/scipy implementations
 under test. Expected values frozen into the test suite were produced by
 these functions.
+
+The exception is the "bit-exact references" section: numpy versions of
+kernels the package has since rewritten for speed, kept unchanged so tests
+can demand ``np.array_equal`` results from the rewrites.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+
+import numpy as np
 
 
 # --- robust statistics ---
@@ -314,3 +320,49 @@ def contour_f(pred, ref, tolerance):
     if precision + recall == 0:
         return 0.0
     return 2 * precision * recall / (precision + recall)
+
+
+# --- bit-exact references (numpy) ---
+
+
+def rgb_to_lab_pow(rgb):
+    """8-bit sRGB to L*a*b* (D65) with a per-pixel ``pow`` linearization."""
+    c = np.asarray(rgb).astype(np.float64) / 255.0
+    linear = np.where(c <= 0.04045, c / 12.92, ((c + 0.055) / 1.055) ** 2.4)
+    srgb_to_xyz = np.array(
+        [
+            [0.4124564, 0.3575761, 0.1804375],
+            [0.2126729, 0.7151522, 0.0721750],
+            [0.0193339, 0.1191920, 0.9503041],
+        ]
+    )
+    xyz = linear @ srgb_to_xyz.T
+    t = xyz / np.array([0.95047, 1.0, 1.08883])
+    delta = 6.0 / 29.0
+    f = np.where(t > delta**3, np.cbrt(t), t / (3.0 * delta**2) + 4.0 / 29.0)
+    lightness = 116.0 * f[..., 1] - 16.0
+    a_axis = 500.0 * (f[..., 0] - f[..., 1])
+    b_axis = 200.0 * (f[..., 1] - f[..., 2])
+    return np.stack([lightness, a_axis, b_axis], axis=-1)
+
+
+def consensus_rows(ids, f_local, mean_lab, epsilon=1e-3):
+    """Non-local votes, one full distance row and one full sort per supervoxel.
+
+    Neighbors are the ceil(n/100) others nearest in city-block mean-LAB
+    distance, ties by smaller id; weights 1 / max(d, epsilon)^2 rescaled to
+    sum to 2/3.
+    """
+    ids = np.asarray(ids)
+    mean_lab = np.asarray(mean_lab, dtype=np.float64)
+    n = len(ids)
+    n_neighbors = math.ceil(n / 100)
+    f_nonlocal = np.empty(n, dtype=np.float64)
+    for i in range(n):
+        distances = np.abs(mean_lab - mean_lab[i]).sum(axis=1)
+        order = np.lexsort((ids, distances))
+        neighbors = order[order != i][:n_neighbors]
+        weights = 1.0 / np.maximum(distances[neighbors], epsilon) ** 2
+        weights *= (2.0 / 3.0) / weights.sum()
+        f_nonlocal[i] = float(weights @ f_local[neighbors])
+    return f_nonlocal

@@ -65,6 +65,63 @@ class TestParser:
         assert args.vs_exponents == (1.0, 0.5)
 
 
+_REQUIRED = {
+    "tis0": ["--input", "a", "--output", "b"],
+    "refine": ["--input", "a", "--output", "b"],
+    "combine": ["--input", "a", "--output", "b"],
+    "eval": ["--input", "a", "--ground-truth", "b"],
+}
+
+
+class TestNumericFlags:
+    def _rejected(self, argv, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-3", "nan", "inf", "-inf"])
+    def test_tolerance_must_be_finite_and_non_negative(self, value, capsys):
+        self._rejected(["eval", *_REQUIRED["eval"], "--tolerance", value], capsys, "--tolerance")
+
+    @pytest.mark.parametrize("value", ["0", "2.5"])
+    def test_tolerance_accepted(self, value):
+        args = build_parser().parse_args(["eval", *_REQUIRED["eval"], "--tolerance", value])
+        assert args.tolerance == float(value)
+
+    @pytest.mark.parametrize("command", sorted(_REQUIRED))
+    @pytest.mark.parametrize("value", ["0", "-4"])
+    def test_jobs_below_one_rejected(self, command, value, capsys):
+        self._rejected([command, *_REQUIRED[command], "--jobs", value], capsys, "--jobs")
+
+    @pytest.mark.parametrize("command", sorted(_REQUIRED))
+    def test_jobs_accepted(self, command):
+        args = build_parser().parse_args([command, *_REQUIRED[command], "--jobs", "3"])
+        assert args.jobs == 3
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_w0_must_be_finite(self, value, capsys):
+        self._rejected(["refine", *_REQUIRED["refine"], "--w0", value], capsys, "--w0")
+
+    def test_w0_accepted(self):
+        args = build_parser().parse_args(["refine", *_REQUIRED["refine"], "--w0", "-0.5"])
+        assert args.w0 == -0.5
+
+    def test_negative_tolerance_never_scored(self, tmp_path, capsys):
+        # identical masks would otherwise score F = 0 under a negative tolerance
+        mask = np.zeros((5, 5), dtype=np.uint8)
+        mask[1:4, 1:4] = 1
+        for root in ("gt", "pred"):
+            d = tmp_path / root / "seq"
+            d.mkdir(parents=True)
+            (d / "00000.pgm").write_bytes(write_mask_pgm(mask))
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--input", str(tmp_path / "pred"),
+                  "--ground-truth", str(tmp_path / "gt"), "--tolerance", "-3"])
+        assert exc.value.code == 2
+        assert "seq," not in capsys.readouterr().out
+
+
 class TestSegmentCommand:
     def test_writes_masks_and_report(self, block_video, tmp_path):
         video, truth = block_video

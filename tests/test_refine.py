@@ -7,6 +7,7 @@ import oracles
 from conftest import moving_block_arrays, write_video_dir
 from tukeyseg.io import open_sequence
 from tukeyseg.refine import (
+    _BLOCK_ELEMENTS,
     ConsensusTable,
     RefineConfig,
     SupervoxelStats,
@@ -48,35 +49,59 @@ class TestRgbToLab:
         with pytest.raises(ValueError, match="trailing dimension"):
             rgb_to_lab(np.zeros((2, 2)))
 
+    def test_requires_uint8(self):
+        with pytest.raises(ValueError, match="uint8"):
+            rgb_to_lab(np.zeros((2, 2, 3)))
+
+    def test_equals_pow_formula_on_every_grey_level(self):
+        grey = np.repeat(np.arange(256, dtype=np.uint8)[:, None], 3, axis=1)
+        assert np.array_equal(rgb_to_lab(grey), oracles.rgb_to_lab_pow(grey))
+
+    def test_equals_pow_formula_on_random_image(self, rng):
+        image = rng.integers(0, 256, size=(37, 53, 3), dtype=np.uint8)
+        assert np.array_equal(rgb_to_lab(image), oracles.rgb_to_lab_pow(image))
+
 
 class TestNormalizeLab:
     def test_constant_channel_maps_to_zero(self):
-        frame = np.zeros((2, 2, 3))
-        frame[..., 0] = 7.0
-        out = normalize_lab([frame])[0]
+        means = np.zeros((4, 3))
+        means[:, 0] = 7.0
+        out = normalize_lab(means, low=[7.0, 0.0, 0.0], high=[7.0, 0.0, 0.0])
         assert np.all(out == 0.0)
 
     def test_linear_map(self):
-        frame = np.array([[[10.0, 0, 0], [20.0, 0.5, 0], [30.0, 1.0, 0]]])
-        out = normalize_lab([frame])[0]
-        assert out[0, :, 0].tolist() == [0.0, 0.5, 1.0]
+        means = np.array([[10.0, 0, 0], [20.0, 0.5, 0], [30.0, 1.0, 0]])
+        out = normalize_lab(means, low=[10.0, 0.0, 0.0], high=[30.0, 1.0, 0.0])
+        assert isinstance(out, np.ndarray)
+        assert out[:, 0].tolist() == [0.0, 0.5, 1.0]
+        assert out[:, 1].tolist() == [0.0, 0.5, 1.0]
 
     def test_idempotent_on_unit_range(self, rng):
-        frame = rng.random((3, 4, 3))
-        # pin each channel's min to 0 and max to 1
-        frame[0, 0] = (0.0, 0.0, 0.0)
-        frame[-1, -1] = (1.0, 1.0, 1.0)
-        once = normalize_lab([frame])[0]
-        twice = normalize_lab([once])[0]
-        assert np.allclose(once, frame, atol=1e-12)
+        means = rng.random((12, 3))
+        once = normalize_lab(means, low=np.zeros(3), high=np.ones(3))
+        twice = normalize_lab(once, low=np.zeros(3), high=np.ones(3))
+        assert np.allclose(once, means, atol=1e-12)
         assert np.allclose(twice, once, atol=1e-12)
 
     def test_video_wide_extent(self):
-        a = np.zeros((1, 1, 3))
-        b = np.full((1, 1, 3), 2.0)
-        out = normalize_lab([a, b])
+        # each frame holds one supervoxel; the bounds span both frames
+        labels = [np.array([[0]]), np.array([[1]])]
+        lab = [np.zeros((1, 1, 3)), np.full((1, 1, 3), 2.0)]
+        stats = supervoxel_stats(labels, lab, [np.zeros((1, 1))] * 2)
+        out = normalize_lab(stats.mean_lab, stats.lab_min, stats.lab_max)
         assert np.all(out[0] == 0.0)
         assert np.all(out[1] == 1.0)
+
+    def test_normalized_means_match_means_of_normalized_pixels(self, rng):
+        labels = [rng.integers(0, 9, size=(6, 7)) for _ in range(3)]
+        lab = [rgb_to_lab(rng.integers(0, 256, size=(6, 7, 3), dtype=np.uint8)) for _ in range(3)]
+        masks = [np.zeros((6, 7))] * 3
+        stats = supervoxel_stats(labels, lab, masks)
+        means = normalize_lab(stats.mean_lab, stats.lab_min, stats.lab_max)
+        low = np.min([f.min(axis=(0, 1)) for f in lab], axis=0)
+        high = np.max([f.max(axis=(0, 1)) for f in lab], axis=0)
+        pixelwise = supervoxel_stats(labels, [(f - low) / (high - low) for f in lab], masks)
+        assert np.allclose(means, pixelwise.mean_lab, rtol=0, atol=1e-12)
 
 
 class TestSupervoxelStats:
@@ -127,6 +152,42 @@ class TestSupervoxelStats:
         pure = np.abs(consensus) == 1.0
         mixed = (stats.label_sums > 0) & (stats.label_sums < stats.pixel_counts)
         assert not np.any(pure & mixed)
+
+    def test_accepts_generators(self, rng):
+        labels = [rng.integers(0, 5, size=(4, 5)) for _ in range(3)]
+        lab = [rng.random((4, 5, 3)) for _ in range(3)]
+        mask = [(rng.random((4, 5)) > 0.5).astype(np.uint8) for _ in range(3)]
+        listed = supervoxel_stats(labels, lab, mask)
+        lazy = supervoxel_stats(iter(labels), (f for f in lab), iter(mask))
+        for field in ("ids", "pixel_counts", "label_sums", "mean_lab", "lab_min", "lab_max"):
+            assert np.array_equal(getattr(listed, field), getattr(lazy, field))
+
+    def test_later_frames_add_larger_ids(self):
+        labels = [np.array([[0, 0]]), np.array([[3, 0]])]
+        lab = [np.zeros((1, 2, 3)), np.ones((1, 2, 3))]
+        stats = supervoxel_stats(labels, lab, [np.ones((1, 2))] * 2)
+        assert stats.ids.tolist() == [0, 3]
+        assert stats.pixel_counts.tolist() == [3, 1]
+        assert stats.label_sums.tolist() == [3, 1]
+        assert np.allclose(stats.mean_lab, [[1 / 3] * 3, [1.0] * 3])
+
+    def test_channel_bounds_over_every_pixel(self, rng):
+        labels = [rng.integers(0, 3, size=(5, 5)) for _ in range(2)]
+        lab = [rng.normal(size=(5, 5, 3)) for _ in range(2)]
+        stats = supervoxel_stats(labels, lab, [np.zeros((5, 5))] * 2)
+        pixels = np.concatenate([f.reshape(-1, 3) for f in lab])
+        assert np.array_equal(stats.lab_min, pixels.min(axis=0))
+        assert np.array_equal(stats.lab_max, pixels.max(axis=0))
+
+    def test_unequal_lengths(self):
+        with pytest.raises(ValueError, match="equal length"):
+            supervoxel_stats(
+                [np.zeros((1, 1), int)] * 2, iter([np.zeros((1, 1, 3))]), [np.zeros((1, 1))] * 2
+            )
+
+    def test_no_frames(self):
+        with pytest.raises(ValueError, match="no frames"):
+            supervoxel_stats([], iter([]), [])
 
 
 def _stats(ids, counts, fg, mean_lab):
@@ -238,6 +299,53 @@ class TestBuildConsensus:
             f_local = (2.0 * fg - counts) / counts
             expected = sum(w * scale * f_local[j] for w, (_, j) in zip(raw, chosen))
             assert table.f_nonlocal[i] == pytest.approx(expected, abs=1e-12)
+
+
+def _random_table(rng, n, levels=None, ids=None):
+    counts = rng.integers(1, 30, size=n)
+    fg = (rng.random(n) * (counts + 1)).astype(np.int64).clip(0, counts)
+    if levels is None:
+        mean_lab = rng.random((n, 3)) * (100.0, 200.0, 200.0) - (0.0, 100.0, 100.0)
+    else:  # few levels per channel: many exact distance ties
+        mean_lab = rng.integers(0, levels, size=(n, 3)) / levels
+    return _stats(np.arange(n) if ids is None else ids, counts, fg, mean_lab)
+
+
+class TestConsensusExactness:
+    """The blocked consensus equals the per-row reference bit for bit."""
+
+    # one block holds 2**16 // n rows: n = 256 fits in exactly one block
+    @pytest.mark.parametrize("n", [2, 3, 101, 255, 256, 257, 1000])
+    @pytest.mark.parametrize("levels", [None, 3, 2])
+    def test_equals_per_row_reference(self, rng, n, levels):
+        stats = _random_table(rng, n, levels)
+        table = build_consensus(stats)
+        expected = oracles.consensus_rows(stats.ids, stats.local_consensus, stats.mean_lab)
+        assert np.array_equal(table.f_nonlocal, expected)
+
+    @pytest.mark.parametrize("n", [2, 257, 700])
+    def test_non_contiguous_ids(self, rng, n):
+        ids = np.sort(rng.choice(5 * n, size=n, replace=False))
+        stats = _random_table(rng, n, levels=3, ids=ids)
+        table = build_consensus(stats)
+        expected = oracles.consensus_rows(stats.ids, stats.local_consensus, stats.mean_lab)
+        assert np.array_equal(table.f_nonlocal, expected)
+
+    def test_ties_go_to_smaller_id_not_smaller_index(self, rng):
+        # ids in descending order: the tie rule must read ids, not positions
+        n = 300
+        stats = _random_table(rng, n, levels=2, ids=np.arange(n)[::-1] * 3)
+        table = build_consensus(stats)
+        expected = oracles.consensus_rows(stats.ids, stats.local_consensus, stats.mean_lab)
+        assert np.array_equal(table.f_nonlocal, expected)
+
+    def test_epsilon(self, rng):
+        stats = _random_table(rng, 400, levels=3)
+        table = build_consensus(stats, RefineConfig(epsilon=0.25))
+        expected = oracles.consensus_rows(
+            stats.ids, stats.local_consensus, stats.mean_lab, epsilon=0.25
+        )
+        assert np.array_equal(table.f_nonlocal, expected)
 
 
 class TestRefineMasks:
@@ -415,6 +523,58 @@ class TestRefineSequence:
         serial = refine_sequence(seq, jobs=1)
         threaded = refine_sequence(seq, jobs=8)
         for a, b in zip(serial.masks, threaded.masks):
+            assert a.tobytes() == b.tobytes()
+
+    def test_jobs_deterministic_over_several_blocks(self, tmp_path):
+        # 16 x 21 tiles of 3 x 3 pixels: 336 supervoxels, two consensus blocks
+        rng = np.random.default_rng(7)
+        scene = moving_block_arrays(
+            height=48, width=63, block=(slice(12, 33), slice(18, 42)), num_frames=5
+        )
+        rows, cols = np.indices((48, 63))
+        labels = (rows // 3) * 21 + cols // 3
+        frames = [rng.integers(0, 256, size=(48, 63, 3), dtype=np.uint8) for _ in range(5)]
+        root = write_video_dir(
+            tmp_path / "tiles",
+            frames=frames,
+            flows=scene["flows"],
+            saliencies=scene["saliencies"],
+            labels=[labels] * 5,
+        )
+        seq = open_sequence(root)
+        results = [refine_sequence(seq, jobs=jobs) for jobs in (1, 2, 8)]
+        n = len(results[0].consensus.ids)
+        assert n == 336 and n > _BLOCK_ELEMENTS // n
+        for other in results[1:]:
+            assert np.array_equal(other.consensus.f_nonlocal, results[0].consensus.f_nonlocal)
+            for a, b in zip(results[0].masks, other.masks):
+                assert a.tobytes() == b.tobytes()
+
+    def test_matches_pixelwise_normalization(self, tmp_path):
+        # the former pipeline: normalize every LAB pixel, average, vote per row
+        rng = np.random.default_rng(11)
+        scene = moving_block_arrays(height=24, width=30, num_frames=3)
+        labels = [rng.integers(0, 40, size=(24, 30)) for _ in range(3)]
+        frames = [rng.integers(0, 256, size=(24, 30, 3), dtype=np.uint8) for _ in range(3)]
+        root = write_video_dir(
+            tmp_path / "noisy",
+            frames=frames,
+            flows=scene["flows"],
+            saliencies=scene["saliencies"],
+            labels=labels,
+        )
+        result = refine_sequence(open_sequence(root))
+        lab = [oracles.rgb_to_lab_pow(f) for f in frames]
+        low = np.min([f.min(axis=(0, 1)) for f in lab], axis=0)
+        high = np.max([f.max(axis=(0, 1)) for f in lab], axis=0)
+        stats = supervoxel_stats(
+            labels, [(f - low) / (high - low) for f in lab], result.initial.masks
+        )
+        expected = oracles.consensus_rows(stats.ids, stats.local_consensus, stats.mean_lab)
+        assert np.allclose(result.consensus.f_nonlocal, expected, rtol=0, atol=1e-12)
+        table = ConsensusTable(stats.ids, stats.local_consensus, expected)
+        masks = refine_masks(result.initial.foregroundness, table, labels)
+        for a, b in zip(result.masks, masks):
             assert a.tobytes() == b.tobytes()
 
 
