@@ -56,15 +56,17 @@ def fuse_frame(masks, k_fences: float = 1.5) -> tuple[np.ndarray, np.ndarray]:
     """Fuse one frame's masks; returns (fused mask, per-mask weights).
 
     The weighted vote share must strictly exceed 0.5 for a foreground
-    pixel. Should every weight come out zero (unreachable for real count
-    lists, kept as a safeguard) the median-count mask is returned.
+    pixel. When every weight is zero the lower-median-count mask is
+    returned, as :func:`fuse_median` would. That happens when no count sits
+    on the median and every count lies at or beyond a fence, for example
+    counts [0, 10] with ``k_fences=0``.
     """
     ms = _validated(masks)
     counts = foreground_counts(ms)
     alphas = stats.mask_outlier_scales(counts, k_fences)
     total = float(alphas.sum())
     if total == 0.0:
-        return fuse_median(ms), alphas
+        return _lower_median_mask(ms, counts), alphas
     weighted = np.zeros(ms[0].shape, dtype=np.float64)
     for alpha, mask in zip(alphas, ms):
         weighted += alpha * mask
@@ -87,7 +89,10 @@ def fuse_median(masks) -> np.ndarray:
     counts the earliest mask wins.
     """
     ms = _validated(masks)
-    counts = foreground_counts(ms)
+    return _lower_median_mask(ms, foreground_counts(ms))
+
+
+def _lower_median_mask(ms: list[np.ndarray], counts: list[int]) -> np.ndarray:
     median_count = sorted(counts)[(len(counts) - 1) // 2]
     return ms[counts.index(median_count)].copy()
 
@@ -104,7 +109,8 @@ def fuse_sequence(
     ``frames`` is a list over frames, each entry a list of per-method
     masks in a fixed method order. Weights are recomputed independently
     for every frame; the diagnostic records always carry the reliability
-    weights, whatever the fusion strategy.
+    weights, whatever the fusion strategy. Each frame's masks are validated
+    once, by the strategy's combiner.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy '{strategy}' (choose from {STRATEGIES})")
@@ -121,15 +127,14 @@ def fuse_sequence(
         raise ValueError("method_names length must match the number of masks per frame")
 
     def fuse_one(index: int):
-        masks = _validated(frames[index])
-        counts = foreground_counts(masks)
-        alphas = stats.mask_outlier_scales(counts, k_fences)
+        masks = frames[index]
         if strategy == "tism":
-            fused, _ = fuse_frame(masks, k_fences)
-        elif strategy == "mean":
-            fused = fuse_mean(masks)
+            fused, alphas = fuse_frame(masks, k_fences)
+            counts = foreground_counts(masks)
         else:
-            fused = fuse_median(masks)
+            fused = fuse_mean(masks) if strategy == "mean" else fuse_median(masks)
+            counts = foreground_counts(masks)
+            alphas = stats.mask_outlier_scales(counts, k_fences)
         records = [
             FusionRecord(frame=index, method=name, count=count, alpha=float(alpha))
             for name, count, alpha in zip(method_names, counts, alphas)

@@ -69,8 +69,8 @@ class FlowField:
         return self.u.shape[1]
 
 
-def read_flo(data: bytes) -> FlowField:
-    """Decode a Middlebury .flo byte string."""
+def _parse_flo_header(data: bytes) -> tuple[int, int]:
+    """Check a .flo header (length, sentinel, positive size); returns (width, height)."""
     if len(data) < 12:
         raise ValueError("not a flo file: header too short")
     (sentinel,) = struct.unpack("<f", data[:4])
@@ -79,6 +79,12 @@ def read_flo(data: bytes) -> FlowField:
     width, height = struct.unpack("<ii", data[4:12])
     if width <= 0 or height <= 0:
         raise ValueError(f"bad flow dimensions {width}x{height}")
+    return width, height
+
+
+def read_flo(data: bytes) -> FlowField:
+    """Decode a Middlebury .flo byte string."""
+    width, height = _parse_flo_header(data)
     expected = 12 + 8 * width * height
     if len(data) < expected:
         raise ValueError("truncated flow")
@@ -246,18 +252,10 @@ def _peek_dims(path: Path) -> tuple[int, int]:
     """Read just enough of a raster file to learn its (width, height)."""
     with path.open("rb") as fh:
         head = fh.read(128)
-    if path.suffix == ".flo":
-        if len(head) < 12:
-            raise ValueError(f"{path}: not a flo file: header too short")
-        (sentinel,) = struct.unpack("<f", head[:4])
-        if sentinel != FLO_SENTINEL:
-            raise ValueError(f"{path}: not a flo file: bad sentinel")
-        width, height = struct.unpack("<ii", head[4:12])
-        if width <= 0 or height <= 0:
-            raise ValueError(f"{path}: bad flow dimensions {width}x{height}")
-        return width, height
-    magic = b"P6" if path.suffix == ".ppm" else b"P5"
     try:
+        if path.suffix == ".flo":
+            return _parse_flo_header(head)
+        magic = b"P6" if path.suffix == ".ppm" else b"P5"
         width, height, _, _ = _parse_pnm_header(head, magic)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
@@ -268,9 +266,12 @@ def _peek_dims(path: Path) -> tuple[int, int]:
 class FrameSequence:
     """Immutable index of one video's on-disk rasters.
 
-    Raster accessors read and decode files on demand; the constructor-time
-    validation in :func:`open_sequence` guarantees contiguous indices and
-    uniform dimensions, so accessors only fail on filesystem-level trouble.
+    Raster accessors read and decode files on demand. :func:`open_sequence`
+    checks contiguous indices and uniform dimensions once; a file that was
+    rewritten after that still fails its accessor with a ``ValueError``
+    naming the file, when it no longer decodes or no longer has the
+    sequence's (height, width). Callers can therefore rely on every raster
+    an accessor returns having that shape.
     """
 
     root: Path
@@ -291,34 +292,49 @@ class FrameSequence:
         if not 0 <= index < self.num_frames:
             raise IndexError(f"frame index {index} out of range 0..{self.num_frames - 1}")
 
+    def _read(self, decode, relative: str):
+        """Decode one raster file and check it has the sequence's (height, width)."""
+        path = self.root / relative
+        try:
+            raster = decode(path.read_bytes())
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+        shape = raster.u.shape if isinstance(raster, FlowField) else raster.shape[:2]
+        if shape != (self.height, self.width):
+            raise ValueError(
+                f"{path}: dimensions {shape[1]}x{shape[0]} do not match "
+                f"sequence {self.width}x{self.height}"
+            )
+        return raster
+
     def frame(self, index: int) -> np.ndarray:
         self._check_index(index)
-        return read_ppm((self.root / "frames" / f"{index:05d}.ppm").read_bytes())
+        return self._read(read_ppm, f"frames/{index:05d}.ppm")
 
     def flow(self, index: int) -> FlowField:
         self._check_index(index)
         if not self.has_flow:
             raise ValueError(f"sequence '{self.name}' has no flow rasters")
         use = min(index, self.flow_count - 1)  # last frame reuses the final forward flow
-        return read_flo((self.root / "flow" / f"{use:05d}.flo").read_bytes())
+        return self._read(read_flo, f"flow/{use:05d}.flo")
 
     def saliency(self, index: int) -> np.ndarray:
         self._check_index(index)
         if not self.has_saliency:
             raise ValueError(f"sequence '{self.name}' has no saliency rasters")
-        return read_saliency_pgm((self.root / "saliency" / f"{index:05d}.pgm").read_bytes())
+        return self._read(read_saliency_pgm, f"saliency/{index:05d}.pgm")
 
     def labels(self, index: int) -> np.ndarray:
         self._check_index(index)
         if not self.has_labels:
             raise ValueError(f"sequence '{self.name}' has no supervoxel label rasters")
-        return read_pgm16((self.root / "svx" / f"{index:05d}.pgm16").read_bytes())
+        return self._read(read_pgm16, f"svx/{index:05d}.pgm16")
 
     def mask(self, method: str, index: int) -> np.ndarray:
         self._check_index(index)
         if method not in self.mask_methods:
             raise ValueError(f"sequence '{self.name}' has no mask method '{method}'")
-        return read_mask_pgm((self.root / "masks" / method / f"{index:05d}.pgm").read_bytes())
+        return self._read(read_mask_pgm, f"masks/{method}/{index:05d}.pgm")
 
 
 def open_sequence(root) -> FrameSequence:

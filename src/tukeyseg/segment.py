@@ -3,10 +3,12 @@
 Per frame, four flow measures (x, y, magnitude, angle) are screened for
 statistical outliers; outlier pixels accumulate motion saliency weighted by
 each measure's outlier scale, and a visual-saliency map modulates the
-un-gated deviation sum. The combined foregroundness field is thresholded at
-mean + standard deviation, with a half-threshold discount wherever the
-previous frame's mask was foreground, and reduced to the single strongest
-connected segment.
+un-gated deviation sum. :func:`frame_foregroundness` is the one place these
+terms are computed and summed; it relies on the
+:class:`~tukeyseg.io.FrameSequence` accessors for rasters of the sequence's
+shape. The foregroundness field is thresholded at mean + standard
+deviation, with a half-threshold discount wherever the previous frame's
+mask was foreground, and reduced to the single strongest connected segment.
 """
 
 from __future__ import annotations
@@ -72,95 +74,6 @@ def flow_measures(flow: FlowField) -> FlowMeasures:
     return FlowMeasures(x=u, y=v, magnitude=magnitude, angle=angle)
 
 
-@dataclass(frozen=True)
-class _FieldStats:
-    """Per-frame outlier statistics of one scalar measure."""
-
-    median: float
-    alpha: float
-    outliers: np.ndarray
-    absdev: np.ndarray  # |d - median| at every pixel
-
-
-def _field_stats(component, k_fences: float) -> _FieldStats:
-    q = stats.quartiles(component)
-    f = stats.fences(q, k_fences)
-    outliers = stats.outlier_set(component, f)
-    alpha = stats.outlier_scale(component, outliers)
-    absdev = np.abs(np.asarray(component, dtype=np.float64) - q.q2)
-    return _FieldStats(q.q2, alpha, outliers, absdev)
-
-
-def _motion_from_stats(st: _FieldStats, min_scale: float) -> np.ndarray:
-    if st.alpha < min_scale:
-        return np.zeros_like(st.absdev)
-    return np.where(st.outliers != 0, st.alpha * st.absdev, 0.0)
-
-
-def motion_saliency(component, k_fences: float = 1.5, min_scale: float = 0.5) -> np.ndarray:
-    """Outlier-gated deviation of a flow measure from its frame median.
-
-    Outlier pixels receive alpha * |d - median|; everything else is 0, and
-    the whole field is 0 when the measure's outlier scale falls below
-    ``min_scale``.
-    """
-    return _motion_from_stats(_field_stats(component, k_fences), min_scale)
-
-
-def deviation_sum(measures: FlowMeasures, k_fences: float = 1.5, min_scale: float = 0.5) -> np.ndarray:
-    """Sum over flow measures of max(alpha, min_scale) * |d - median|.
-
-    No outlier gating: the flooring keeps the sum alive even when every
-    measure's outlier scale is 0.
-    """
-    field_stats = [_field_stats(c, k_fences) for c in measures.as_tuple()]
-    return _deviation_from_stats(field_stats, min_scale)
-
-
-def _deviation_from_stats(field_stats, min_scale: float) -> np.ndarray:
-    return sum(max(st.alpha, min_scale) * st.absdev for st in field_stats)
-
-
-def visual_saliency(
-    vs,
-    measures: FlowMeasures,
-    exponent: float,
-    k_fences: float = 1.5,
-    min_scale: float = 0.5,
-) -> np.ndarray:
-    """Saliency map raised to ``exponent`` times the flow deviation sum."""
-    v = np.asarray(vs, dtype=np.float64)
-    if v.shape != measures.x.shape:
-        raise ValueError(f"dimension mismatch: saliency {v.shape} vs flow {measures.x.shape}")
-    if np.any((v < 0) | (v > 1)):
-        raise ValueError("saliency values must lie in [0, 1]")
-    if exponent <= 0:
-        raise ValueError("exponent must be positive")
-    return np.power(v, exponent) * deviation_sum(measures, k_fences, min_scale)
-
-
-def foregroundness(motion_fields, visual_fields) -> np.ndarray:
-    """Pointwise sum of the motion and visual saliency measures."""
-    fields = list(motion_fields) + list(visual_fields)
-    if not fields:
-        raise ValueError("no saliency fields to combine")
-    total = np.zeros_like(np.asarray(fields[0], dtype=np.float64))
-    for field in fields:
-        f = np.asarray(field, dtype=np.float64)
-        if f.shape != total.shape:
-            raise ValueError("saliency fields must share one shape")
-        total = total + f
-    return total
-
-
-def flow_component_scales(measures: FlowMeasures, k_fences: float = 1.5) -> dict[str, float]:
-    """Outlier scale of each flow measure, keyed by component name."""
-    return {
-        name: _field_stats(component, k_fences).alpha
-        for name, component in zip(COMPONENT_NAMES, measures.as_tuple())
-    }
-
-
 def threshold_mask(fore, previous_mask=None) -> np.ndarray:
     """Binarize foregroundness at mean + population standard deviation.
 
@@ -219,18 +132,32 @@ class SegmentationResult:
 
 
 def frame_foregroundness(seq: FrameSequence, index: int, cfg: SegmenterConfig | None = None):
-    """Foregroundness field and flow-component scales for one frame."""
+    """Foregroundness field and flow-component scales for one frame.
+
+    Each flow measure d with outlier scale alpha and frame median m adds
+    alpha * |d - m| at its outlier pixels when alpha >= ``min_flow_scale``
+    (motion saliency), and max(alpha, ``min_flow_scale``) * |d - m| at every
+    pixel to an un-gated deviation sum. Each visual-saliency exponent k then
+    adds vs**k times that sum. The terms are added to +0.0 in this order;
+    floating-point addition is not associative, so the order fixes the bits.
+    """
     cfg = cfg or SegmenterConfig()
     measures = flow_measures(seq.flow(index))
     vs = seq.saliency(index)
-    field_stats = [_field_stats(c, cfg.k_fences) for c in measures.as_tuple()]
-    motion = [_motion_from_stats(st, cfg.min_flow_scale) for st in field_stats]
-    deviations = _deviation_from_stats(field_stats, cfg.min_flow_scale)
-    visual = [np.power(vs, k) * deviations for k in cfg.vs_exponents]
-    fore = foregroundness(motion, visual)
-    scales = {
-        name: st.alpha for name, st in zip(COMPONENT_NAMES, field_stats)
-    }
+    fore = np.zeros(vs.shape)
+    deviations = 0.0
+    scales = {}
+    for name, component in zip(COMPONENT_NAMES, measures.as_tuple()):
+        q = stats.quartiles(component)
+        outliers = stats.outlier_set(component, stats.fences(q, cfg.k_fences))
+        alpha = stats.outlier_scale(component, outliers)
+        absdev = np.abs(component - q.q2)
+        if alpha >= cfg.min_flow_scale:
+            fore += np.where(outliers != 0, alpha * absdev, 0.0)
+        deviations = deviations + max(alpha, cfg.min_flow_scale) * absdev
+        scales[name] = alpha
+    for k in cfg.vs_exponents:
+        fore += np.power(vs, k) * deviations
     return fore, scales
 
 

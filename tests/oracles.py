@@ -144,27 +144,33 @@ def _component_stats(field, k):
     return q2, alpha, flags
 
 
+def foregroundness_field(u, v, vs, k=1.5, exponents=(1.0, 0.5, 1.0 / 3.0), min_scale=0.5):
+    """Reference foregroundness of one frame: gated motion plus saliency-weighted deviations."""
+    rows, cols = len(u), len(u[0])
+    fore = [[0.0] * cols for _ in range(rows)]
+    deviation = [[0.0] * cols for _ in range(rows)]
+    for comp in _flow_components(u, v):
+        q2, alpha, flags = _component_stats(comp, k)
+        for r in range(rows):
+            for c in range(cols):
+                dev = abs(comp[r][c] - q2)
+                deviation[r][c] += max(alpha, min_scale) * dev
+                if flags[r][c] and alpha >= min_scale:
+                    fore[r][c] += alpha * dev
+    for exp in exponents:
+        for r in range(rows):
+            for c in range(cols):
+                fore[r][c] += (vs[r][c] ** exp) * deviation[r][c]
+    return fore
+
+
 def pipeline_masks(flows, saliencies, k=1.5, exponents=(1.0, 0.5, 1.0 / 3.0), min_scale=0.5):
     """Reference per-frame masks for the flow/saliency segmenter."""
     masks = []
     prev = None
     for (u, v), vs in zip(flows, saliencies):
         rows, cols = len(u), len(u[0])
-        comps = _flow_components(u, v)
-        fore = [[0.0] * cols for _ in range(rows)]
-        deviation = [[0.0] * cols for _ in range(rows)]
-        for comp in comps:
-            q2, alpha, flags = _component_stats(comp, k)
-            for r in range(rows):
-                for c in range(cols):
-                    dev = abs(comp[r][c] - q2)
-                    deviation[r][c] += max(alpha, min_scale) * dev
-                    if flags[r][c] and alpha >= min_scale:
-                        fore[r][c] += alpha * dev
-        for exp in exponents:
-            for r in range(rows):
-                for c in range(cols):
-                    fore[r][c] += (vs[r][c] ** exp) * deviation[r][c]
+        fore = foregroundness_field(u, v, vs, k, exponents, min_scale)
         flat = [v for row in fore for v in row]
         mean = sum(flat) / len(flat)
         std = math.sqrt(sum((v - mean) ** 2 for v in flat) / len(flat))

@@ -200,6 +200,22 @@ class TestCombineCommand:
         for m in read_mask_dir(out):
             assert np.array_equal(m, mask)
 
+    def test_zero_weights_fall_back_to_lower_median(self, tmp_path):
+        # counts 10 and 0 with --k-fences 0 both sit on a fence and weigh 0
+        for name, value in (("a", 1), ("b", 0)):
+            d = tmp_path / "methods" / name
+            d.mkdir(parents=True)
+            for i in range(2):
+                (d / f"{i:05d}.pgm").write_bytes(write_mask_pgm(np.full((2, 5), value)))
+        out = tmp_path / "fused"
+        code = main(["combine", "--input", str(tmp_path / "methods"), "--output", str(out),
+                     "--k-fences", "0"])
+        assert code == 0
+        assert all(not m.any() for m in read_mask_dir(out))
+        assert (out / "mask_alphas.csv").read_text().splitlines() == [
+            "frame,method,count,alpha", "0,a,10,0", "0,b,0,0", "1,a,10,0", "1,b,0,0",
+        ]
+
     def test_mismatched_frame_counts(self, tmp_path, capsys):
         mask = np.ones((2, 2), dtype=np.uint8)
         for name, count in (("a", 2), ("b", 3)):

@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from tukeyseg.fusion import (
+    STRATEGIES,
     FusionRecord,
     foreground_counts,
     fuse_frame,
@@ -12,6 +13,7 @@ from tukeyseg.fusion import (
     fuse_median,
     fuse_sequence,
 )
+from tukeyseg.stats import mask_outlier_scales
 
 
 def _mask(rows):
@@ -109,6 +111,32 @@ class TestFuseFrame:
         assert np.all(alphas[:-1] > 0)
         assert fused_with.tobytes() == fused_without.tobytes()
         assert np.array_equal(fused_with, truth)
+
+
+class TestZeroWeightFallback:
+    """Counts [10, 0] with k_fences=0: both counts sit on a fence, both weights are 0."""
+
+    FULL = np.ones((2, 5), np.uint8)
+    EMPTY = np.zeros((2, 5), np.uint8)
+
+    def test_counts_weigh_zero(self):
+        assert mask_outlier_scales([10, 0], 0.0).tolist() == [0.0, 0.0]
+
+    def test_fuse_frame_returns_lower_median_mask(self):
+        fused, alphas = fuse_frame([self.FULL, self.EMPTY], k_fences=0.0)
+        assert alphas.tolist() == [0.0, 0.0]
+        assert fused.dtype == np.uint8
+        assert np.array_equal(fused, self.EMPTY)
+        assert np.array_equal(fused, fuse_median([self.FULL, self.EMPTY]))
+
+    def test_fuse_sequence_returns_lower_median_mask(self):
+        fused, records = fuse_sequence(
+            [[self.FULL, self.EMPTY]] * 2, method_names=["a", "b"], k_fences=0.0
+        )
+        assert all(np.array_equal(mask, self.EMPTY) for mask in fused)
+        assert [(r.frame, r.method, r.count, r.alpha) for r in records] == [
+            (0, "a", 10, 0.0), (0, "b", 0, 0.0), (1, "a", 10, 0.0), (1, "b", 0, 0.0)
+        ]
 
 
 class TestFuseMean:
@@ -232,6 +260,35 @@ class TestFuseSequence:
         # the all-foreground outlier drags the mean vote but not the others
         assert mean[0].sum() >= tism[0].sum()
         assert median[0].sum() in [int(m.sum()) for m in sane]
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("k_fences", [0.0, 1.0, 1.5])
+    def test_matches_combiner_per_frame(self, rng, strategy, k_fences):
+        combiners = {
+            "tism": lambda masks: fuse_frame(masks, k_fences)[0],
+            "mean": fuse_mean,
+            "median": fuse_median,
+        }
+        names = ["a", "b", "c", "d", "e"]
+        frames = [
+            [(rng.random((6, 7)) > p).astype(np.uint8) for p in (0.2, 0.5, 0.55, 0.6, 0.95)]
+            for _ in range(6)
+        ]
+        fused, records = fuse_sequence(frames, names, strategy, k_fences, jobs=2)
+        for index, masks in enumerate(frames):
+            assert fused[index].tobytes() == combiners[strategy](masks).tobytes()
+            counts = foreground_counts(masks)
+            alphas = mask_outlier_scales(counts, k_fences)
+            assert records[5 * index : 5 * index + 5] == [
+                FusionRecord(index, name, count, float(alpha))
+                for name, count, alpha in zip(names, counts, alphas)
+            ]
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_non_binary_rejected(self, strategy):
+        ok = _mask([[1, 0]])
+        with pytest.raises(ValueError, match="0 or 1"):
+            fuse_sequence([[ok, ok], [ok, _mask([[2, 0]])]], strategy=strategy)
 
     def test_jobs_deterministic(self, rng):
         frames = []

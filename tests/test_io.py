@@ -1,5 +1,6 @@
 """Tests for the raster codecs and the frame-sequence layout."""
 
+import re
 import struct
 
 import numpy as np
@@ -219,6 +220,63 @@ class TestOpenSequence:
     def test_not_a_directory(self, tmp_path):
         with pytest.raises(ValueError, match="not a directory"):
             open_sequence(tmp_path / "missing")
+
+
+def _resized(kind, shape):
+    """Encoded raster of one accessor's kind at another (height, width)."""
+    zeros = np.zeros(shape)
+    return {
+        "frame": lambda: write_ppm(np.zeros((*shape, 3), np.uint8)),
+        "flow": lambda: write_flo(FlowField(zeros.astype(np.float32), zeros.astype(np.float32))),
+        "saliency": lambda: write_saliency_pgm(zeros),
+        "labels": lambda: write_pgm16(zeros.astype(np.int64)),
+        "mask": lambda: write_mask_pgm(zeros.astype(np.uint8)),
+    }[kind]()
+
+
+class TestAccessorsRecheckFiles:
+    """A raster rewritten after open_sequence fails its accessor, naming the file."""
+
+    FILES = {
+        "frame": ("frames/00001.ppm", lambda seq: seq.frame(1)),
+        "flow": ("flow/00001.flo", lambda seq: seq.flow(1)),
+        "saliency": ("saliency/00001.pgm", lambda seq: seq.saliency(1)),
+        "labels": ("svx/00001.pgm16", lambda seq: seq.labels(1)),
+        "mask": ("masks/alpha/00001.pgm", lambda seq: seq.mask("alpha", 1)),
+    }
+
+    def _open(self, tmp_path):
+        scene = moving_block_arrays(num_frames=3)  # 30 x 40
+        root = write_video_dir(
+            tmp_path / "vid",
+            frames=scene["frames"],
+            flows=scene["flows"],
+            saliencies=scene["saliencies"],
+            labels=[scene["truth"]] * 3,
+            masks={"alpha": [scene["truth"]] * 3},
+        )
+        return root, open_sequence(root)
+
+    @pytest.mark.parametrize("kind", sorted(FILES))
+    @pytest.mark.parametrize("shape", [(30, 1), (1, 40)])
+    def test_resized_file_named(self, tmp_path, kind, shape):
+        root, seq = self._open(tmp_path)
+        relative, read = self.FILES[kind]
+        path = root / relative
+        read(seq)  # the untouched file reads fine
+        path.write_bytes(_resized(kind, shape))
+        expected = f"{path}: dimensions {shape[1]}x{shape[0]} do not match sequence 40x30"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            read(seq)
+
+    @pytest.mark.parametrize("kind", sorted(FILES))
+    def test_undecodable_file_named(self, tmp_path, kind):
+        root, seq = self._open(tmp_path)
+        relative, read = self.FILES[kind]
+        path = root / relative
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: truncated")):
+            read(seq)
 
 
 class TestReadMaskDir:

@@ -1,6 +1,7 @@
 """Tests for the flow/saliency outlier segmenter."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,23 +10,57 @@ import oracles
 from conftest import moving_block_arrays, write_video_dir
 from tukeyseg.io import FlowField, open_sequence
 from tukeyseg.metrics import jaccard
+from tukeyseg.io import write_saliency_pgm
 from tukeyseg.segment import (
+    COMPONENT_NAMES,
     SegmenterConfig,
-    deviation_sum,
-    flow_component_scales,
     flow_measures,
-    foregroundness,
-    motion_saliency,
+    frame_foregroundness,
     segment_sequence,
     select_top_segments,
     threshold_mask,
-    visual_saliency,
 )
 from tukeyseg.stats import fences, outlier_set, outlier_scale, quartiles
 
 
 def _flow(u, v):
     return FlowField(np.asarray(u, np.float32), np.asarray(v, np.float32))
+
+
+class _OneFrame:
+    """In-memory stand-in for a FrameSequence: one frame's flow and saliency."""
+
+    def __init__(self, u, v, vs):
+        self._flow = _flow(u, v)
+        self._vs = np.asarray(vs, np.float64)
+
+    def flow(self, index):
+        return self._flow
+
+    def saliency(self, index):
+        return self._vs
+
+
+def _fore(u, v, vs, **cfg):
+    """frame_foregroundness of one in-memory frame under SegmenterConfig(**cfg)."""
+    fore, _ = frame_foregroundness(_OneFrame(u, v, vs), 0, SegmenterConfig(**cfg))
+    return fore
+
+
+def _measure_stats(component, k=1.5):
+    """(median, outlier flags, outlier scale) of one flow measure."""
+    q = quartiles(component)
+    flags = outlier_set(component, fences(q, k))
+    return q.q2, flags, outlier_scale(component, flags)
+
+
+def _deviation_sum(u, v, min_scale=0.5):
+    """Sum over flow measures of max(alpha, min_scale) * |d - median|."""
+    total = 0.0
+    for component in flow_measures(_flow(u, v)).as_tuple():
+        median, _, alpha = _measure_stats(component)
+        total = total + max(alpha, min_scale) * np.abs(component - median)
+    return total
 
 
 class TestFlowMeasures:
@@ -53,119 +88,165 @@ class TestFlowMeasures:
 
 
 class TestMotionSaliency:
+    """The gated motion terms, isolated by a zero saliency map."""
+
     def test_low_scale_zeroes_field(self):
         # 100 of 1200 pixels move at 8 against background 1: alpha ~ 0.42 < 0.5
+        # for x and magnitude; y and angle are constant
         scene = moving_block_arrays()
-        out = motion_saliency(scene["flows"][0][0])
-        assert not out.any()
+        u, v = scene["flows"][0]
+        assert not _fore(u, v, np.zeros_like(u)).any()
 
     def test_gated_deviation_values(self):
-        # higher-contrast block: alpha >= 0.5, outliers get alpha * |d - median|
+        # higher-contrast block: alpha >= 0.5, outliers get alpha * |d - median|;
+        # with v = 0 and u > 0 the magnitude equals x and y, angle are constant,
+        # so x and magnitude each add that term
         scene = moving_block_arrays(block_flow=(30.0, 0.0))
-        component = np.asarray(scene["flows"][0][0], float)
-        out = motion_saliency(component)
-        q = quartiles(component)
-        flags = outlier_set(component, fences(q))
-        alpha = outlier_scale(component, flags)
+        u, v = scene["flows"][0]
+        out = _fore(u, v, np.zeros_like(u))
+        component = np.asarray(u, float)
+        assert np.array_equal(flow_measures(_flow(u, v)).magnitude, component)
+        median, flags, alpha = _measure_stats(component)
         assert alpha >= 0.5
         assert np.all(out[flags == 0] == 0)
         nonzero = flags != 0
         assert np.allclose(
-            out[nonzero], alpha * np.abs(component[nonzero] - q.q2), atol=1e-9
+            out[nonzero], 2 * alpha * np.abs(component[nonzero] - median), atol=1e-9
         )
 
     def test_non_outlier_pixels_zero_on_random_fields(self, rng):
         for _ in range(50):
-            component = rng.standard_cauchy(size=(12, 12))
-            out = motion_saliency(component)
-            q = quartiles(component)
-            flags = outlier_set(component, fences(q))
-            alpha = outlier_scale(component, flags)
-            assert np.all(out[flags == 0] == 0)
-            if alpha >= 0.5:
-                expected = alpha * np.abs(component[flags != 0] - q.q2)
-                assert np.allclose(out[flags != 0], expected, atol=1e-9)
-            else:
-                assert not out.any()
+            u = rng.standard_cauchy(size=(12, 12))
+            v = rng.standard_cauchy(size=(12, 12))
+            out = _fore(u, v, np.zeros((12, 12)))
+            expected = np.zeros((12, 12))
+            quiet = np.ones((12, 12), dtype=bool)
+            for component in flow_measures(_flow(u, v)).as_tuple():
+                median, flags, alpha = _measure_stats(component)
+                if alpha >= 0.5:
+                    expected += np.where(flags != 0, alpha * np.abs(component - median), 0.0)
+                    quiet &= flags == 0
+            assert np.all(out[quiet] == 0)
+            assert np.allclose(out, expected, rtol=1e-12, atol=1e-9)
 
 
 class TestVisualSaliency:
+    """The saliency-weighted deviation sum, isolated by one exponent and gated-off motion."""
+
     def test_zero_saliency_zero_output(self):
-        scene = moving_block_arrays()
-        measures = flow_measures(_flow(*scene["flows"][0]))
+        scene = moving_block_arrays()  # motion gated off, as in TestMotionSaliency
+        u, v = scene["flows"][0]
         vs = np.zeros_like(scene["saliencies"][0])
         for k in (1.0, 0.5, 1.0 / 3.0):
-            assert not visual_saliency(vs, measures, k).any()
+            assert not _fore(u, v, vs, vs_exponents=(k,)).any()
 
     def test_floor_applies_when_all_scales_zero(self):
         # constant-ish components without outliers: every alpha is 0, the
         # 0.5 floor keeps the deviation sum alive
         u = np.tile(np.array([0.0, 1.0, 2.0, 3.0, 4.0]), (1, 1))
         v = np.zeros_like(u)
-        measures = flow_measures(_flow(u, v))
-        for comp in measures.as_tuple():
-            q = quartiles(comp)
-            assert outlier_scale(comp, outlier_set(comp, fences(q))) == 0.0
-        vs = np.ones_like(u)
-        out = visual_saliency(vs, measures, 1.0)
+        for comp in flow_measures(_flow(u, v)).as_tuple():
+            assert _measure_stats(comp)[2] == 0.0
+        out = _fore(u, v, np.ones_like(u), vs_exponents=(1.0,))
         # at u=3: x and magnitude contribute 0.5 * |3 - 2| each; y and angle
         # are identically zero fields with zero deviations
         assert out[0, 3] == pytest.approx(2 * 0.5 * 1.0, abs=1e-12)
 
     def test_exponent_sharpens_base(self):
-        scene = moving_block_arrays()
-        measures = flow_measures(_flow(*scene["flows"][0]))
+        scene = moving_block_arrays()  # motion gated off
+        u, v = scene["flows"][0]
         vs = np.full_like(scene["saliencies"][0], 0.25)
-        full = visual_saliency(np.ones_like(vs), measures, 1.0)
-        half = visual_saliency(vs, measures, 0.5)
+        full = _fore(u, v, np.ones_like(vs), vs_exponents=(1.0,))
+        half = _fore(u, v, vs, vs_exponents=(0.5,))
+        assert full.any()
         assert np.allclose(half, 0.5 * full, atol=1e-12)
 
     def test_monotone_in_saliency(self, rng):
         scene = moving_block_arrays()
-        measures = flow_measures(_flow(*scene["flows"][0]))
-        low = rng.random(measures.x.shape) * 0.5
+        u, v = scene["flows"][0]
+        low = rng.random(u.shape) * 0.5
         high = low + 0.25
         assert np.all(
-            visual_saliency(low, measures, 1.0) <= visual_saliency(high, measures, 1.0)
+            _fore(u, v, low, vs_exponents=(1.0,)) <= _fore(u, v, high, vs_exponents=(1.0,))
         )
 
-    def test_dimension_mismatch(self):
-        measures = flow_measures(_flow(np.zeros((2, 2)), np.zeros((2, 2))))
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            visual_saliency(np.zeros((3, 3)), measures, 1.0)
+    def test_dimension_mismatch(self, tmp_path):
+        # the sequence's accessors reject a saliency map of another size
+        scene = moving_block_arrays()
+        root = write_video_dir(
+            tmp_path / "vid",
+            frames=scene["frames"],
+            flows=scene["flows"],
+            saliencies=scene["saliencies"],
+        )
+        seq = open_sequence(root)
+        (root / "saliency" / "00000.pgm").write_bytes(write_saliency_pgm(np.zeros((3, 3))))
+        with pytest.raises(ValueError, match="00000.pgm: dimensions 3x3"):
+            frame_foregroundness(seq, 0)
 
     def test_matches_ungated_weighted_sum(self, rng):
-        # with k=1 and saliency of all ones the output is exactly the
-        # floored deviation sum
+        # with k=1 and saliency of all ones the visual term is exactly the
+        # floored deviation sum; a zero saliency map leaves the motion terms
         u = rng.normal(size=(6, 6))
         v = rng.normal(size=(6, 6))
-        measures = flow_measures(_flow(u, v))
-        out = visual_saliency(np.ones((6, 6)), measures, 1.0)
-        assert np.allclose(out, deviation_sum(measures), atol=1e-12)
+        motion = _fore(u, v, np.zeros((6, 6)), vs_exponents=(1.0,))
+        out = _fore(u, v, np.ones((6, 6)), vs_exponents=(1.0,))
+        assert np.allclose(out - motion, _deviation_sum(u, v), atol=1e-12)
 
 
 class TestForegroundness:
     def test_all_zero(self):
-        zeros = [np.zeros((2, 2))] * 4
-        assert not foregroundness(zeros, [np.zeros((2, 2))] * 3).any()
+        zeros = np.zeros((2, 2))
+        assert not _fore(zeros, zeros, zeros).any()
 
     def test_pointwise_addition(self):
-        ms = [np.full((1, 1), 1.0)] + [np.zeros((1, 1))] * 3
-        vs = [np.full((1, 1), 2.0)] + [np.zeros((1, 1))] * 2
-        assert foregroundness(ms, vs)[0, 0] == 3.0
+        # one moving pixel: x and magnitude each have alpha 1 and add motion
+        # 1 * |10 - 0|, and the deviation sum 20 there is weighted by 0.5
+        u = np.array([[0.0, 0.0, 0.0, 0.0, 10.0]])
+        v = np.zeros_like(u)
+        out = _fore(u, v, np.full_like(u, 0.5), vs_exponents=(1.0,))
+        assert out.tolist() == [[0.0, 0.0, 0.0, 0.0, 20.0 + 0.5 * 20.0]]
 
     def test_permutation_invariant(self, rng):
-        fields = [rng.random((3, 3)) for _ in range(7)]
-        a = foregroundness(fields[:4], fields[4:])
-        b = foregroundness(fields[3::-1], fields[:3:-1])
+        u, v = rng.normal(size=(2, 3, 3))
+        vs = rng.random((3, 3))
+        a = _fore(u, v, vs, vs_exponents=(1.0, 0.5, 1.0 / 3.0))
+        b = _fore(u, v, vs, vs_exponents=(1.0 / 3.0, 0.5, 1.0))
         assert np.allclose(a, b, atol=1e-12)
 
-    def test_non_negative(self, rng):
+    def test_non_negative(self):
         scene = moving_block_arrays(block_flow=(30.0, 0.0))
-        measures = flow_measures(_flow(*scene["flows"][0]))
-        ms = [motion_saliency(c) for c in measures.as_tuple()]
-        vs = [visual_saliency(scene["saliencies"][0], measures, k) for k in (1, 0.5)]
-        assert np.all(foregroundness(ms, vs) >= 0)
+        u, v = scene["flows"][0]
+        out = _fore(u, v, scene["saliencies"][0], vs_exponents=(1.0, 0.5))
+        assert out.any()
+        assert np.all(out >= 0)
+
+    def test_matches_oracle_on_cauchy_flows(self, rng):
+        configs = [
+            SegmenterConfig(),
+            SegmenterConfig(k_fences=0.5, min_flow_scale=0.2, vs_exponents=(2.0,)),
+            SegmenterConfig(k_fences=3.0, min_flow_scale=0.8, vs_exponents=(1.0, 0.25)),
+            SegmenterConfig(k_fences=0.0, min_flow_scale=0.0, vs_exponents=(0.5, 3.0, 1.0)),
+            SegmenterConfig(k_fences=1.0, min_flow_scale=1.0),
+        ]
+        gated = ungated = 0
+        for cfg in configs:
+            for _ in range(4):
+                frame = _OneFrame(
+                    rng.standard_cauchy(size=(9, 11)) * rng.uniform(0.1, 10.0),
+                    rng.standard_cauchy(size=(9, 11)),
+                    rng.random((9, 11)),
+                )
+                fore, scales = frame_foregroundness(frame, 0, cfg)
+                flow = frame.flow(0)
+                expected = oracles.foregroundness_field(
+                    flow.u.tolist(), flow.v.tolist(), frame.saliency(0).tolist(),
+                    cfg.k_fences, cfg.vs_exponents, cfg.min_flow_scale,
+                )
+                np.testing.assert_allclose(fore, expected, rtol=1e-12, atol=1e-12)
+                gated += sum(alpha >= cfg.min_flow_scale for alpha in scales.values())
+                ungated += sum(alpha < cfg.min_flow_scale for alpha in scales.values())
+        assert gated > 0 and ungated > 0
 
 
 class TestThresholdMask:
@@ -382,4 +463,22 @@ class TestSegmentSequence:
         scales = result.flow_scales[0]
         assert set(scales) == {"x", "y", "magnitude", "angle"}
         measures = flow_measures(_flow(*scene["flows"][0]))
-        assert scales == flow_component_scales(measures)
+        assert scales == {
+            name: _measure_stats(component)[2]
+            for name, component in zip(COMPONENT_NAMES, measures.as_tuple())
+        }
+
+    def test_saliency_resized_after_open_raises(self, tmp_path):
+        # a (30, 1) map would broadcast against the (30, 40) flow measures
+        scene = moving_block_arrays(num_frames=3)
+        root = write_video_dir(
+            tmp_path / "vid",
+            frames=scene["frames"],
+            flows=scene["flows"],
+            saliencies=scene["saliencies"],
+        )
+        seq = open_sequence(root)
+        path = root / "saliency" / "00001.pgm"
+        path.write_bytes(write_saliency_pgm(np.full((30, 1), 0.5)))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: dimensions 1x30")):
+            segment_sequence(seq)
