@@ -3,9 +3,11 @@
 Subcommands mirror the pipeline stages. All numeric defaults are the
 pipeline's standard values and every one of them can be overridden for
 ablation runs. Set ``TIS_LOG=debug|info|warning`` for logging verbosity.
-All outputs are computed before anything is written, and files written by
-a failing invocation are removed again, so a non-zero exit leaves no
-partial output behind.
+All outputs are computed before anything is written. An output directory
+ends up holding exactly the files of one run: they are written to a fresh
+directory beside it, which then takes its place. A directory that holds
+anything these subcommands do not write is never replaced, and a non-zero
+exit leaves no partial output and no directory it created behind.
 """
 
 from __future__ import annotations
@@ -14,7 +16,10 @@ import argparse
 import logging
 import math
 import os
+import re
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from tukeyseg import fusion, metrics
@@ -56,17 +61,24 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _tolerance(text: str) -> float:
+def _non_negative(text: str) -> float:
     value = _finite_float(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must not be negative, not {text}")
     return value
 
 
+def _unit_interval(text: str) -> float:
+    value = _parsed(float, text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], not {text}")
+    return value
+
+
 def _add_segmenter_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k-fences", type=float, default=1.5,
+    parser.add_argument("--k-fences", type=_non_negative, default=1.5,
                         help="outlier fence multiple of the IQR (default 1.5)")
-    parser.add_argument("--min-flow-scale", type=float, default=0.5,
+    parser.add_argument("--min-flow-scale", type=_unit_interval, default=0.5,
                         help="minimum outlier scale for flow measures (default 0.5)")
     parser.add_argument("--vs-exponents", type=_exponent_list, default=(1.0, 0.5, 1.0 / 3.0),
                         metavar="K1,K2,...",
@@ -105,32 +117,59 @@ def build_parser() -> argparse.ArgumentParser:
     combine.add_argument("--output", required=True, help="directory for fused masks and the weight report")
     combine.add_argument("--strategy", choices=fusion.STRATEGIES, default="tism",
                          help="fusion rule (default tism)")
-    combine.add_argument("--k-fences", type=float, default=1.5)
+    combine.add_argument("--k-fences", type=_non_negative, default=1.5)
     combine.add_argument("--jobs", type=_jobs, default=1)
 
     evaluate = sub.add_parser("eval", help="score predicted masks against ground truth")
     evaluate.add_argument("--input", required=True, help="prediction root (one directory per sequence)")
     evaluate.add_argument("--ground-truth", required=True, help="ground-truth root")
     evaluate.add_argument("--output", default=None, help="also write the CSV table to this file")
-    evaluate.add_argument("--tolerance", type=_tolerance, default=None,
+    evaluate.add_argument("--tolerance", type=_non_negative, default=None,
                           help="contour tolerance in pixels (default: 0.0075 * image diagonal)")
     evaluate.add_argument("--jobs", type=_jobs, default=1)
 
     return parser
 
 
+_OUTPUT_NAME = re.compile(r"\d{5,}\.pgm|flow_alphas\.csv|mask_alphas\.csv")
+
+
 def _write_outputs(directory: Path, files: dict[str, bytes]) -> None:
-    """Write all files, removing everything written here if any write fails."""
-    directory.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    """Make ``directory`` hold exactly ``files``; a failure leaves nothing new behind.
+
+    The files go to a fresh directory beside ``directory``, which then takes
+    its place. An existing ``directory`` is replaced only if it holds nothing
+    but files these subcommands write.
+    """
+    directory = directory.resolve()
+    old_files = []
+    if directory.exists():
+        if not directory.is_dir():
+            raise ValueError(f"not a directory: {directory}")
+        for entry in directory.iterdir():
+            if not (entry.is_file() and _OUTPUT_NAME.fullmatch(entry.name)):
+                raise ValueError(f"{entry}: not an output of this program, "
+                                 f"so {directory} is not replaced")
+            old_files.append(entry)
+    created = [d for d in (directory.parent, *directory.parent.parents) if not d.exists()]
+    directory.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=f".{directory.name}.", dir=directory.parent))
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        staging.chmod(0o777 & ~umask)
         for name, data in files.items():
-            path = directory / name
-            path.write_bytes(data)
-            written.append(path)
+            (staging / name).write_bytes(data)
+        for path in old_files:
+            path.unlink()
+        os.replace(staging, directory)
     except BaseException:
-        for path in written:
-            path.unlink(missing_ok=True)
+        shutil.rmtree(staging, ignore_errors=True)
+        for d in created:
+            try:
+                d.rmdir()
+            except OSError:
+                break
         raise
 
 

@@ -5,9 +5,9 @@ Everything here is deliberately written in plain Python (loops, lists,
 under test. Expected values frozen into the test suite were produced by
 these functions.
 
-The exception is the "bit-exact references" section: numpy versions of
-kernels the package has since rewritten for speed, kept unchanged so tests
-can demand ``np.array_equal`` results from the rewrites.
+The exception is the "bit-exact references" section: numpy/scipy versions
+of kernels the package has since rewritten for speed, kept unchanged so
+tests can demand ``np.array_equal`` or ``==`` results from the rewrites.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import math
 from collections import deque
 
 import numpy as np
+from scipy import ndimage
 
 
 # --- robust statistics ---
@@ -372,3 +373,23 @@ def consensus_rows(ids, f_local, mean_lab, epsilon=1e-3):
         weights *= (2.0 / 3.0) / weights.sum()
         f_nonlocal[i] = float(weights @ f_local[neighbors])
     return f_nonlocal
+
+
+def contour_f_full_frame(mask, reference, tolerance):
+    """Boundary F-measure with one erosion per mask and two EDTs over the whole image."""
+    cross = ndimage.generate_binary_structure(2, 1)
+    m = np.asarray(mask) != 0
+    g = np.asarray(reference) != 0
+    boundary_m = m & ~ndimage.binary_erosion(m, structure=cross, border_value=0)
+    boundary_g = g & ~ndimage.binary_erosion(g, structure=cross, border_value=0)
+    if not boundary_m.any() and not boundary_g.any():
+        return 1.0
+    if not boundary_m.any() or not boundary_g.any():
+        return 0.0
+    distance_to_g = ndimage.distance_transform_edt(~boundary_g)
+    distance_to_m = ndimage.distance_transform_edt(~boundary_m)
+    precision = float((distance_to_g[boundary_m] <= tolerance).mean())
+    recall = float((distance_to_m[boundary_g] <= tolerance).mean())
+    if precision + recall == 0.0:
+        return 0.0
+    return 2.0 * precision * recall / (precision + recall)

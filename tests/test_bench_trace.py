@@ -1,4 +1,5 @@
-"""The benchmark's traced run at smoke size: every traced function is still called.
+"""The benchmark at smoke size: every traced function is still called, and
+BENCHMARK.json is the one ``bench/spec.py`` generates.
 
 The traced run (``bench/run.py --trace 1``) fails when a function it times
 records no call, so a refactor that stops calling one fails here, in the
@@ -15,7 +16,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-RUN = ROOT / "bench" / "run.py"
+BENCH = ROOT / "bench"
+RUN = BENCH / "run.py"
 SPEC = ROOT / "BENCHMARK.json"
 WORKLOADS = [w["name"] for w in json.loads(SPEC.read_text())["workloads"]] if SPEC.is_file() else []
 
@@ -33,3 +35,13 @@ def test_traced_smoke_run_is_correct(workload):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+@pytest.mark.skipif(not (BENCH / "spec.py").is_file(), reason="bench/spec.py is absent")
+def test_benchmark_json_matches_spec():
+    sys.path[:0] = [str(BENCH), str(ROOT / "src")]
+    try:
+        import spec
+    finally:
+        del sys.path[:2]
+    assert json.loads(SPEC.read_text()) == spec.benchmark_json()

@@ -1,7 +1,12 @@
 """Tests for the command-line interface."""
 
+import pathlib
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import moving_block_arrays, write_video_dir
 from tukeyseg.cli import build_parser, main
@@ -107,6 +112,38 @@ class TestNumericFlags:
         args = build_parser().parse_args(["refine", *_REQUIRED["refine"], "--w0", "-0.5"])
         assert args.w0 == -0.5
 
+    @pytest.mark.parametrize("command", ["tis0", "refine", "combine"])
+    @pytest.mark.parametrize("value", ["-1", "-0.5", "nan", "inf", "-inf"])
+    def test_k_fences_must_be_finite_and_non_negative(self, command, value, capsys):
+        self._rejected([command, *_REQUIRED[command], "--k-fences", value], capsys, "--k-fences")
+
+    @pytest.mark.parametrize("command", ["tis0", "refine", "combine"])
+    @pytest.mark.parametrize("value", ["0", "3"])
+    def test_k_fences_accepted(self, command, value):
+        args = build_parser().parse_args([command, *_REQUIRED[command], "--k-fences", value])
+        assert args.k_fences == float(value)
+
+    @pytest.mark.parametrize("command", ["tis0", "refine"])
+    @pytest.mark.parametrize("value", ["-0.1", "1.5", "2", "nan", "inf"])
+    def test_min_flow_scale_must_lie_in_unit_interval(self, command, value, capsys):
+        self._rejected([command, *_REQUIRED[command], "--min-flow-scale", value], capsys,
+                       "--min-flow-scale")
+
+    @pytest.mark.parametrize("command", ["tis0", "refine"])
+    @pytest.mark.parametrize("value", ["0", "0.25", "1"])
+    def test_min_flow_scale_accepted(self, command, value):
+        args = build_parser().parse_args(
+            [command, *_REQUIRED[command], "--min-flow-scale", value])
+        assert args.min_flow_scale == float(value)
+
+    @pytest.mark.parametrize("flag, value", [("--k-fences", "-1"), ("--min-flow-scale", "2")])
+    def test_bad_segmenter_flag_rejected_before_input_is_read(self, flag, value, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["tis0", "--input", str(tmp_path / "missing"),
+                  "--output", str(tmp_path / "out"), flag, value])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
     def test_negative_tolerance_never_scored(self, tmp_path, capsys):
         # identical masks would otherwise score F = 0 under a negative tolerance
         mask = np.zeros((5, 5), dtype=np.uint8)
@@ -144,6 +181,85 @@ class TestSegmentCommand:
         code = main(["tis0", "--input", str(tmp_path / "nope"), "--output", str(out)])
         assert code != 0
         assert not out.exists() or not any(out.iterdir())
+
+
+class TestOutputDirectory:
+    def test_stale_masks_removed(self, block_video, tmp_path):
+        video, _ = block_video
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "00099.pgm").write_bytes(write_mask_pgm(np.ones((30, 40), dtype=np.uint8)))
+        (out / "mask_alphas.csv").write_text("frame,method,count,alpha\n")
+        assert main(["tis0", "--input", str(video), "--output", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "00000.pgm", "00001.pgm", "00002.pgm", "flow_alphas.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "video"]
+
+    @pytest.mark.parametrize("foreign", ["notes.txt", "00001.png", "sub/00000.pgm"])
+    def test_foreign_content_is_never_replaced(self, block_video, tmp_path, capsys, foreign):
+        video, _ = block_video
+        out = tmp_path / "out"
+        (out / foreign).parent.mkdir(parents=True, exist_ok=True)
+        (out / foreign).write_text("keep me")
+        (out / "00007.pgm").write_bytes(b"stale")
+        code = main(["tis0", "--input", str(video), "--output", str(out)])
+        assert code == 1
+        assert foreign.split("/")[0] in capsys.readouterr().err
+        assert (out / foreign).read_text() == "keep me"
+        assert (out / "00007.pgm").read_bytes() == b"stale"
+        assert not (out / "00000.pgm").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "video"]
+
+    def test_current_directory_with_user_files_is_kept(self, block_video, tmp_path,
+                                                       monkeypatch, capsys):
+        video, _ = block_video
+        work = tmp_path / "work"
+        work.mkdir()
+        (work / "thesis.tex").write_text("keep me")
+        monkeypatch.chdir(work)
+        assert main(["tis0", "--input", str(video), "--output", "."]) == 1
+        assert "thesis.tex" in capsys.readouterr().err
+        assert [p.name for p in work.iterdir()] == ["thesis.tex"]
+
+    def test_output_that_is_a_file_fails(self, block_video, tmp_path, capsys):
+        video, _ = block_video
+        out = tmp_path / "out"
+        out.write_text("keep me")
+        assert main(["tis0", "--input", str(video), "--output", str(out)]) == 1
+        assert "not a directory" in capsys.readouterr().err
+        assert out.read_text() == "keep me"
+
+    def test_failed_write_leaves_no_directory(self, block_video, tmp_path, monkeypatch, capsys):
+        video, _ = block_video
+        real_write = pathlib.Path.write_bytes
+        calls = []
+
+        def failing_write(path, data):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError(28, "No space left on device")
+            return real_write(path, data)
+
+        monkeypatch.setattr(pathlib.Path, "write_bytes", failing_write)
+        out = tmp_path / "new" / "deeper" / "out"
+        assert main(["tis0", "--input", str(video), "--output", str(out)]) == 1
+        assert "No space left" in capsys.readouterr().err
+        assert len(calls) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["video"]
+
+    def test_failed_write_keeps_previous_outputs(self, block_video, tmp_path, monkeypatch):
+        video, _ = block_video
+        out = tmp_path / "out"
+        assert main(["combine", "--input", str(video / "masks"), "--output", str(out)]) == 0
+        before = _tree_bytes(out)
+
+        def failing_write(path, data):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(pathlib.Path, "write_bytes", failing_write)
+        assert main(["tis0", "--input", str(video), "--output", str(out)]) == 1
+        assert _tree_bytes(out) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "video"]
 
 
 class TestRefineCommand:
@@ -279,6 +395,62 @@ class TestEvalCommand:
         )
         assert code != 0
         assert "error:" in capsys.readouterr().err
+
+
+def _flat_video(root, height, width, num_frames, u=1.0, v=0.0, labels=None):
+    """Uniform frames and saliency with constant flow (u, v)."""
+    flow = (np.full((height, width), u, np.float32), np.full((height, width), v, np.float32))
+    return write_video_dir(
+        root,
+        frames=[np.full((height, width, 3), 90, dtype=np.uint8)] * num_frames,
+        flows=[flow] * max(num_frames - 1, 1),
+        saliencies=[np.linspace(0.0, 1.0, height * width).reshape(height, width)] * num_frames,
+        labels=labels,
+    )
+
+
+@pytest.mark.filterwarnings("error")
+class TestDegenerateInputs:
+    @settings(max_examples=25, deadline=None)
+    @given(u=st.floats(-1e4, 1e4), v=st.floats(-1e4, 1e4), num_frames=st.integers(1, 3))
+    @example(u=0.0, v=0.0, num_frames=2)
+    def test_constant_flow_gives_empty_masks(self, u, v, num_frames):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = pathlib.Path(tmp)
+            video = _flat_video(tmp / "video", 6, 8, num_frames, u, v)
+            assert main(["tis0", "--input", str(video), "--output", str(tmp / "out")]) == 0
+            masks = read_mask_dir(tmp / "out")
+            assert len(masks) == num_frames
+            assert all(m.shape == (6, 8) and not m.any() for m in masks)
+
+    @pytest.mark.parametrize("command, height, width", [
+        (["tis0"], 1, 1), (["tis0"], 5, 7), (["refine", "--mode", "local"], 1, 1),
+        (["refine", "--mode", "local"], 5, 7), (["refine", "--mode", "nonlocal"], 5, 7),
+    ])
+    def test_one_frame_video(self, tmp_path, command, height, width):
+        labels = [np.arange(height * width).reshape(height, width)]
+        video = _flat_video(tmp_path / "video", height, width, 1, labels=labels)
+        out = tmp_path / "out"
+        assert main([*command, "--input", str(video), "--output", str(out)]) == 0
+        masks = read_mask_dir(out)
+        assert len(masks) == 1 and masks[0].shape == (height, width)
+
+    @pytest.mark.parametrize("command", [["tis0"], ["refine", "--mode", "local"]])
+    def test_one_by_one_frames(self, tmp_path, command):
+        video = _flat_video(tmp_path / "video", 1, 1, 3, labels=[np.zeros((1, 1))] * 3)
+        out = tmp_path / "out"
+        assert main([*command, "--input", str(video), "--output", str(out)]) == 0
+        assert [m.shape for m in read_mask_dir(out)] == [(1, 1)] * 3
+
+    @pytest.mark.parametrize("height, width", [(1, 1), (4, 6)])
+    def test_one_supervoxel_nonlocal(self, tmp_path, capsys, height, width):
+        video = _flat_video(tmp_path / "video", height, width, 2,
+                            labels=[np.full((height, width), 3)] * 2)
+        out = tmp_path / "out"
+        code = main(["refine", "--mode", "nonlocal", "--input", str(video), "--output", str(out)])
+        assert code == 1
+        assert "at least 2 supervoxels" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["video"]
 
 
 class TestDeterminismAcrossJobs:

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from tukeyseg import metrics
 from tukeyseg.io import write_mask_pgm
 from tukeyseg.metrics import (
     contour_f,
@@ -124,6 +125,111 @@ class TestContourF:
     def test_default_tolerance_scales_with_diagonal(self):
         assert default_tolerance(854, 480) == 8
         assert default_tolerance(10, 10) == 1
+
+
+_H, _W = 48, 64
+_BLOB = np.array(
+    [
+        [0, 1, 1, 1, 0],
+        [1, 1, 1, 1, 1],
+        [1, 1, 0, 1, 1],
+        [1, 1, 1, 1, 0],
+        [0, 1, 1, 0, 0],
+    ],
+    dtype=np.uint8,
+)
+
+
+def _placed(patch, top, left):
+    """``patch`` at (top, left) in an _H x _W frame; negative offsets count from the far edge."""
+    m = np.zeros((_H, _W), dtype=np.uint8)
+    h, w = patch.shape
+    top = top if top >= 0 else _H - h + 1 + top
+    left = left if left >= 0 else _W - w + 1 + left
+    m[top:top + h, left:left + w] = patch
+    return m
+
+
+def _pixel(row, col):
+    m = np.zeros((_H, _W), dtype=np.uint8)
+    m[row, col] = 1
+    return m
+
+
+_EDGES_AND_CORNERS = {
+    "top": (0, 30), "bottom": (-1, 30), "left": (20, 0), "right": (20, -1),
+    "top-left": (0, 0), "top-right": (0, -1), "bottom-left": (-1, 0),
+    "bottom-right": (-1, -1), "interior": (20, 30),
+}
+
+_SMALL_OBJECTS = {
+    **{
+        f"blob-{name}": (_placed(_BLOB, *at), _placed(_BLOB[::-1, ::-1], *at))
+        for name, at in _EDGES_AND_CORNERS.items()
+    },
+    **{
+        f"shifted-{name}": (_placed(_BLOB[:, :4], *at), _placed(_BLOB[:4, :], *at))
+        for name, at in _EDGES_AND_CORNERS.items()
+    },
+    "pixel-same": (_pixel(0, 0), _pixel(0, 0)),
+    "pixel-neighbors": (_pixel(_H - 1, 5), _pixel(_H - 2, 7)),
+    "pixel-vs-blob": (_pixel(21, 31), _placed(_BLOB, 20, 30)),
+    "opposite-corners": (_placed(_BLOB, 0, 0), _placed(_BLOB, -1, -1)),
+    "opposite-pixels": (_pixel(0, _W - 1), _pixel(_H - 1, 0)),
+    "one-empty": (np.zeros((_H, _W), dtype=np.uint8), _placed(_BLOB, 0, -1)),
+    "both-empty": (np.zeros((_H, _W), dtype=np.uint8), np.zeros((_H, _W), dtype=np.uint8)),
+    "full-vs-blob": (np.ones((_H, _W), dtype=np.uint8), _placed(_BLOB, 20, 30)),
+}
+
+
+class TestContourFOnBoundingBox:
+    """The bounding-box contour F equals the whole-image computation exactly."""
+
+    @pytest.mark.parametrize("tolerance", [0, 2.5, 1000, None])
+    @pytest.mark.parametrize("case", sorted(_SMALL_OBJECTS))
+    def test_equals_full_frame(self, case, tolerance):
+        m, g = _SMALL_OBJECTS[case]
+        resolved = default_tolerance(_W, _H) if tolerance is None else tolerance
+        for a, b in ((m, g), (g, m)):
+            got = contour_f(a, b, tolerance)
+            assert got == oracles.contour_f_full_frame(a, b, resolved)
+            expected = oracles.contour_f(a.tolist(), b.tolist(), resolved)
+            assert got == pytest.approx(expected, abs=1e-12)
+
+    def test_random_small_objects_equal_full_frame(self, rng):
+        for _ in range(200):
+            masks = []
+            for _ in range(2):
+                m = np.zeros((_H, _W), dtype=np.uint8)
+                h, w = rng.integers(1, 9, 2)
+                top, left = rng.integers(0, _H - h + 1), rng.integers(0, _W - w + 1)
+                m[top:top + h, left:left + w] = rng.random((h, w)) > 0.3
+                masks.append(m)
+            for tolerance in (0, 1, 2.5):
+                assert contour_f(*masks, tolerance) == oracles.contour_f_full_frame(
+                    *masks, tolerance)
+
+    def test_dataset_csv_matches_full_frame(self, tmp_path, monkeypatch):
+        # border-touching objects in every frame; the default tolerance is used
+        names = sorted(_SMALL_OBJECTS)
+        for s, start in enumerate((0, 7, 14)):
+            frames = [_SMALL_OBJECTS[names[(start + i) % len(names)]] for i in range(7)]
+            for root, pick in (("pred", 0), ("gt", 1)):
+                d = tmp_path / root / f"seq{s}"
+                d.mkdir(parents=True)
+                for i, pair in enumerate(frames):
+                    (d / f"{i:05d}.pgm").write_bytes(write_mask_pgm(pair[pick]))
+        tables = {
+            jobs: rows_to_csv(evaluate_dataset(tmp_path / "pred", tmp_path / "gt", jobs=jobs))
+            for jobs in (1, 2)
+        }
+        monkeypatch.setattr(
+            metrics, "contour_f",
+            lambda m, g, t: oracles.contour_f_full_frame(m, g, default_tolerance(_W, _H)),
+        )
+        reference = rows_to_csv(evaluate_dataset(tmp_path / "pred", tmp_path / "gt"))
+        assert tables[1] == reference
+        assert tables[2] == reference
 
 
 class TestDecayAndSequences:
