@@ -4,10 +4,11 @@ Subcommands mirror the pipeline stages. All numeric defaults are the
 pipeline's standard values and every one of them can be overridden for
 ablation runs. Set ``TIS_LOG=debug|info|warning`` for logging verbosity.
 All outputs are computed before anything is written. An output directory
-ends up holding exactly the files of one run: they are written to a fresh
-directory beside it, which then takes its place. A directory that holds
-anything these subcommands do not write is never replaced, and a non-zero
-exit leaves no partial output and no directory it created behind.
+ends up holding exactly the files of one run: they are written to a hidden
+staging directory inside it and renamed into place once all are written,
+and the earlier outputs are removed. A directory that holds anything these
+subcommands do not write is never written to. A non-zero exit leaves the
+previous outputs as they were and removes any directory the run created.
 """
 
 from __future__ import annotations
@@ -131,46 +132,61 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_OUTPUT_NAME = re.compile(r"\d{5,}\.pgm|flow_alphas\.csv|mask_alphas\.csv")
+_OUTPUT_NAME = re.compile(r"[0-9]{5,}\.pgm|flow_alphas\.csv|mask_alphas\.csv")
+_STAGING_PREFIX = ".tukeyseg-"
+_STAGING_NAME = re.compile(r"\.tukeyseg-[a-z0-9_]+")
 
 
 def _write_outputs(directory: Path, files: dict[str, bytes]) -> None:
-    """Make ``directory`` hold exactly ``files``; a failure leaves nothing new behind.
+    """Make ``directory`` hold exactly ``files``; a failure changes nothing.
 
-    The files go to a fresh directory beside ``directory``, which then takes
-    its place. An existing ``directory`` is replaced only if it holds nothing
-    but files these subcommands write.
+    The files are written to a hidden staging directory inside ``directory``
+    and renamed into place once all of them are written; the earlier outputs
+    are first moved into the staging directory, and every rename is undone if
+    one fails. An existing ``directory`` is used only if it holds nothing but
+    files these subcommands write, plus staging directories a killed run left
+    behind, which are removed.
     """
-    directory = directory.resolve()
-    old_files = []
-    if directory.exists():
-        if not directory.is_dir():
-            raise ValueError(f"not a directory: {directory}")
+    if directory.exists() and not directory.is_dir():
+        raise ValueError(f"not a directory: {directory}")
+    old_names, leftovers = [], []
+    if directory.is_dir():
         for entry in directory.iterdir():
-            if not (entry.is_file() and _OUTPUT_NAME.fullmatch(entry.name)):
+            if entry.is_file() and _OUTPUT_NAME.fullmatch(entry.name):
+                old_names.append(entry.name)
+            elif entry.is_dir() and _STAGING_NAME.fullmatch(entry.name):
+                leftovers.append(entry)
+            else:
                 raise ValueError(f"{entry}: not an output of this program, "
-                                 f"so {directory} is not replaced")
-            old_files.append(entry)
-    created = [d for d in (directory.parent, *directory.parent.parents) if not d.exists()]
-    directory.parent.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(prefix=f".{directory.name}.", dir=directory.parent))
+                                 f"so {directory} is not written to")
+    created = [d for d in (directory, *directory.parents) if not d.exists()]
+    directory.mkdir(parents=True, exist_ok=True)
+    staging = None
+    renamed = []
     try:
-        umask = os.umask(0)
-        os.umask(umask)
-        staging.chmod(0o777 & ~umask)
+        staging = Path(tempfile.mkdtemp(prefix=_STAGING_PREFIX, dir=directory))
+        previous = staging / "previous"
+        previous.mkdir()
         for name, data in files.items():
             (staging / name).write_bytes(data)
-        for path in old_files:
-            path.unlink()
-        os.replace(staging, directory)
+        moves = [(directory / name, previous / name) for name in old_names]
+        moves += [(staging / name, directory / name) for name in files]
+        for source, target in moves:
+            os.replace(source, target)
+            renamed.append((source, target))
     except BaseException:
-        shutil.rmtree(staging, ignore_errors=True)
+        for source, target in reversed(renamed):
+            os.replace(target, source)
+        if staging is not None:
+            shutil.rmtree(staging, ignore_errors=True)
         for d in created:
             try:
                 d.rmdir()
             except OSError:
                 break
         raise
+    for path in (staging, *leftovers):
+        shutil.rmtree(path, ignore_errors=True)
 
 
 def _mask_files(masks) -> dict[str, bytes]:

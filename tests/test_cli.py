@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import os
 import pathlib
 import tempfile
 
@@ -195,7 +196,9 @@ class TestOutputDirectory:
             "00000.pgm", "00001.pgm", "00002.pgm", "flow_alphas.csv"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "video"]
 
-    @pytest.mark.parametrize("foreign", ["notes.txt", "00001.png", "sub/00000.pgm"])
+    @pytest.mark.parametrize("foreign", [
+        "notes.txt", "00001.png", "sub/00000.pgm", "\u0660" * 5 + ".pgm", ".tukeyseg-notes",
+    ])
     def test_foreign_content_is_never_replaced(self, block_video, tmp_path, capsys, foreign):
         video, _ = block_video
         out = tmp_path / "out"
@@ -259,7 +262,68 @@ class TestOutputDirectory:
         monkeypatch.setattr(pathlib.Path, "write_bytes", failing_write)
         assert main(["tis0", "--input", str(video), "--output", str(out)]) == 1
         assert _tree_bytes(out) == before
+        assert sorted(p.name for p in out.iterdir()) == sorted(before)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "video"]
+
+    # The previous run leaves 4 files and tis0 writes 4: renames 1-4 move the
+    # old files aside, 5-8 move the new ones into place.
+    @pytest.mark.parametrize("failing_call", [1, 3, 5, 8])
+    def test_failed_rename_keeps_previous_outputs(self, block_video, tmp_path, monkeypatch,
+                                                  capsys, failing_call):
+        video, _ = block_video
+        out = tmp_path / "out"
+        assert main(["combine", "--input", str(video / "masks"), "--output", str(out)]) == 0
+        before = _tree_bytes(out)
+        real_replace = os.replace
+        calls = []
+
+        def failing_replace(source, target):
+            calls.append(source)
+            if len(calls) == failing_call:
+                raise OSError(16, "Device or resource busy")
+            return real_replace(source, target)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        assert main(["tis0", "--input", str(video), "--output", str(out)]) == 1
+        assert "resource busy" in capsys.readouterr().err
+        assert _tree_bytes(out) == before
+        assert sorted(p.name for p in out.iterdir()) == sorted(before)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "video"]
+
+    def test_directory_itself_is_kept(self, block_video, tmp_path):
+        video, _ = block_video
+        out = tmp_path / "out"
+        out.mkdir()
+        out.chmod(0o2751)
+        (out / "00099.pgm").write_bytes(b"stale")
+        before = out.stat()
+        assert main(["tis0", "--input", str(video), "--output", str(out)]) == 0
+        after = out.stat()
+        assert (after.st_ino, after.st_mode, after.st_uid) == (
+            before.st_ino, before.st_mode, before.st_uid)
+        assert not (out / "00099.pgm").exists()
+
+    def test_current_directory_as_output(self, block_video, tmp_path, monkeypatch):
+        video, _ = block_video
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "00099.pgm").write_bytes(b"stale")
+        monkeypatch.chdir(out)
+        assert main(["tis0", "--input", str(video), "--output", "."]) == 0
+        assert pathlib.Path.cwd().samefile(out)
+        assert sorted(os.listdir(".")) == [
+            "00000.pgm", "00001.pgm", "00002.pgm", "flow_alphas.csv"]
+
+    def test_staging_left_by_killed_run_is_removed(self, block_video, tmp_path):
+        video, _ = block_video
+        out = tmp_path / "out"
+        leftover = out / ".tukeyseg-k1ll3d_x"
+        (leftover / "previous").mkdir(parents=True)
+        (leftover / "00000.pgm").write_bytes(b"new")
+        (leftover / "previous" / "00001.pgm").write_bytes(b"old")
+        assert main(["tis0", "--input", str(video), "--output", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "00000.pgm", "00001.pgm", "00002.pgm", "flow_alphas.csv"]
 
 
 class TestRefineCommand:
@@ -409,8 +473,9 @@ def _flat_video(root, height, width, num_frames, u=1.0, v=0.0, labels=None):
     )
 
 
-@pytest.mark.filterwarnings("error")
 class TestDegenerateInputs:
+    """Degenerate videos; any warning fails these, as everywhere in tier-1."""
+
     @settings(max_examples=25, deadline=None)
     @given(u=st.floats(-1e4, 1e4), v=st.floats(-1e4, 1e4), num_frames=st.integers(1, 3))
     @example(u=0.0, v=0.0, num_frames=2)
