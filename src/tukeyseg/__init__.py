@@ -7,7 +7,7 @@ multiple segmentation methods under reliability weights, and scores the
 results with region- and contour-accuracy metrics.
 """
 
-from tukeyseg.fusion import fuse_frame, fuse_mean, fuse_median, fuse_sequence
+from tukeyseg.fusion import fuse_frame, fuse_sequence
 from tukeyseg.io import FlowField, FrameSequence, open_sequence
 from tukeyseg.metrics import contour_f, evaluate_dataset, jaccard, sequence_scores
 from tukeyseg.refine import RefineConfig, refine_masks, refine_sequence, rgb_to_lab
@@ -35,8 +35,6 @@ __all__ = [
     "evaluate_dataset",
     "fences",
     "fuse_frame",
-    "fuse_mean",
-    "fuse_median",
     "fuse_sequence",
     "jaccard",
     "mask_outlier_scales",

@@ -7,8 +7,10 @@ All outputs are computed before anything is written. An output directory
 ends up holding exactly the files of one run: they are written to a hidden
 staging directory inside it and renamed into place once all are written,
 and the earlier outputs are removed. A directory that holds anything these
-subcommands do not write is never written to. A non-zero exit leaves the
-previous outputs as they were and removes any directory the run created.
+subcommands do not write is refused before any input is read, and never
+written to. ``eval --output`` replaces its one table file the same way. A
+non-zero exit leaves the previous outputs as they were and removes any
+directory the run created.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ def _exponent_list(text: str) -> tuple[float, ...]:
         values = tuple(float(part) for part in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad exponent list '{text}'") from exc
-    if not values:
-        raise argparse.ArgumentTypeError("exponent list must not be empty")
+    if not all(0 < k < math.inf for k in values):
+        raise argparse.ArgumentTypeError(f"exponents must be finite and positive, not {text}")
     return values
 
 
@@ -137,39 +139,49 @@ _STAGING_PREFIX = ".tukeyseg-"
 _STAGING_NAME = re.compile(r"\.tukeyseg-[a-z0-9_]+")
 
 
-def _write_outputs(directory: Path, files: dict[str, bytes]) -> None:
-    """Make ``directory`` hold exactly ``files``; a failure changes nothing.
+def _output_names(directory: Path) -> list[str]:
+    """Names of the entries in ``directory`` that a run replaces.
 
-    The files are written to a hidden staging directory inside ``directory``
-    and renamed into place once all of them are written; the earlier outputs
-    are first moved into the staging directory, and every rename is undone if
-    one fails. An existing ``directory`` is used only if it holds nothing but
-    files these subcommands write, plus staging directories a killed run left
-    behind, which are removed.
+    An existing ``directory`` is used only if it holds nothing but files these
+    subcommands write, plus staging directories a killed run left behind;
+    anything else raises ``ValueError``.
     """
     if directory.exists() and not directory.is_dir():
         raise ValueError(f"not a directory: {directory}")
-    old_names, leftovers = [], []
+    names = []
     if directory.is_dir():
         for entry in directory.iterdir():
-            if entry.is_file() and _OUTPUT_NAME.fullmatch(entry.name):
-                old_names.append(entry.name)
-            elif entry.is_dir() and _STAGING_NAME.fullmatch(entry.name):
-                leftovers.append(entry)
-            else:
+            if not (entry.is_file() and _OUTPUT_NAME.fullmatch(entry.name)
+                    or entry.is_dir() and _STAGING_NAME.fullmatch(entry.name)):
                 raise ValueError(f"{entry}: not an output of this program, "
                                  f"so {directory} is not written to")
+            names.append(entry.name)
+    return names
+
+
+def _write_outputs(directory: Path, files: dict[str, bytes], replaced=None) -> None:
+    """Make ``directory`` hold ``files`` instead of ``replaced``; a failure changes nothing.
+
+    ``replaced`` defaults to :func:`_output_names`, so that ``directory`` ends
+    up holding exactly ``files``. The files are written to a hidden staging
+    directory inside ``directory`` and renamed into place once all of them
+    are written; the ``replaced`` entries are first moved into the staging
+    directory, and every rename is undone if one fails. On failure every
+    directory this call created is removed too.
+    """
+    if replaced is None:
+        replaced = _output_names(directory)
     created = [d for d in (directory, *directory.parents) if not d.exists()]
-    directory.mkdir(parents=True, exist_ok=True)
     staging = None
     renamed = []
     try:
+        directory.mkdir(parents=True, exist_ok=True)
         staging = Path(tempfile.mkdtemp(prefix=_STAGING_PREFIX, dir=directory))
         previous = staging / "previous"
         previous.mkdir()
         for name, data in files.items():
             (staging / name).write_bytes(data)
-        moves = [(directory / name, previous / name) for name in old_names]
+        moves = [(directory / name, previous / name) for name in replaced]
         moves += [(staging / name, directory / name) for name in files]
         for source, target in moves:
             os.replace(source, target)
@@ -185,8 +197,7 @@ def _write_outputs(directory: Path, files: dict[str, bytes]) -> None:
             except OSError:
                 break
         raise
-    for path in (staging, *leftovers):
-        shutil.rmtree(path, ignore_errors=True)
+    shutil.rmtree(staging, ignore_errors=True)
 
 
 def _mask_files(masks) -> dict[str, bytes]:
@@ -218,6 +229,7 @@ def _segmenter_config(args) -> SegmenterConfig:
 
 
 def _cmd_tis0(args) -> int:
+    _output_names(Path(args.output))
     seq = open_sequence(args.input)
     result = segment_sequence(seq, _segmenter_config(args), jobs=args.jobs)
     files = _mask_files(result.masks)
@@ -228,6 +240,7 @@ def _cmd_tis0(args) -> int:
 
 
 def _cmd_refine(args) -> int:
+    _output_names(Path(args.output))
     seq = open_sequence(args.input)
     ref_cfg = RefineConfig(mode=args.mode, w0=args.w0)
     result = refine_sequence(seq, _segmenter_config(args), ref_cfg, jobs=args.jobs)
@@ -237,6 +250,7 @@ def _cmd_refine(args) -> int:
 
 
 def _cmd_combine(args) -> int:
+    _output_names(Path(args.output))
     root = Path(args.input)
     if not root.is_dir():
         raise ValueError(f"not a directory: {root}")
@@ -274,8 +288,7 @@ def _cmd_eval(args) -> int:
     sys.stdout.write(csv)
     if args.output:
         out = Path(args.output)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(csv)
+        _write_outputs(out.parent, {out.name: csv.encode()}, replaced=())
     return 0
 
 

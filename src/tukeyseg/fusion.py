@@ -4,20 +4,20 @@ For each frame, every method's mask is weighted by how close its
 foreground-pixel count sits to the median count across all methods
 (:func:`tukeyseg.stats.mask_outlier_scales`); outlier counts weigh zero.
 The weighted mean of the masks, thresholded strictly at 0.5, is the fused
-output. Plain mean and median combiners are provided as baselines.
+output. :func:`fuse_frame` is the one per-frame fusion path: it validates,
+counts and weighs a frame's masks once, then applies the strategy, either
+this weighted vote (``tism``) or one of two baselines, the unweighted vote
+(``mean``) and the lower-median-count mask (``median``).
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from tukeyseg import stats
 from tukeyseg.parallel import parallel_map
-
-log = logging.getLogger(__name__)
 
 STRATEGIES = ("tism", "mean", "median")
 
@@ -52,49 +52,34 @@ def foreground_counts(masks) -> list[int]:
     return [int(np.asarray(m).sum()) for m in masks]
 
 
-def fuse_frame(masks, k_fences: float = 1.5) -> tuple[np.ndarray, np.ndarray]:
-    """Fuse one frame's masks; returns (fused mask, per-mask weights).
+def fuse_frame(
+    masks, k_fences: float = 1.5, strategy: str = "tism"
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Fuse one frame's masks; returns (fused mask, per-mask weights, counts).
 
-    The weighted vote share must strictly exceed 0.5 for a foreground
-    pixel. When every weight is zero the lower-median-count mask is
-    returned, as :func:`fuse_median` would. That happens when no count sits
-    on the median and every count lies at or beyond a fence, for example
-    counts [0, 10] with ``k_fences=0``.
+    The masks are validated, counted and weighed once, whatever the
+    strategy. ``tism`` is the weighted vote, ``mean`` the same vote with unit
+    weights; either way the vote share must strictly exceed 0.5 for a
+    foreground pixel. ``median`` returns the input mask whose foreground
+    count is the lower median, the earliest among equal counts; ``tism`` does
+    too when every weight is zero, which happens when no count sits on the
+    median and every count lies at or beyond a fence, for example counts
+    [0, 10] with ``k_fences=0``.
     """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy '{strategy}' (choose from {STRATEGIES})")
     ms = _validated(masks)
     counts = foreground_counts(ms)
     alphas = stats.mask_outlier_scales(counts, k_fences)
-    total = float(alphas.sum())
-    if total == 0.0:
-        return _lower_median_mask(ms, counts), alphas
+    weights = alphas if strategy == "tism" else np.ones(len(ms))
+    total = float(weights.sum())
+    if strategy == "median" or total == 0.0:
+        median_count = sorted(counts)[(len(counts) - 1) // 2]
+        return ms[counts.index(median_count)], alphas, counts
     weighted = np.zeros(ms[0].shape, dtype=np.float64)
-    for alpha, mask in zip(alphas, ms):
-        weighted += alpha * mask
-    return (weighted / total > 0.5).astype(np.uint8), alphas
-
-
-def fuse_mean(masks) -> np.ndarray:
-    """Unweighted vote: foreground where the pixel mean strictly exceeds 0.5."""
-    ms = _validated(masks)
-    votes = np.zeros(ms[0].shape, dtype=np.int64)
-    for mask in ms:
-        votes += mask
-    return (2 * votes > len(ms)).astype(np.uint8)
-
-
-def fuse_median(masks) -> np.ndarray:
-    """The input mask whose foreground count is the (lower) median.
-
-    For an even number of masks the lower median is used; among equal
-    counts the earliest mask wins.
-    """
-    ms = _validated(masks)
-    return _lower_median_mask(ms, foreground_counts(ms))
-
-
-def _lower_median_mask(ms: list[np.ndarray], counts: list[int]) -> np.ndarray:
-    median_count = sorted(counts)[(len(counts) - 1) // 2]
-    return ms[counts.index(median_count)].copy()
+    for weight, mask in zip(weights, ms):
+        weighted += weight * mask
+    return (weighted / total > 0.5).astype(np.uint8), alphas, counts
 
 
 def fuse_sequence(
@@ -109,11 +94,9 @@ def fuse_sequence(
     ``frames`` is a list over frames, each entry a list of per-method
     masks in a fixed method order. Weights are recomputed independently
     for every frame; the diagnostic records always carry the reliability
-    weights, whatever the fusion strategy. Each frame's masks are validated
-    once, by the strategy's combiner.
+    weights, whatever the fusion strategy. :func:`fuse_frame` fuses each
+    frame, so each frame's masks are validated, counted and weighed once.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy '{strategy}' (choose from {STRATEGIES})")
     frames = [list(frame) for frame in frames]
     if not frames:
         raise ValueError("no frames to fuse")
@@ -127,14 +110,7 @@ def fuse_sequence(
         raise ValueError("method_names length must match the number of masks per frame")
 
     def fuse_one(index: int):
-        masks = frames[index]
-        if strategy == "tism":
-            fused, alphas = fuse_frame(masks, k_fences)
-            counts = foreground_counts(masks)
-        else:
-            fused = fuse_mean(masks) if strategy == "mean" else fuse_median(masks)
-            counts = foreground_counts(masks)
-            alphas = stats.mask_outlier_scales(counts, k_fences)
+        fused, alphas, counts = fuse_frame(frames[index], k_fences, strategy)
         records = [
             FusionRecord(frame=index, method=name, count=count, alpha=float(alpha))
             for name, count, alpha in zip(method_names, counts, alphas)

@@ -7,14 +7,14 @@ Formats
     int32 height, then height*width interleaved (u, v) float32 pairs in
     row-major order.
 ``.pgm``
-    Binary (P5) 8-bit grayscale, maxval <= 255. Masks are stored as
+    Binary (P5) 8-bit grayscale, maxval 255 only. Masks are stored as
     {0, 255} and binarized at byte value 127 on read; saliency maps use
     the full 0..255 range mapped to [0, 1] by /255.
 ``.pgm16``
     Binary (P5) 16-bit grayscale, maxval 65535, most significant byte
     first. Used for supervoxel label maps.
 ``.ppm``
-    Binary (P6) 24-bit RGB, maxval <= 255.
+    Binary (P6) 24-bit RGB, maxval 255 only.
 
 Directory layout
 ----------------
@@ -138,8 +138,8 @@ def _check_payload(actual: int, expected: int, what: str) -> None:
 def read_pgm(data: bytes) -> np.ndarray:
     """Decode an 8-bit binary PGM into a (height, width) uint8 array."""
     width, height, maxval, offset = _parse_pnm_header(data, b"P5")
-    if not 0 < maxval <= 255:
-        raise ValueError(f"maxval {maxval} out of range for 8-bit PGM")
+    if maxval != 255:
+        raise ValueError(f"maxval {maxval} unsupported: 8-bit PGM must use 255")
     _check_payload(len(data) - offset, width * height, "PGM")
     return np.frombuffer(data, dtype=np.uint8, offset=offset).reshape(height, width).copy()
 
@@ -208,8 +208,8 @@ def write_pgm16(ids) -> bytes:
 def read_ppm(data: bytes) -> np.ndarray:
     """Decode a 24-bit binary PPM into a (height, width, 3) uint8 array."""
     width, height, maxval, offset = _parse_pnm_header(data, b"P6")
-    if not 0 < maxval <= 255:
-        raise ValueError(f"maxval {maxval} out of range for 24-bit PPM")
+    if maxval != 255:
+        raise ValueError(f"maxval {maxval} unsupported: 24-bit PPM must use 255")
     _check_payload(len(data) - offset, 3 * width * height, "PPM")
     rgb = np.frombuffer(data, dtype=np.uint8, offset=offset)
     return rgb.reshape(height, width, 3).copy()

@@ -14,6 +14,7 @@ mask was foreground, and reduced to the single strongest connected segment.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,8 @@ class SegmenterConfig:
     connectivity: int = 8
 
     def __post_init__(self):
-        if not self.vs_exponents or any(k <= 0 for k in self.vs_exponents):
-            raise ValueError("visual-saliency exponents must be positive")
+        if not self.vs_exponents or not all(0 < k < math.inf for k in self.vs_exponents):
+            raise ValueError("visual-saliency exponents must be finite and positive")
         if not 0.0 <= self.min_flow_scale <= 1.0:
             raise ValueError("min_flow_scale must lie in [0, 1]")
         if self.connectivity not in (4, 8):

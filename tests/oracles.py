@@ -204,6 +204,20 @@ def fuse_masks(mask_list, k=1.5):
     return out, alphas
 
 
+def mean_vote(mask_list):
+    """Reference unweighted fusion: foreground where more than half the masks are."""
+    rows, cols = len(mask_list[0]), len(mask_list[0][0])
+    return [[1 if 2 * sum(m[r][c] for m in mask_list) > len(mask_list) else 0
+             for c in range(cols)] for r in range(rows)]
+
+
+def lower_median_mask(mask_list):
+    """Reference median fusion: the earliest mask whose count is the lower median."""
+    counts = [sum(sum(row) for row in m) for m in mask_list]
+    median = sorted(counts)[(len(counts) - 1) // 2]
+    return mask_list[counts.index(median)]
+
+
 # --- color conversion ---
 
 

@@ -3,7 +3,8 @@ BENCHMARK.json is the one ``bench/spec.py`` generates.
 
 The traced run (``bench/run.py --trace 1``) fails when a function it times
 records no call, so a refactor that stops calling one fails here, in the
-unit suite, and not only when the benchmark is run. Timings are not checked.
+unit suite, and not only when the benchmark is run. The run must also count
+each fused frame's masks once. Timings are not checked.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ def test_traced_smoke_run_is_correct(workload):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+    assert result["metrics"]["fusion.foreground_counts_per_frame"]["value"] == 1.0
 
 
 @pytest.mark.skipif(not (BENCH / "spec.py").is_file(), reason="bench/spec.py is absent")

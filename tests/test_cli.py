@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import errno
 import os
 import pathlib
 import tempfile
@@ -137,7 +138,16 @@ class TestNumericFlags:
             [command, *_REQUIRED[command], "--min-flow-scale", value])
         assert args.min_flow_scale == float(value)
 
-    @pytest.mark.parametrize("flag, value", [("--k-fences", "-1"), ("--min-flow-scale", "2")])
+    @pytest.mark.parametrize("command", ["tis0", "refine"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1,nan", "0", "-1", "1,-inf", "0.5,0"])
+    def test_vs_exponents_must_be_finite_and_positive(self, command, value, capsys):
+        self._rejected([command, *_REQUIRED[command], "--vs-exponents", value], capsys,
+                       "--vs-exponents")
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--k-fences", "-1"), ("--min-flow-scale", "2"), ("--vs-exponents", "nan"),
+        ("--vs-exponents", "0"),
+    ])
     def test_bad_segmenter_flag_rejected_before_input_is_read(self, flag, value, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["tis0", "--input", str(tmp_path / "missing"),
@@ -314,6 +324,28 @@ class TestOutputDirectory:
         assert sorted(os.listdir(".")) == [
             "00000.pgm", "00001.pgm", "00002.pgm", "flow_alphas.csv"]
 
+    @pytest.mark.parametrize("command, computes", [
+        ("tis0", ["open_sequence", "segment_sequence"]),
+        ("refine", ["open_sequence", "refine_sequence"]),
+        ("combine", ["read_mask_dir", "fusion.fuse_sequence"]),
+    ])
+    def test_foreign_content_refused_before_computing(self, block_video, tmp_path, monkeypatch,
+                                                      capsys, command, computes):
+        video, _ = block_video
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("keep me")
+
+        def never(*args, **kwargs):
+            raise AssertionError("input read before the output directory was checked")
+
+        for name in computes:
+            monkeypatch.setattr(f"tukeyseg.cli.{name}", never)
+        source = video / "masks" if command == "combine" else video
+        assert main([command, "--input", str(source), "--output", str(out)]) == 1
+        assert "notes.txt" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+
     def test_staging_left_by_killed_run_is_removed(self, block_video, tmp_path):
         video, _ = block_video
         out = tmp_path / "out"
@@ -450,6 +482,50 @@ class TestEvalCommand:
         assert out.splitlines()[0] == "sequence,J_mean,J_recall,J_decay,F_mean,F_recall,F_decay"
         assert "seq,1.000000,1.000000,0.000000,1.000000,1.000000,0.000000" in out
         assert csv_path.read_text() == out
+
+    def _scored(self, tmp_path):
+        mask = np.zeros((5, 5), dtype=np.uint8)
+        mask[1:4, 1:4] = 1
+        self._write_masks(tmp_path / "gt", "seq", [mask])
+        self._write_masks(tmp_path / "pred", "seq", [mask])
+        return ["eval", "--input", str(tmp_path / "pred"), "--ground-truth", str(tmp_path / "gt")]
+
+    @staticmethod
+    def _fill_disk(monkeypatch):
+        """Make every file opened for writing fail with ENOSPC once it exists."""
+        real_open = pathlib.Path.open
+
+        def full_disk_open(path, mode="r", *args, **kwargs):
+            if "w" in mode:
+                real_open(path, mode, *args, **kwargs).close()
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "open", full_disk_open)
+
+    def test_output_creates_missing_directories(self, tmp_path, capsys):
+        table = tmp_path / "a" / "b" / "t.csv"
+        assert main([*self._scored(tmp_path), "--output", str(table)]) == 0
+        assert table.read_text() == capsys.readouterr().out
+        assert [p.name for p in table.parent.iterdir()] == ["t.csv"]
+
+    def test_failed_write_leaves_no_directory(self, tmp_path, monkeypatch, capsys):
+        argv = self._scored(tmp_path)
+        self._fill_disk(monkeypatch)
+        assert main([*argv, "--output", str(tmp_path / "a" / "b" / "t.csv")]) == 1
+        assert "No space left" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gt", "pred"]
+
+    def test_failed_write_keeps_previous_table(self, tmp_path, monkeypatch, capsys):
+        argv = self._scored(tmp_path)
+        table = tmp_path / "tables" / "t.csv"
+        table.parent.mkdir()
+        table.write_text("previous table")
+        self._fill_disk(monkeypatch)
+        assert main([*argv, "--output", str(table)]) == 1
+        assert "No space left" in capsys.readouterr().err
+        assert [p.name for p in table.parent.iterdir()] == ["t.csv"]
+        assert table.read_text() == "previous table"
 
     def test_empty_ground_truth_fails(self, tmp_path, capsys):
         (tmp_path / "gt").mkdir()

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 import oracles
+from tukeyseg import fusion, stats
 from tukeyseg.fusion import (
     STRATEGIES,
     FusionRecord,
     foreground_counts,
     fuse_frame,
-    fuse_mean,
-    fuse_median,
     fuse_sequence,
 )
 from tukeyseg.stats import mask_outlier_scales
@@ -47,7 +46,7 @@ def nine_mask_fixture():
 class TestFuseFrame:
     def test_identical_masks_identity(self):
         m = _mask([[1, 1], [0, 0]])
-        fused, alphas = fuse_frame([m, m, m])
+        fused, alphas, _ = fuse_frame([m, m, m])
         assert np.array_equal(fused, m)
         assert alphas.tolist() == [1.0, 1.0, 1.0]
 
@@ -55,7 +54,7 @@ class TestFuseFrame:
         a = _mask([[1, 1], [0, 0]])
         b = _mask([[1, 0], [1, 0]])
         c = _mask([[1, 1], [0, 0]])
-        fused, alphas = fuse_frame([a, b, c])
+        fused, alphas, _ = fuse_frame([a, b, c])
         assert alphas.tolist() == [1.0, 1.0, 1.0]
         # vote shares [1, 2/3; 1/3, 0] thresholded strictly at 0.5
         assert fused.tolist() == [[1, 1], [0, 0]]
@@ -68,7 +67,7 @@ class TestFuseFrame:
             flat = np.zeros(h * w, dtype=np.uint8)
             flat[rng.choice(h * w, size=count, replace=False)] = 1
             masks.append(flat.reshape(h, w))
-        fused, alphas = fuse_frame(masks)
+        fused, alphas, _ = fuse_frame(masks)
         assert alphas.tolist() == [0.0, 0.75, 1.0, 0.75, 0.0]
         expected, expected_alphas = oracles.fuse_masks([m.tolist() for m in masks])
         assert fused.tolist() == expected
@@ -77,7 +76,7 @@ class TestFuseFrame:
     def test_convex_combination_support(self, rng):
         for _ in range(50):
             masks = [(rng.random((5, 5)) > 0.5).astype(np.uint8) for _ in range(5)]
-            fused, _ = fuse_frame(masks)
+            fused, _, _ = fuse_frame(masks)
             support = np.zeros((5, 5), dtype=bool)
             for m in masks:
                 support |= m != 0
@@ -91,9 +90,21 @@ class TestFuseFrame:
                 flat = np.zeros(36, dtype=np.uint8)
                 flat[rng.choice(36, size=count, replace=False)] = 1
                 masks.append(flat.reshape(6, 6))
-            fused, alphas = fuse_frame(masks)
+            fused, alphas, _ = fuse_frame(masks)
             assert np.all(alphas == 1.0)
-            assert fused.tobytes() == fuse_mean(masks).tobytes()
+            assert fused.tolist() == oracles.mean_vote([m.tolist() for m in masks])
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_returns_counts_and_weights_for_every_strategy(self, strategy):
+        masks = [np.array([[True, False, False]]), np.array([[1, 1, 0]]), _mask([[1, 1, 1]])]
+        _, alphas, counts = fuse_frame(masks, strategy=strategy)
+        assert counts == [1, 2, 3]
+        assert all(type(count) is int for count in counts)
+        assert alphas.tolist() == mask_outlier_scales([1, 2, 3]).tolist()
+
+    def test_unknown_strategy(self):
+        with pytest.raises(ValueError, match="strategy"):
+            fuse_frame([_mask([[1]])], strategy="vote")
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -105,8 +116,8 @@ class TestFuseFrame:
 
     def test_outlier_rejection(self):
         sane, outlier, truth = nine_mask_fixture()
-        fused_with, alphas = fuse_frame(sane + [outlier])
-        fused_without, _ = fuse_frame(sane)
+        fused_with, alphas, _ = fuse_frame(sane + [outlier])
+        fused_without, _, _ = fuse_frame(sane)
         assert alphas[-1] == 0.0
         assert np.all(alphas[:-1] > 0)
         assert fused_with.tobytes() == fused_without.tobytes()
@@ -123,11 +134,11 @@ class TestZeroWeightFallback:
         assert mask_outlier_scales([10, 0], 0.0).tolist() == [0.0, 0.0]
 
     def test_fuse_frame_returns_lower_median_mask(self):
-        fused, alphas = fuse_frame([self.FULL, self.EMPTY], k_fences=0.0)
+        fused, alphas, _ = fuse_frame([self.FULL, self.EMPTY], k_fences=0.0)
         assert alphas.tolist() == [0.0, 0.0]
         assert fused.dtype == np.uint8
         assert np.array_equal(fused, self.EMPTY)
-        assert np.array_equal(fused, fuse_median([self.FULL, self.EMPTY]))
+        assert np.array_equal(fused, fuse_frame([self.FULL, self.EMPTY], strategy="median")[0])
 
     def test_fuse_sequence_returns_lower_median_mask(self):
         fused, records = fuse_sequence(
@@ -142,18 +153,18 @@ class TestZeroWeightFallback:
 class TestFuseMean:
     def test_identity(self):
         m = _mask([[0, 1], [1, 0]])
-        assert np.array_equal(fuse_mean([m, m]), m)
+        assert np.array_equal(fuse_frame([m, m], strategy="mean")[0], m)
 
     def test_exact_tie_is_background(self):
         a = _mask([[1]])
         b = _mask([[0]])
-        assert fuse_mean([a, b]).tolist() == [[0]]
+        assert fuse_frame([a, b], strategy="mean")[0].tolist() == [[0]]
 
     def test_two_of_three(self):
         a = _mask([[1]])
         b = _mask([[1]])
         c = _mask([[0]])
-        assert fuse_mean([a, b, c]).tolist() == [[1]]
+        assert fuse_frame([a, b, c], strategy="mean")[0].tolist() == [[1]]
 
 
 class TestFuseMedian:
@@ -162,12 +173,12 @@ class TestFuseMedian:
             np.pad(np.ones((1, n), np.uint8), ((0, 4), (0, 10 - n)))
             for n in (5, 7, 9)
         ]
-        chosen = fuse_median(masks)
+        chosen = fuse_frame(masks, strategy="median")[0]
         assert chosen.sum() == 7
 
     def test_single_mask(self):
         m = _mask([[1, 0]])
-        assert np.array_equal(fuse_median([m]), m)
+        assert np.array_equal(fuse_frame([m], strategy="median")[0], m)
 
     def test_tie_prefers_first(self):
         a = np.zeros((3, 4), np.uint8)
@@ -176,7 +187,7 @@ class TestFuseMedian:
         b[1, :4] = 1
         c = np.ones((3, 4), np.uint8)
         c[2, 2:] = 1
-        chosen = fuse_median([a, b, c])  # counts [4, 4, 10]
+        chosen = fuse_frame([a, b, c], strategy="median")[0]  # counts [4, 4, 10]
         assert np.array_equal(chosen, a)
 
     def test_lower_median_for_even_sets(self):
@@ -185,12 +196,12 @@ class TestFuseMedian:
             m = np.zeros((1, 10), np.uint8)
             m[0, :n] = 1
             masks.append(m)
-        assert fuse_median(masks).sum() == 4
+        assert fuse_frame(masks, strategy="median")[0].sum() == 4
 
     def test_output_is_an_input(self, rng):
         for _ in range(50):
             masks = [(rng.random((4, 4)) > 0.5).astype(np.uint8) for _ in range(5)]
-            chosen = fuse_median(masks)
+            chosen = fuse_frame(masks, strategy="median")[0]
             assert any(np.array_equal(chosen, m) for m in masks)
 
 
@@ -264,11 +275,11 @@ class TestFuseSequence:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("k_fences", [0.0, 1.0, 1.5])
     def test_matches_combiner_per_frame(self, rng, strategy, k_fences):
-        combiners = {
-            "tism": lambda masks: fuse_frame(masks, k_fences)[0],
-            "mean": fuse_mean,
-            "median": fuse_median,
-        }
+        oracle = {
+            "tism": lambda masks: oracles.fuse_masks(masks, k_fences)[0],
+            "mean": oracles.mean_vote,
+            "median": oracles.lower_median_mask,
+        }[strategy]
         names = ["a", "b", "c", "d", "e"]
         frames = [
             [(rng.random((6, 7)) > p).astype(np.uint8) for p in (0.2, 0.5, 0.55, 0.6, 0.95)]
@@ -276,13 +287,26 @@ class TestFuseSequence:
         ]
         fused, records = fuse_sequence(frames, names, strategy, k_fences, jobs=2)
         for index, masks in enumerate(frames):
-            assert fused[index].tobytes() == combiners[strategy](masks).tobytes()
+            assert fused[index].tolist() == oracle([m.tolist() for m in masks])
             counts = foreground_counts(masks)
             alphas = mask_outlier_scales(counts, k_fences)
             assert records[5 * index : 5 * index + 5] == [
                 FusionRecord(index, name, count, float(alpha))
                 for name, count, alpha in zip(names, counts, alphas)
             ]
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_each_frame_counted_and_weighed_once(self, rng, monkeypatch, strategy):
+        calls = {"foreground_counts": 0, "mask_outlier_scales": 0}
+        for module, name in ((fusion, "foreground_counts"), (stats, "mask_outlier_scales")):
+            def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        frames = [[(rng.random((4, 4)) > 0.5).astype(np.uint8) for _ in range(3)]
+                  for _ in range(5)]
+        fuse_sequence(frames, strategy=strategy)
+        assert calls == {"foreground_counts": 5, "mask_outlier_scales": 5}
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_non_binary_rejected(self, strategy):

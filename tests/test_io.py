@@ -88,6 +88,21 @@ class TestPgm:
         with pytest.raises(ValueError, match="maxval"):
             read_pgm(b"P5\n1 1\n65535\n\x00\x00")
 
+    @pytest.mark.parametrize("maxval", [1, 100, 254])
+    def test_maxval_other_than_255_rejected(self, maxval):
+        with pytest.raises(ValueError, match="maxval"):
+            read_pgm(f"P5\n1 1\n{maxval}\n".encode() + b"\x00")
+
+    def test_mask_with_maxval_one_rejected(self):
+        # read at maxval 255, these 1s would all binarize to background
+        with pytest.raises(ValueError, match="maxval"):
+            read_mask_pgm(b"P5\n3 1\n1\n\x00\x01\x01")
+
+    def test_saliency_with_maxval_100_rejected(self):
+        # read at maxval 255, 100 would mean 100/255 instead of 1
+        with pytest.raises(ValueError, match="maxval"):
+            read_saliency_pgm(b"P5\n1 1\n100\n\x64")
+
     def test_wrong_magic(self):
         with pytest.raises(ValueError, match="magic"):
             read_pgm(b"P6\n1 1\n255\n\x00")
@@ -153,6 +168,11 @@ class TestPpm:
     def test_bad_magic(self):
         with pytest.raises(ValueError, match="magic"):
             read_ppm(b"P5\n1 1\n255\n\x00\x00\x00")
+
+    @pytest.mark.parametrize("maxval", [1, 100, 254])
+    def test_maxval_other_than_255_rejected(self, maxval):
+        with pytest.raises(ValueError, match="maxval"):
+            read_ppm(f"P6\n1 1\n{maxval}\n".encode() + b"\x00\x00\x00")
 
 
 class TestOpenSequence:

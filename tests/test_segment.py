@@ -359,6 +359,13 @@ class TestSegmenterConfig:
         with pytest.raises(ValueError):
             SegmenterConfig(connectivity=6)
 
+    @pytest.mark.parametrize("exponents", [
+        (float("nan"),), (float("inf"),), (1.0, float("nan")), (1.0, -float("inf")), (-1.0,),
+    ])
+    def test_exponents_must_be_finite_and_positive(self, exponents):
+        with pytest.raises(ValueError, match="exponents"):
+            SegmenterConfig(vs_exponents=exponents)
+
 
 class TestSegmentSequence:
     def test_moving_block_matches_oracle(self, tmp_path):
