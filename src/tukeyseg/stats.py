@@ -7,6 +7,7 @@ returned by :func:`outlier_set` match the input's shape.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,17 +38,58 @@ class OutlierFences:
 def quartiles(sample) -> Quartiles:
     """Compute Q1/Q2/Q3 by linear interpolation between order statistics.
 
-    Uses the common "type 7" rule: the q-quantile sits at zero-based
-    position (n - 1) * q of the sorted sample, interpolating linearly
-    between neighbors. Deterministic for any input ordering.
+    Uses the "type 7" rule of Hyndman & Fan (1996), numpy's
+    ``method="linear"``: the q-quantile sits at zero-based position
+    p = (n - 1) * q of the sorted sample, between the order statistics a at
+    k = floor(p) and b at k + 1, and equals ``a + (b - a) * g`` with
+    g = p - k, or ``b - (b - a) * (1 - g)`` where g >= 0.5. Each quartile has
+    the bits of ``np.quantile(sample, q, method="linear")``, save possibly
+    the sign of a zero result.
+
+    The sample is copied once, flattened, and only the six order statistics
+    needed are selected in the copy: one partition at the median's k, then
+    one partition of each half at Q1's and Q3's k; each b is the minimum of
+    the values between its a and the next partition point. Samples of fewer
+    than 4 values are sorted instead. The caller's array is never reordered,
+    so one array may be shared by any number of threads.
+
+    Raises ``ValueError`` for an empty or non-finite sample, and for a
+    finite one whose spread overflows float64 (a quartile or the IQR would
+    be infinite or NaN).
     """
     data = np.asarray(sample, dtype=np.float64)
     if data.size == 0:
         raise ValueError("empty sample")
     if not np.all(np.isfinite(data)):
         raise ValueError("non-finite input")
-    q1, q2, q3 = np.quantile(data, (0.25, 0.5, 0.75), method="linear")
-    return Quartiles(float(q1), float(q2), float(q3))
+    work = data.flatten()
+    n = work.size
+    positions = [(n - 1) * q for q in (0.25, 0.5, 0.75)]
+    k1, k2, k3 = lows = [math.floor(p) for p in positions]
+    if n < 4:
+        work.sort()
+        neighbors = [(work[k], work[min(k + 1, n - 1)]) for k in lows]
+    else:
+        work.partition(k2)
+        work[:k2].partition(k1)
+        work[k2 + 1 :].partition(k3 - k2 - 1)
+        neighbors = [
+            (work[k1], work[k1 + 1 : k2 + 1].min()),
+            (work[k2], work[k2 + 1 : k3 + 1].min()),
+            (work[k3], work[k3 + 1 :].min()),
+        ]
+    q1, q2, q3 = (
+        _lerp(float(a), float(b), p - k) for (a, b), p, k in zip(neighbors, positions, lows)
+    )
+    if not all(math.isfinite(v) for v in (q1, q2, q3, q3 - q1)):
+        raise ValueError("sample spread overflows float64")
+    return Quartiles(q1, q2, q3)
+
+
+def _lerp(a: float, b: float, g: float) -> float:
+    """numpy's ``_lerp`` on Python floats, which overflow without a warning."""
+    d = b - a
+    return b - d * (1 - g) if g >= 0.5 else a + d * g
 
 
 def fences(q: Quartiles, k: float = 1.5) -> OutlierFences:

@@ -346,6 +346,13 @@ def contour_f(pred, ref, tolerance):
 # --- bit-exact references (numpy) ---
 
 
+def quartiles_np(sample):
+    """Q1/Q2/Q3 from ``np.quantile``'s linear rule on the whole sample."""
+    data = np.asarray(sample, dtype=np.float64)
+    q1, q2, q3 = np.quantile(data, (0.25, 0.5, 0.75), method="linear")
+    return float(q1), float(q2), float(q3)
+
+
 def rgb_to_lab_pow(rgb):
     """8-bit sRGB to L*a*b* (D65) with a per-pixel ``pow`` linearization."""
     c = np.asarray(rgb).astype(np.float64) / 255.0

@@ -1,6 +1,8 @@
 """Tests for the robust-statistics kernel."""
 
 import itertools
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from tukeyseg.io import FlowField
+from tukeyseg.segment import flow_measures
 from tukeyseg.stats import (
     OutlierFences,
     Quartiles,
@@ -71,6 +75,130 @@ class TestQuartiles:
             sample = rng.normal(size=rng.integers(1, 40))
             q = quartiles(sample)
             assert q.q1 <= q.q2 <= q.q3
+
+
+def as_tuple(q):
+    return (q.q1, q.q2, q.q3)
+
+
+class TestQuartilesBitExact:
+    """``quartiles`` equals ``np.quantile(..., method="linear")`` with ``==``."""
+
+    def test_tie_heavy_multisets(self, rng):
+        for n in range(1, 13):
+            for combo in itertools.combinations_with_replacement(range(4), n):
+                ordered = np.array(combo, dtype=np.float64)
+                for sample in (ordered, ordered[::-1], rng.permutation(ordered)):
+                    assert as_tuple(quartiles(sample)) == oracles.quartiles_np(sample)
+
+    def test_random_samples(self, rng):
+        sizes = list(range(13, 40)) + [64, 100, 101, 257, 1000, 1023, 1024, 4096, 4999, 5000]
+        for n in sizes:
+            normal = rng.normal(size=n)
+            samples = (
+                normal,
+                rng.standard_cauchy(size=n),
+                np.sort(normal),
+                np.sort(normal)[::-1],
+                np.full(n, -2.75),
+                rng.choice([-0.0, 0.0], size=n),
+                rng.choice([-1.5, -0.0, 0.0, 2.0], size=n),
+            )
+            for sample in samples:
+                assert as_tuple(quartiles(sample)) == oracles.quartiles_np(sample)
+
+    def test_many_random_sizes(self, rng):
+        # numpy's introselect leaves the slot next to its kth in order in
+        # about 99% of calls, so a partition one off shows only over many
+        for n in rng.integers(13, 2000, size=600):
+            for sample in (
+                rng.normal(size=n),
+                rng.standard_cauchy(size=n),
+                rng.integers(0, 100, size=n).astype(np.float64),
+            ):
+                assert as_tuple(quartiles(sample)) == oracles.quartiles_np(sample)
+
+    def test_large_spread_that_fits_in_float64(self):
+        for sample in ([-8e307, -8e307, 8e307, 8e307, 8e307], [-8e307, 8e307], [-8e307] * 4 + [8e307] * 5):
+            assert as_tuple(quartiles(sample)) == oracles.quartiles_np(sample)
+
+    def test_davis_size_flow_measures(self, rng):
+        shape = (480, 854)
+        flow = FlowField(
+            u=rng.standard_cauchy(shape).astype(np.float32),
+            v=rng.standard_cauchy(shape).astype(np.float32),
+        )
+        for component in flow_measures(flow).as_tuple():
+            assert as_tuple(quartiles(component)) == oracles.quartiles_np(component)
+
+    def test_int_bool_and_2d_inputs(self, rng):
+        samples = (
+            rng.integers(-50, 50, size=37),
+            rng.integers(0, 2, size=41).astype(bool),
+            rng.integers(0, 2**40, size=(7, 9)),
+            rng.normal(size=(13, 11)),
+            rng.integers(0, 256, size=(5, 6)).astype(np.uint8),
+        )
+        for sample in samples:
+            assert as_tuple(quartiles(sample)) == oracles.quartiles_np(sample)
+
+    def test_read_only_transposed_and_strided_inputs(self, rng):
+        base = rng.normal(size=(60, 90))
+        read_only = base.copy()
+        read_only.flags.writeable = False
+        for sample in (read_only, base.T, base[::3, 1::2], np.asfortranarray(base)):
+            assert as_tuple(quartiles(sample)) == oracles.quartiles_np(sample)
+
+
+class TestQuartilesInput:
+    def test_caller_array_keeps_values_and_order(self, rng):
+        # frame_foregroundness reads the same array after its quartiles, so
+        # a reordered field would score every pixel against another's value
+        for n in (3, 5, 1000):
+            sample = rng.standard_cauchy(size=n)
+            before = sample.copy()
+            quartiles(sample)
+            assert sample.tobytes() == before.tobytes()
+
+    def test_threads_sharing_one_array_agree(self, rng):
+        shared = rng.standard_cauchy(size=(240, 427))
+        before = shared.copy()
+        expected = oracles.quartiles_np(shared)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(quartiles, shared) for _ in range(64)]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(as_tuple(q) == expected for q in results)
+        assert shared.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize(
+        "sample",
+        [
+            [-1e308, -1e308, 1e308, 1e308, 1e308],
+            [-1e308, -1e308, 1e308, 1e308, 1e308, 1e308],
+            [-1e308, 1e308],
+            [-1e308] * 4 + [1e308] * 5,
+        ],
+        ids=["q1-nan", "q1-inf", "sorted-path", "iqr-only"],
+    )
+    def test_spread_overflowing_float64_raises(self, sample):
+        with pytest.raises(ValueError, match="spread overflows float64"):
+            quartiles(sample)
+
+    def test_never_falls_back_to_numpy_quantile(self, rng, monkeypatch):
+        samples = [rng.normal(size=n) for n in (4, 5, 6, 7, 8, 13, 1000)]
+        expected = [oracles.quartiles_np(sample) for sample in samples]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("quartiles called np.quantile or np.percentile")
+
+        monkeypatch.setattr(np, "quantile", refuse)
+        monkeypatch.setattr(np, "percentile", refuse)
+        assert [as_tuple(quartiles(sample)) for sample in samples] == expected
 
 
 class TestFences:
