@@ -8,6 +8,11 @@ output. :func:`fuse_frame` is the one per-frame fusion path: it validates,
 counts and weighs a frame's masks once, then applies the strategy, either
 this weighted vote (``tism``) or one of two baselines, the unweighted vote
 (``mean``) and the lower-median-count mask (``median``).
+
+Masks are validated by :func:`tukeyseg.io.check_levels`, the one {0, 1}
+check in the package. The vote is summed in place on the bounding box of
+the voting masks' foreground, so its cost follows the object, not the
+frame; the result is bit-exact with the whole-frame sum.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tukeyseg import stats
+from tukeyseg.io import check_levels
 from tukeyseg.parallel import parallel_map
 
 STRATEGIES = ("tism", "mean", "median")
@@ -33,23 +39,58 @@ class FusionRecord:
 
 
 def _validated(masks) -> list[np.ndarray]:
-    masks = list(masks)
-    if not masks:
-        raise ValueError("at least one mask is required")
     arrays = [np.asarray(m) for m in masks]
+    if not arrays:
+        raise ValueError("at least one mask is required")
     for a in arrays:
         if a.shape != arrays[0].shape:
             raise ValueError(
                 f"dimension mismatch across masks: {a.shape} vs {arrays[0].shape}"
             )
-        if not np.isin(a, (0, 1)).all():
-            raise ValueError("mask values must be 0 or 1")
-    return [a.astype(np.uint8) for a in arrays]
+        check_levels(a, 1, "mask values must be 0 or 1")
+    return arrays
 
 
 def foreground_counts(masks) -> list[int]:
     """Foreground-pixel count of each mask."""
-    return [int(np.asarray(m).sum()) for m in masks]
+    return [int(np.count_nonzero(m)) for m in masks]
+
+
+def _foreground_box(masks) -> tuple[slice, ...] | None:
+    """The smallest box holding every mask's foreground; ``None`` if there is none.
+
+    Each axis is scanned only within the box found on the axes before it.
+    """
+    box = ()
+    ndim = masks[0].ndim
+    for axis in range(ndim):
+        others = tuple(i for i in range(ndim) if i != axis)
+        hits = np.flatnonzero(np.logical_or.reduce([m[box].any(axis=others) for m in masks]))
+        if hits.size == 0:
+            return None
+        box += (slice(hits[0], hits[-1] + 1),)
+    return box
+
+
+def _vote(masks, weights, total: float) -> np.ndarray:
+    """Pixels whose weighted vote share strictly exceeds 0.5.
+
+    The votes are summed in place on the bounding box of the voting masks'
+    foreground, adding each weight only where its mask is set. That is
+    bit-exact with summing ``weight * mask`` over the whole frame: weights
+    are finite and non-negative, so every vote outside the box, and every
+    vote of an unset pixel, is +0.0.
+    """
+    fused = np.zeros(masks[0].shape, dtype=np.uint8)
+    voters = [(w, m) for w, m in zip(weights, masks) if w != 0.0]
+    box = _foreground_box([m for _, m in voters])
+    if box is None:
+        return fused
+    weighted = np.zeros(fused[box].shape, dtype=np.float64)
+    for weight, mask in voters:
+        np.add(weighted, weight, out=weighted, where=mask[box] != 0)
+    fused[box] = weighted / total > 0.5
+    return fused
 
 
 def fuse_frame(
@@ -60,11 +101,12 @@ def fuse_frame(
     The masks are validated, counted and weighed once, whatever the
     strategy. ``tism`` is the weighted vote, ``mean`` the same vote with unit
     weights; either way the vote share must strictly exceed 0.5 for a
-    foreground pixel. ``median`` returns the input mask whose foreground
-    count is the lower median, the earliest among equal counts; ``tism`` does
-    too when every weight is zero, which happens when no count sits on the
-    median and every count lies at or beyond a fence, for example counts
-    [0, 10] with ``k_fences=0``.
+    foreground pixel. ``median`` returns a copy of the input mask whose
+    foreground count is the lower median, the earliest among equal counts;
+    ``tism`` does too when every weight is zero, which happens when no count
+    sits on the median and every count lies at or beyond a fence, for
+    example counts [0, 10] with ``k_fences=0``. The fused mask is a new
+    uint8 array in every case.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy '{strategy}' (choose from {STRATEGIES})")
@@ -75,11 +117,8 @@ def fuse_frame(
     total = float(weights.sum())
     if strategy == "median" or total == 0.0:
         median_count = sorted(counts)[(len(counts) - 1) // 2]
-        return ms[counts.index(median_count)], alphas, counts
-    weighted = np.zeros(ms[0].shape, dtype=np.float64)
-    for weight, mask in zip(weights, ms):
-        weighted += weight * mask
-    return (weighted / total > 0.5).astype(np.uint8), alphas, counts
+        return ms[counts.index(median_count)].astype(np.uint8), alphas, counts
+    return _vote(ms, weights, total), alphas, counts
 
 
 def fuse_sequence(

@@ -28,6 +28,14 @@ A video directory binds per-frame rasters by a zero-based index::
 
 The flow directory may hold T-1 files; the last frame then reuses the
 final flow file. All rasters of a video must share one (width, height).
+
+Values
+------
+Every netpbm writer stores exactly the integers 0..maxval and raises
+``ValueError`` for any other value; masks must hold 0 or 1.
+:func:`check_levels` is the one such check, also for the masks that
+:mod:`tukeyseg.fusion` is given, and it follows the dtype so that integer
+and bool arrays need at most a ``min`` and a ``max``.
 """
 
 from __future__ import annotations
@@ -104,6 +112,30 @@ def write_flo(flow: FlowField) -> bytes:
 # --- netpbm (PGM / PGM16 / PPM) ---
 
 
+def check_levels(values: np.ndarray, top: int, message: str) -> None:
+    """Raise ``ValueError(message)`` unless every value is one of the integers 0..top.
+
+    This is the one value check for masks (``top=1``) and for every netpbm
+    writer. It follows the dtype: bool always passes, and so does an integer
+    dtype whose whole range lies in 0..top; other unsigned integers need
+    ``max <= top`` and signed ones also ``min >= 0``. A float array takes an
+    exact range-and-integrality test, so 0.5, NaN and inf fail and -0.0
+    counts as 0; any other dtype is compared with the levels one by one.
+    """
+    kind = values.dtype.kind
+    if values.size == 0 or kind == "b":
+        return
+    if kind in "ui":
+        ok = ((kind == "u" or values.min() >= 0)
+              and (np.iinfo(values.dtype).max <= top or values.max() <= top))
+    elif kind == "f":
+        ok = ((values >= 0) & (values <= top) & (np.floor(values) == values)).all()
+    else:
+        ok = np.isin(values, np.arange(top + 1)).all()
+    if not ok:
+        raise ValueError(message)
+
+
 def _parse_pnm_header(data: bytes, magic: bytes) -> tuple[int, int, int, int]:
     """Parse a binary netpbm header; returns (width, height, maxval, offset)."""
     if data[:2] != magic:
@@ -151,8 +183,7 @@ def write_pgm(gray) -> bytes:
         raise ValueError("PGM data must be 2-D")
     if g.size == 0:
         raise ValueError("PGM data must be non-empty")
-    if np.any((g < 0) | (g > 255)):
-        raise ValueError("PGM values must lie in 0..255")
+    check_levels(g, 255, "PGM values must be integers in 0..255")
     g = g.astype(np.uint8)
     header = f"P5\n{g.shape[1]} {g.shape[0]}\n255\n".encode()
     return header + g.tobytes()
@@ -166,8 +197,7 @@ def read_mask_pgm(data: bytes) -> np.ndarray:
 def write_mask_pgm(mask) -> bytes:
     """Encode a {0,1} mask as a {0,255} PGM."""
     m = np.asarray(mask)
-    if not np.isin(m, (0, 1)).all():
-        raise ValueError("mask values must be 0 or 1")
+    check_levels(m, 1, "mask values must be 0 or 1")
     return write_pgm(m.astype(np.uint8) * 255)
 
 
@@ -199,8 +229,7 @@ def write_pgm16(ids) -> bytes:
     a = np.asarray(ids)
     if a.ndim != 2 or a.size == 0:
         raise ValueError("label map must be a non-empty 2-D array")
-    if np.any((a < 0) | (a > 65535)):
-        raise ValueError("label ids must lie in 0..65535")
+    check_levels(a, 65535, "label ids must be integers in 0..65535")
     header = f"P5\n{a.shape[1]} {a.shape[0]}\n65535\n".encode()
     return header + a.astype(">u2").tobytes()
 
@@ -220,8 +249,7 @@ def write_ppm(rgb) -> bytes:
     a = np.asarray(rgb)
     if a.ndim != 3 or a.shape[2] != 3 or a.size == 0:
         raise ValueError("PPM data must be a non-empty (height, width, 3) array")
-    if np.any((a < 0) | (a > 255)):
-        raise ValueError("PPM values must lie in 0..255")
+    check_levels(a, 255, "PPM values must be integers in 0..255")
     a = a.astype(np.uint8)
     header = f"P6\n{a.shape[1]} {a.shape[0]}\n255\n".encode()
     return header + a.tobytes()

@@ -20,12 +20,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from tukeyseg.io import read_mask_dir
 from tukeyseg.parallel import parallel_map
 
-_CROSS = ndimage.generate_binary_structure(2, 1)
+# scipy.ndimage is imported where it is called, so that importing this module
+# (as every subcommand does) does not load it.
+_CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 RECALL_THRESHOLD = 0.5
 
@@ -44,6 +45,8 @@ def jaccard(mask, reference) -> float:
 
 def mask_boundary(mask) -> np.ndarray:
     """Mask pixels with a background 4-neighbor or on the image border."""
+    from scipy import ndimage
+
     m = np.asarray(mask) != 0
     interior = ndimage.binary_erosion(m, structure=_CROSS, border_value=0)
     return m & ~interior
@@ -82,6 +85,8 @@ def contour_f(mask, reference, tolerance: float | None = None) -> float:
     boundary_g = mask_boundary(g[box])
     if not boundary_m.any() or not boundary_g.any():
         return 0.0
+    from scipy import ndimage
+
     distance_to_g = ndimage.distance_transform_edt(~boundary_g)
     distance_to_m = ndimage.distance_transform_edt(~boundary_m)
     precision = float((distance_to_g[boundary_m] <= tolerance).mean())

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from tukeyseg import stats
 from tukeyseg.io import FlowField, FrameSequence
@@ -28,8 +27,10 @@ log = logging.getLogger(__name__)
 
 COMPONENT_NAMES = ("x", "y", "magnitude", "angle")
 
+# scipy.ndimage is imported where it is called, so that a process that never
+# labels components (``combine``) does not pay for loading it.
 _STRUCTURES = {
-    4: ndimage.generate_binary_structure(2, 1),
+    4: np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool),
     8: np.ones((3, 3), dtype=bool),
 }
 
@@ -105,6 +106,8 @@ def select_top_segments(mask, weight, n_segments: int = 1, connectivity: int = 8
         raise ValueError(f"dimension mismatch: mask {m.shape} vs weight {w.shape}")
     if connectivity not in _STRUCTURES:
         raise ValueError("connectivity must be 4 or 8")
+    from scipy import ndimage
+
     labeled, count = ndimage.label(m != 0, structure=_STRUCTURES[connectivity])
     if count <= n_segments:
         return (m != 0).astype(np.uint8)

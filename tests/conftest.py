@@ -92,6 +92,32 @@ def moving_block_arrays(
     }
 
 
+def mask_dtype_matrix():
+    """(name, array) pairs spanning the dtypes and values a mask check must tell apart.
+
+    Each array holds 0 and 1 plus at most one odd value, so that the
+    verdict of ``np.isin(a, (0, 1)).all()`` turns on that value and dtype.
+    """
+    base = np.array([[0, 1, 1], [1, 0, 0]])
+    cases = [("bool", base.astype(bool))]
+    for dtype in (np.uint8, np.uint16, np.int8, np.int64, np.float32, np.float64):
+        cases.append((f"{np.dtype(dtype).name} 0/1", base.astype(dtype)))
+    odd = [
+        (np.uint8, 2), (np.uint8, 255), (np.uint16, 256), (np.int8, -1), (np.int64, 2),
+        (np.int64, -1), (np.float64, 0.5), (np.float32, 0.5), (np.float64, np.nan),
+        (np.float64, np.inf), (np.float64, -np.inf), (np.float64, 1 + 2**-52),
+        (np.float64, -0.0),
+    ]
+    for dtype, value in odd:
+        a = base.astype(dtype)
+        a[0, 0] = value
+        cases.append((f"{np.dtype(dtype).name} holding {value!r}", a))
+    for dtype, shape in ((np.uint8, (0, 3)), (np.float64, (0, 3)), (bool, (2, 0)),
+                         (np.int8, (0, 0))):
+        cases.append((f"{np.dtype(dtype).name} {shape}", np.zeros(shape, dtype)))
+    return cases
+
+
 @pytest.fixture
 def video_builder(tmp_path):
     def build(name="video", **kwargs):

@@ -414,3 +414,39 @@ def contour_f_full_frame(mask, reference, tolerance):
     if precision + recall == 0.0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
+
+
+def validated_isin(masks):
+    """Masks checked for {0, 1} with one ``np.isin`` scan each, returned as uint8 copies."""
+    arrays = [np.asarray(m) for m in masks]
+    if not arrays:
+        raise ValueError("at least one mask is required")
+    for a in arrays:
+        if a.shape != arrays[0].shape:
+            raise ValueError(f"dimension mismatch across masks: {a.shape} vs {arrays[0].shape}")
+        if not np.isin(a, (0, 1)).all():
+            raise ValueError("mask values must be 0 or 1")
+    return [a.astype(np.uint8) for a in arrays]
+
+
+def vote_full_frame(masks, weights):
+    """Weighted vote share > 0.5, summing ``weight * mask`` over the whole frame."""
+    weighted = np.zeros(np.shape(masks[0]), dtype=np.float64)
+    for weight, mask in zip(weights, masks):
+        weighted += weight * mask
+    return (weighted / float(np.sum(weights)) > 0.5).astype(np.uint8)
+
+
+def fuse_frame_full_frame(masks, alphas_of, strategy="tism"):
+    """One frame fused from ``validated_isin`` masks and ``vote_full_frame``.
+
+    ``alphas_of`` maps the list of foreground counts to the reliability
+    weights; returns (fused mask, weights, counts) like ``fuse_frame``.
+    """
+    ms = validated_isin(masks)
+    counts = [int(m.sum()) for m in ms]
+    alphas = alphas_of(counts)
+    weights = alphas if strategy == "tism" else np.ones(len(ms))
+    if strategy == "median" or float(np.sum(weights)) == 0.0:
+        return ms[counts.index(sorted(counts)[(len(counts) - 1) // 2])], alphas, counts
+    return vote_full_frame(ms, weights), alphas, counts

@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
 import errno
+import json
 import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -10,7 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tukeyseg
 from conftest import moving_block_arrays, write_video_dir
+from tukeyseg import metrics, segment
 from tukeyseg.cli import build_parser, main
 from tukeyseg.io import read_mask_dir, write_mask_pgm
 
@@ -594,27 +599,84 @@ class TestDegenerateInputs:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["video"]
 
 
-class TestDeterminismAcrossJobs:
-    def test_all_commands_byte_identical(self, block_video, tmp_path, capsys):
-        video, truth = block_video
-        pred = tmp_path / "pred"
-        gt = tmp_path / "gt"
+def _all_commands(video, truth, tmp_path, base, jobs):
+    """argv lists of the four subcommands on ``video``, writing under ``base``."""
+    pred = tmp_path / "pred"
+    gt = tmp_path / "gt"
+    if not pred.exists():
         for root in (pred, gt):
             d = root / "seq"
             d.mkdir(parents=True)
             for i in range(3):
                 shifted = np.roll(truth, i, axis=0) if root is pred else truth
                 (d / f"{i:05d}.pgm").write_bytes(write_mask_pgm(shifted))
+    return {
+        "tis0": ["tis0", "--input", str(video), "--output", str(base / "tis0"), "--jobs", jobs],
+        "refine": ["refine", "--input", str(video), "--output", str(base / "refine"),
+                   "--jobs", jobs],
+        "combine": ["combine", "--input", str(video / "masks"),
+                    "--output", str(base / "combine"), "--jobs", jobs],
+        "eval": ["eval", "--input", str(pred), "--ground-truth", str(gt),
+                 "--output", str(base / "eval.csv"), "--jobs", jobs],
+    }
+
+
+class TestDeterminismAcrossJobs:
+    def test_all_commands_byte_identical(self, block_video, tmp_path, capsys):
+        video, truth = block_video
         outputs = {}
         for jobs in ("1", "8"):
             base = tmp_path / f"jobs{jobs}"
-            assert main(["tis0", "--input", str(video), "--output", str(base / "tis0"),
-                         "--jobs", jobs]) == 0
-            assert main(["refine", "--input", str(video), "--output", str(base / "refine"),
-                         "--jobs", jobs]) == 0
-            assert main(["combine", "--input", str(video / "masks"),
-                         "--output", str(base / "combine"), "--jobs", jobs]) == 0
-            assert main(["eval", "--input", str(pred), "--ground-truth", str(gt),
-                         "--output", str(base / "eval.csv"), "--jobs", jobs]) == 0
+            for argv in _all_commands(video, truth, tmp_path, base, jobs).values():
+                assert main(argv) == 0
             outputs[jobs] = _tree_bytes(base)
         assert outputs["1"] == outputs["8"]
+
+
+# Runs subcommands in a fresh interpreter and fails if scipy is loaded by the
+# package import or by a combine run.
+_FRESH_RUN = """
+import json, sys
+import tukeyseg, tukeyseg.cli
+assert "scipy" not in sys.modules, "importing tukeyseg loaded scipy"
+for argv in json.loads(sys.argv[1]):
+    assert tukeyseg.cli.main(argv) == 0, argv
+    if argv[0] == "combine":
+        assert "scipy" not in sys.modules, "combine loaded scipy"
+"""
+
+
+def _run_fresh(*argvs):
+    src = pathlib.Path(tukeyseg.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_RUN, json.dumps(argvs)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+class TestScipyLoadedOnDemand:
+    """Only the functions that call scipy.ndimage import it, so combine never loads scipy."""
+
+    def test_import_and_combine_load_no_scipy(self, block_video, tmp_path):
+        video, truth = block_video
+        fresh = _all_commands(video, truth, tmp_path, tmp_path / "fresh", "2")["combine"]
+        _run_fresh(fresh)
+        here = _all_commands(video, truth, tmp_path, tmp_path / "here", "2")["combine"]
+        assert main(here) == 0
+        assert _tree_bytes(tmp_path / "fresh") == _tree_bytes(tmp_path / "here")
+
+    @pytest.mark.parametrize("command", ["tis0", "refine", "eval"])
+    def test_first_import_in_worker_threads(self, block_video, tmp_path, capsys, command):
+        video, truth = block_video
+        _run_fresh(_all_commands(video, truth, tmp_path, tmp_path / "fresh", "2")[command])
+        assert main(_all_commands(video, truth, tmp_path, tmp_path / "here", "1")[command]) == 0
+        assert _tree_bytes(tmp_path / "fresh") == _tree_bytes(tmp_path / "here")
+
+    def test_literal_cross_structures(self):
+        from scipy import ndimage
+
+        cross = ndimage.generate_binary_structure(2, 1)
+        for literal in (segment._STRUCTURES[4], metrics._CROSS):
+            assert literal.dtype == cross.dtype
+            assert np.array_equal(literal, cross)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import mask_dtype_matrix
 from tukeyseg import fusion, stats
+from tukeyseg.cli import main
 from tukeyseg.fusion import (
     STRATEGIES,
     FusionRecord,
@@ -12,6 +14,7 @@ from tukeyseg.fusion import (
     fuse_frame,
     fuse_sequence,
 )
+from tukeyseg.io import read_mask_dir, write_mask_pgm
 from tukeyseg.stats import mask_outlier_scales
 
 
@@ -323,3 +326,117 @@ class TestFuseSequence:
         assert records_serial == records_threaded
         for a, b in zip(serial, threaded):
             assert a.tobytes() == b.tobytes()
+
+
+def _scene_masks(rng, shape, n_masks, empty=(), full=()):
+    """Masks holding one random rectangle each, some of them empty or all foreground."""
+    masks = []
+    for j in range(n_masks):
+        m = np.zeros(shape, dtype=np.uint8)
+        if j in full:
+            m[...] = 1
+        elif j not in empty:
+            r0, c0 = rng.integers(0, shape[0]), rng.integers(0, shape[1])
+            r1, c1 = rng.integers(r0, shape[0]) + 1, rng.integers(c0, shape[1]) + 1
+            m[r0:r1, c0:c1] = rng.random((r1 - r0, c1 - c0)) < 0.8
+        masks.append(m)
+    return masks
+
+
+class TestAgainstFullFrameOracle:
+    """The dtype-aware check and the in-place box vote against the np.isin check and full-frame vote."""
+
+    @pytest.mark.parametrize("name, mask", mask_dtype_matrix())
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_accepts_what_isin_accepts(self, name, mask, strategy):
+        masks = [mask, np.zeros_like(mask, dtype=np.uint8), mask]
+        if not np.isin(mask, (0, 1)).all():
+            with pytest.raises(ValueError, match="0 or 1"):
+                fuse_frame(masks, strategy=strategy)
+            return
+        fused, alphas, counts = fuse_frame(masks, strategy=strategy)
+        expected, expected_alphas, expected_counts = oracles.fuse_frame_full_frame(
+            masks, mask_outlier_scales, strategy)
+        assert fused.dtype == np.uint8 and fused.shape == mask.shape
+        assert np.array_equal(fused, expected)
+        assert counts == expected_counts
+        assert np.array_equal(alphas, expected_alphas)
+
+    def test_vote_matches_with_random_weights(self, rng):
+        for trial in range(300):
+            shape = tuple(rng.integers(1, 30, size=2))
+            n = int(rng.integers(1, 8))
+            masks = _scene_masks(rng, shape, n, empty={0} if trial % 5 == 0 else ())
+            weights = rng.random(n)
+            weights[rng.random(n) < 0.3] = 0.0
+            if trial % 7 == 0:
+                weights = rng.integers(0, 3, size=n) / 4.0  # exact 0.5 shares occur
+            total = float(weights.sum())
+            if total == 0.0:
+                continue
+            assert np.array_equal(fusion._vote(masks, weights, total),
+                                  oracles.vote_full_frame(masks, weights))
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("k_fences", [0.0, 1.5])
+    def test_fuse_frame_matches(self, rng, strategy, k_fences):
+        shape = (23, 31)
+        scenes = [_scene_masks(rng, shape, 6) for _ in range(40)]
+        scenes += [_scene_masks(rng, shape, 6, full={5}), _scene_masks(rng, shape, 6, full={0, 1})]
+        scenes += [_scene_masks(rng, shape, 4, empty=range(4)),   # all empty
+                   _scene_masks(rng, shape, 2, empty={0}, full={1}),  # zero weights at k=0
+                   _scene_masks(rng, shape, 1)]
+        for masks in scenes:
+            fused, alphas, counts = fuse_frame(masks, k_fences, strategy)
+            expected, expected_alphas, expected_counts = oracles.fuse_frame_full_frame(
+                masks, lambda c: mask_outlier_scales(c, k_fences), strategy)
+            assert fused.tobytes() == expected.tobytes()
+            assert counts == expected_counts
+            assert alphas.tobytes() == expected_alphas.tobytes()
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_fused_mask_never_aliases_an_input(self, rng, strategy):
+        for masks in (_scene_masks(rng, (9, 8), 3), [np.ones((4, 4), np.uint8)] * 2,
+                      _scene_masks(rng, (5, 5), 2, empty={0}, full={1})):
+            snapshot = [m.copy() for m in masks]
+            fused, _, _ = fuse_frame(masks, 0.0, strategy)
+            assert not any(np.shares_memory(fused, m) for m in masks)
+            fused[...] = 7
+            assert all(np.array_equal(m, s) for m, s in zip(masks, snapshot))
+
+
+def _oracle_combine(frames, names, strategy, k_fences):
+    """Fused masks and the mask_alphas.csv bytes that combine wrote before the box vote."""
+    fused, lines = [], ["frame,method,count,alpha"]
+    for index, masks in enumerate(frames):
+        mask, alphas, counts = oracles.fuse_frame_full_frame(
+            masks, lambda c: mask_outlier_scales(c, k_fences), strategy)
+        fused.append(mask)
+        lines += [f"{index},{name},{count},{float(alpha):.12g}"
+                  for name, count, alpha in zip(names, counts, alphas)]
+    return fused, ("\n".join(lines) + "\n").encode()
+
+
+class TestCombineAgainstOracle:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("k_fences", ["0", "1.5"])
+    @pytest.mark.parametrize("jobs", ["1", "3"])
+    def test_outputs_equal_oracle(self, tmp_path, rng, strategy, k_fences, jobs):
+        names = [f"m{j}" for j in range(5)]
+        frames = [_scene_masks(rng, (24, 32), 5) for _ in range(6)]
+        frames += [_scene_masks(rng, (24, 32), 5, full={4}),
+                   _scene_masks(rng, (24, 32), 5, empty=range(5)),
+                   _scene_masks(rng, (24, 32), 5, empty={0, 1}, full={2, 3, 4})]
+        for j, name in enumerate(names):
+            d = tmp_path / "in" / name
+            d.mkdir(parents=True)
+            for i, masks in enumerate(frames):
+                (d / f"{i:05d}.pgm").write_bytes(write_mask_pgm(masks[j]))
+        out = tmp_path / "out"
+        assert main(["combine", "--input", str(tmp_path / "in"), "--output", str(out),
+                     "--strategy", strategy, "--k-fences", k_fences, "--jobs", jobs]) == 0
+        expected, csv = _oracle_combine(frames, names, strategy, float(k_fences))
+        fused = read_mask_dir(out)
+        assert len(fused) == len(expected)
+        assert all(np.array_equal(f, e) for f, e in zip(fused, expected))
+        assert (out / "mask_alphas.csv").read_bytes() == csv

@@ -24,7 +24,7 @@ from tukeyseg.io import (
     write_ppm,
     write_saliency_pgm,
 )
-from conftest import moving_block_arrays, write_video_dir
+from conftest import mask_dtype_matrix, moving_block_arrays, write_video_dir
 
 
 class TestFlo:
@@ -123,6 +123,18 @@ class TestPgm:
         with pytest.raises(ValueError, match="0 or 1"):
             write_mask_pgm(np.array([[2]]))
 
+    @pytest.mark.parametrize("name, mask", mask_dtype_matrix())
+    def test_mask_writer_accepts_what_isin_accepts(self, name, mask):
+        if mask.size == 0:
+            with pytest.raises(ValueError, match="non-empty"):
+                write_mask_pgm(mask)
+        elif np.isin(mask, (0, 1)).all():
+            payload = bytes(255 * int(v != 0) for v in mask.ravel())
+            assert write_mask_pgm(mask) == b"P5\n3 2\n255\n" + payload
+        else:
+            with pytest.raises(ValueError, match="0 or 1"):
+                write_mask_pgm(mask)
+
     def test_saliency_quantization_round_trip(self, rng):
         field = rng.integers(0, 256, size=(4, 6)) / 255.0
         encoded = write_saliency_pgm(field)
@@ -173,6 +185,59 @@ class TestPpm:
     def test_maxval_other_than_255_rejected(self, maxval):
         with pytest.raises(ValueError, match="maxval"):
             read_ppm(f"P6\n1 1\n{maxval}\n".encode() + b"\x00\x00\x00")
+
+
+_WRITERS = {
+    "pgm": (write_pgm, (2, 3), 255, np.uint8),
+    "ppm": (write_ppm, (2, 3, 3), 255, np.uint8),
+    "pgm16": (write_pgm16, (2, 3), 65535, ">u2"),
+}
+
+
+class TestWriterValues:
+    """The netpbm writers store exactly the integers 0..maxval and refuse anything else."""
+
+    @pytest.mark.parametrize("kind", _WRITERS)
+    @pytest.mark.parametrize(
+        "value",
+        [0.5, 1.5, 3.9, 127.7, "top-0.5", "top+1", -1.0, -0.5, np.nan, np.inf, -np.inf],
+    )
+    def test_non_integer_or_out_of_range_float_rejected(self, kind, value):
+        writer, shape, top, _ = _WRITERS[kind]
+        if isinstance(value, str):
+            value = top + float(value.removeprefix("top"))
+        data = np.zeros(shape)
+        data.flat[1] = value
+        with pytest.raises(ValueError, match=f" 0\\.\\.{top}"):
+            writer(data)
+
+    @pytest.mark.parametrize("kind", _WRITERS)
+    @pytest.mark.parametrize("dtype, above", [(np.int64, False), (np.int8, False),
+                                              (np.int64, True), (np.uint32, True)])
+    def test_out_of_range_integers_rejected(self, kind, dtype, above):
+        writer, shape, top, _ = _WRITERS[kind]
+        data = np.zeros(shape, dtype)
+        data.flat[1] = top + 1 if above else -1
+        with pytest.raises(ValueError, match=f" 0\\.\\.{top}"):
+            writer(data)
+
+    @pytest.mark.parametrize("kind", _WRITERS)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.int16, np.uint8,
+                                       np.uint16, np.uint64, bool])
+    def test_integer_values_of_any_dtype_accepted(self, kind, rng, dtype):
+        writer, shape, top, stored = _WRITERS[kind]
+        if np.dtype(dtype).kind in "iu":
+            top = min(top, np.iinfo(dtype).max)
+        values = rng.integers(0, top + 1, size=shape)
+        values.flat[1] = top
+        data = values.astype(dtype)
+        expected = data.astype(np.int64)
+        if np.dtype(dtype).kind == "f":
+            data.flat[0] = -0.0
+            expected.flat[0] = 0
+        encoded = writer(data)
+        assert encoded.endswith(expected.astype(stored).tobytes())
+        assert encoded == writer(expected)
 
 
 class TestOpenSequence:
