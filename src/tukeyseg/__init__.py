@@ -10,7 +10,7 @@ results with region- and contour-accuracy metrics.
 from tukeyseg.fusion import fuse_frame, fuse_sequence
 from tukeyseg.io import FlowField, FrameSequence, open_sequence
 from tukeyseg.metrics import contour_f, evaluate_dataset, jaccard, sequence_scores
-from tukeyseg.refine import RefineConfig, refine_masks, refine_sequence, rgb_to_lab
+from tukeyseg.refine import RefineConfig, refine_mask, refine_sequence, rgb_to_lab
 from tukeyseg.segment import SegmenterConfig, segment_sequence, select_top_segments
 from tukeyseg.stats import (
     OutlierFences,
@@ -42,7 +42,7 @@ __all__ = [
     "outlier_scale",
     "outlier_set",
     "quartiles",
-    "refine_masks",
+    "refine_mask",
     "refine_sequence",
     "rgb_to_lab",
     "segment_sequence",

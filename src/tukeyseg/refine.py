@@ -2,7 +2,9 @@
 
 Supervoxels span many frames, so refinement is a two-pass affair: pass one
 segments the whole video, pass two folds every frame's labels into
-per-supervoxel consensus scores and rewrites each frame's mask. A
+per-supervoxel consensus scores and rewrites each frame's mask. Of pass one
+only the foregroundness fields and masks are kept; pass two reads each
+label map again and adjusts and thresholds one frame at a time. A
 supervoxel's local consensus is its mean label polarity in [-1, 1]; its
 non-local consensus is an inverse-square-distance weighted vote among its
 nearest neighbors in mean-LAB color. Both are added to the (rescaled)
@@ -38,6 +40,7 @@ from tukeyseg.segment import (
 log = logging.getLogger(__name__)
 
 NONLOCAL_WEIGHT_TOTAL = 2.0 / 3.0
+REFINED_SEGMENTS = 2  # segments each refined frame keeps
 
 # sRGB (D65) to XYZ, IEC 61966-2-1 primaries
 _SRGB_TO_XYZ = np.array(
@@ -61,8 +64,10 @@ class RefineConfig:
     def __post_init__(self):
         if self.mode not in ("local", "nonlocal"):
             raise ValueError("mode must be 'local' or 'nonlocal'")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and positive")
+        if self.w0 is not None and not math.isfinite(self.w0):
+            raise ValueError("w0 must be finite")
 
     @property
     def local_weight(self) -> float:
@@ -256,65 +261,50 @@ def build_consensus(stats: SupervoxelStats, cfg: RefineConfig | None = None) -> 
 
 
 def adjusted_foregroundness(
-    fore_frames,
+    fore,
+    labels,
     consensus: ConsensusTable,
-    label_frames,
+    video_max: float,
     cfg: RefineConfig | None = None,
-) -> list[np.ndarray]:
-    """Consensus-adjusted foregroundness fields, one per frame.
+) -> np.ndarray:
+    """One frame's consensus-adjusted foregroundness field.
 
-    Foregroundness is rescaled to [0, 1] by the video-wide maximum (an
-    all-zero video stays all-zero), then per pixel the containing
-    supervoxel's weighted local and non-local consensus are added.
+    The field is rescaled to [0, 1] by ``video_max``, the largest
+    foregroundness of any frame of the video (a video whose maximum is 0
+    stays all-zero), then per pixel the containing supervoxel's weighted
+    local and non-local consensus are added.
     """
     cfg = cfg or RefineConfig()
-    if len(fore_frames) != len(label_frames):
-        raise ValueError("foregroundness and label frame lists must have equal length")
-    fores = [np.asarray(f, dtype=np.float64) for f in fore_frames]
-    labels = [np.asarray(frame) for frame in label_frames]
-    if not fores:
-        raise ValueError("no frames")
-    video_max = max(float(f.max()) for f in fores)
-    additive = cfg.local_weight * consensus.f_local + consensus.f_nonlocal
-    size = max(
-        int(consensus.ids.max()) + 1,
-        max(int(frame.max()) + 1 for frame in labels),
-    )
-    lookup = np.full(size, np.nan)
-    lookup[consensus.ids] = additive
-    adjusted = []
-    for fore, frame_labels in zip(fores, labels):
-        if fore.shape != frame_labels.shape:
-            raise ValueError(
-                f"dimension mismatch: field {fore.shape} vs labels {frame_labels.shape}"
-            )
-        term = lookup[frame_labels]
-        if np.any(np.isnan(term)):
-            missing = np.unique(frame_labels[np.isnan(term)])
-            raise ValueError(f"supervoxel ids missing from consensus table: {missing.tolist()}")
-        scaled = fore / video_max if video_max > 0 else np.zeros_like(fore)
-        adjusted.append(scaled + term)
-    return adjusted
+    fore, labels = np.asarray(fore, dtype=np.float64), np.asarray(labels)
+    if fore.shape != labels.shape:
+        raise ValueError(f"dimension mismatch: field {fore.shape} vs labels {labels.shape}")
+    if labels.min() < 0:
+        raise ValueError("supervoxel ids must be non-negative")
+    lookup = np.full(max(int(consensus.ids.max()), int(labels.max())) + 1, np.nan)
+    lookup[consensus.ids] = cfg.local_weight * consensus.f_local + consensus.f_nonlocal
+    term = lookup[labels]
+    if np.any(np.isnan(term)):
+        missing = np.unique(labels[np.isnan(term)])
+        raise ValueError(f"supervoxel ids missing from consensus table: {missing.tolist()}")
+    scaled = fore / video_max if video_max > 0 else np.zeros_like(fore)
+    return scaled + term
 
 
-def refine_masks(
-    fore_frames,
+def refine_mask(
+    fore,
+    labels,
     consensus: ConsensusTable,
-    label_frames,
+    video_max: float,
     cfg: RefineConfig | None = None,
-    n_segments: int = 2,
     connectivity: int = 8,
-) -> list[np.ndarray]:
-    """Rewrite per-frame masks from consensus-adjusted foregroundness.
+) -> np.ndarray:
+    """One frame's refined mask from its consensus-adjusted foregroundness.
 
-    Pixels with a positive adjusted foregroundness are foreground; each
-    frame then keeps its ``n_segments`` strongest segments.
+    Pixels with a positive adjusted foregroundness are foreground; the
+    frame then keeps its ``REFINED_SEGMENTS`` strongest segments.
     """
-    refined = []
-    for adjusted in adjusted_foregroundness(fore_frames, consensus, label_frames, cfg):
-        mask = (adjusted > 0).astype(np.uint8)
-        refined.append(select_top_segments(mask, adjusted, n_segments, connectivity))
-    return refined
+    adjusted = adjusted_foregroundness(fore, labels, consensus, video_max, cfg)
+    return select_top_segments(adjusted > 0, adjusted, REFINED_SEGMENTS, connectivity)
 
 
 @dataclass
@@ -340,22 +330,24 @@ def refine_sequence(
     ref_cfg: RefineConfig | None = None,
     jobs: int = 1,
 ) -> RefinementResult:
-    """Segment a sequence, then refine every frame with supervoxel consensus."""
+    """Segment a sequence, then refine every frame with supervoxel consensus.
+
+    Pass two reads each label map again, so one rewritten since pass one
+    fails with the ``ValueError`` that names the ids the table lacks.
+    """
     seg_cfg = seg_cfg or SegmenterConfig()
     ref_cfg = ref_cfg or RefineConfig()
     if not seq.has_labels:
         raise ValueError(f"sequence '{seq.name}': supervoxel label rasters are required")
     initial = segment_sequence(seq, seg_cfg, jobs)
-    label_frames = [seq.labels(i) for i in range(seq.num_frames)]
+    label_frames = (seq.labels(i) for i in range(seq.num_frames))
     stats = supervoxel_stats(label_frames, _lab_frames(seq, jobs), initial.masks)
     stats = replace(stats, mean_lab=normalize_lab(stats.mean_lab, stats.lab_min, stats.lab_max))
     table = build_consensus(stats, ref_cfg)
     log.info("consensus over %d supervoxels (mode=%s)", len(table.ids), ref_cfg.mode)
-    masks = refine_masks(
-        initial.foregroundness,
-        table,
-        label_frames,
-        ref_cfg,
-        connectivity=seg_cfg.connectivity,
-    )
+    video_max = max(float(fore.max()) for fore in initial.foregroundness)
+    masks = [
+        refine_mask(fore, seq.labels(i), table, video_max, ref_cfg, seg_cfg.connectivity)
+        for i, fore in enumerate(initial.foregroundness)
+    ]
     return RefinementResult(masks=masks, initial=initial, consensus=table)

@@ -45,6 +45,8 @@ class SegmenterConfig:
     connectivity: int = 8
 
     def __post_init__(self):
+        if not 0 <= self.k_fences < math.inf:
+            raise ValueError("k_fences must be finite and non-negative")
         if not self.vs_exponents or not all(0 < k < math.inf for k in self.vs_exponents):
             raise ValueError("visual-saliency exponents must be finite and positive")
         if not 0.0 <= self.min_flow_scale <= 1.0:

@@ -201,13 +201,13 @@ def test_refinement_fixtures():
     # local-only: consensus alone decides the sign
     from tukeyseg.refine import ConsensusTable
 
-    fore = [np.zeros((3, 3))]
-    labels = [np.zeros((3, 3), int)]
+    fore = np.zeros((3, 3))
+    labels = np.zeros((3, 3), int)
     full = ConsensusTable(np.array([0]), np.array([1.0]), np.array([0.0]))
     empty = ConsensusTable(np.array([0]), np.array([-1.0]), np.array([0.0]))
     local = RefineConfig(mode="local")
-    assert adjusted_foregroundness(fore, full, labels, local)[0] == pytest.approx(1.0, abs=1e-9)
-    assert adjusted_foregroundness(fore, empty, labels, local)[0] == pytest.approx(-1.0, abs=1e-9)
+    assert adjusted_foregroundness(fore, labels, full, 0.0, local) == pytest.approx(1.0, abs=1e-9)
+    assert adjusted_foregroundness(fore, labels, empty, 0.0, local) == pytest.approx(-1.0, abs=1e-9)
 
     # local+nonlocal: two supervoxels on a 3x3 frame; hand values are
     # f_local (0, -1), f_nonlocal (-2/3, 0), adjusted (1/3, -2/3, 1/6)
@@ -225,7 +225,7 @@ def test_refinement_fixtures():
     table = build_consensus(stats, nonlocal_cfg)
     assert table.f_local == pytest.approx([0.0, -1.0], abs=1e-9)
     assert table.f_nonlocal == pytest.approx([-2.0 / 3.0, 0.0], abs=1e-9)
-    adjusted = adjusted_foregroundness([fore3], table, [labels3], nonlocal_cfg)[0]
+    adjusted = adjusted_foregroundness(fore3, labels3, table, fore3.max(), nonlocal_cfg)
     assert adjusted[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-9)
     assert adjusted[0, 1] == pytest.approx(-2.0 / 3.0, abs=1e-9)
     assert np.allclose(adjusted[labels3 == 1], 1.0 / 6.0, atol=1e-9)

@@ -1,5 +1,8 @@
 """Tests for supervoxel consensus refinement."""
 
+import collections
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,7 @@ from tukeyseg.refine import (
     adjusted_foregroundness,
     build_consensus,
     normalize_lab,
-    refine_masks,
+    refine_mask,
     refine_sequence,
     rgb_to_lab,
     supervoxel_stats,
@@ -350,18 +353,18 @@ class TestConsensusExactness:
 
 class TestRefineMasks:
     def test_local_consensus_forces_full_mask(self):
-        fore = [np.zeros((3, 3))]
-        labels = [np.zeros((3, 3), int)]
+        fore = np.zeros((3, 3))
+        labels = np.zeros((3, 3), int)
         table = ConsensusTable(np.array([0]), np.array([1.0]), np.array([0.0]))
-        masks = refine_masks(fore, table, labels, RefineConfig(mode="local"))
-        assert masks[0].all()
+        mask = refine_mask(fore, labels, table, fore.max(), RefineConfig(mode="local"))
+        assert mask.all()
 
     def test_local_consensus_forces_empty_mask(self):
-        fore = [np.zeros((3, 3))]
-        labels = [np.zeros((3, 3), int)]
+        fore = np.zeros((3, 3))
+        labels = np.zeros((3, 3), int)
         table = ConsensusTable(np.array([0]), np.array([-1.0]), np.array([0.0]))
-        masks = refine_masks(fore, table, labels, RefineConfig(mode="local"))
-        assert not masks[0].any()
+        mask = refine_mask(fore, labels, table, fore.max(), RefineConfig(mode="local"))
+        assert not mask.any()
 
     def test_mixed_fixture_hand_values(self):
         # 3x3 frame, two supervoxels: id0 covers (0,0) and (0,1) half
@@ -385,7 +388,7 @@ class TestRefineMasks:
         assert table.f_local.tolist() == [0.0, -1.0]
         assert table.f_nonlocal[0] == pytest.approx(-2.0 / 3.0, abs=1e-9)
         assert table.f_nonlocal[1] == pytest.approx(0.0, abs=1e-9)
-        adjusted = adjusted_foregroundness([fore], table, [labels], cfg)[0]
+        adjusted = adjusted_foregroundness(fore, labels, table, fore.max(), cfg)
         assert adjusted[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-9)
         assert adjusted[0, 1] == pytest.approx(-2.0 / 3.0, abs=1e-9)
         assert adjusted[1, 1] == pytest.approx(1.0 / 6.0, abs=1e-9)
@@ -397,10 +400,10 @@ class TestRefineMasks:
             mode="nonlocal",
         )
         assert np.allclose(adjusted, expected[0], atol=1e-9)
-        masks = refine_masks([fore], table, [labels], cfg)
+        mask = refine_mask(fore, labels, table, fore.max(), cfg)
         expected_mask = np.ones((3, 3), dtype=np.uint8)
         expected_mask[0, 1] = 0
-        assert np.array_equal(masks[0], expected_mask)
+        assert np.array_equal(mask, expected_mask)
 
     def test_positive_foregroundness_minus_third(self):
         # adjusted = 0.5 + (1/3)(-1) = 1/6 > 0 keeps the pixel foreground
@@ -409,20 +412,32 @@ class TestRefineMasks:
         fore = np.array([[0.5, 1.0]])  # max 1 keeps scaling identity
         table = ConsensusTable(np.array([0, 1]), np.array([-1.0, 1.0]), np.zeros(2))
         cfg = RefineConfig(mode="nonlocal", w0=1.0 / 3.0)
-        adjusted = adjusted_foregroundness([fore], table, [labels], cfg)[0]
+        adjusted = adjusted_foregroundness(fore, labels, table, fore.max(), cfg)
         assert adjusted[0, 0] == pytest.approx(0.5 - 1.0 / 3.0, abs=1e-9)
 
     def test_missing_id_raises(self):
         table = ConsensusTable(np.array([0]), np.array([1.0]), np.array([0.0]))
-        labels = [np.array([[0, 7]])]
+        labels = np.array([[0, 7]])
         with pytest.raises(ValueError, match="missing"):
-            refine_masks([np.zeros((1, 2))], table, labels)
+            refine_mask(np.zeros((1, 2)), labels, table, 0.0)
+
+    def test_negative_id_raises(self):
+        # a negative id must not wrap around to the last entry of the lookup
+        table = ConsensusTable(np.array([0, 1]), np.array([0.0, 1.0]), np.zeros(2))
+        labels = np.array([[0, -1]])
+        with pytest.raises(ValueError, match="non-negative"):
+            adjusted_foregroundness(np.zeros((1, 2)), labels, table, 0.0)
+
+    def test_shape_mismatch_raises(self):
+        table = ConsensusTable(np.array([0]), np.array([1.0]), np.array([0.0]))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            refine_mask(np.zeros((2, 2)), np.zeros((2, 3), int), table, 0.0)
 
     def test_zero_max_scaling(self):
-        labels = [np.zeros((2, 2), int)]
+        labels = np.zeros((2, 2), int)
         table = ConsensusTable(np.array([0]), np.array([0.5]), np.array([0.0]))
         cfg = RefineConfig(mode="local")
-        adjusted = adjusted_foregroundness([np.zeros((2, 2))], table, labels, cfg)[0]
+        adjusted = adjusted_foregroundness(np.zeros((2, 2)), labels, table, 0.0, cfg)
         assert np.all(adjusted == 0.5)
 
     def test_keeps_at_most_two_segments(self):
@@ -433,8 +448,8 @@ class TestRefineMasks:
             np.array([-1.0, 1.0, 0.8, 0.6]),
             np.zeros(4),
         )
-        masks = refine_masks([fore], table, [labels], RefineConfig(mode="local"))
-        assert masks[0].tolist() == [[0, 1, 0, 1, 0, 0, 0]]
+        mask = refine_mask(fore, labels, table, fore.max(), RefineConfig(mode="local"))
+        assert mask.tolist() == [[0, 1, 0, 1, 0, 0, 0]]
 
     def test_singleton_supervoxels_local_mode_equals_brute_force(self, rng):
         # every pixel is its own supervoxel: local-only refinement keeps
@@ -448,7 +463,7 @@ class TestRefineMasks:
             stats = supervoxel_stats([labels], [lab], [mask])
             cfg = RefineConfig(mode="local")
             table = build_consensus(stats, cfg)
-            adjusted = adjusted_foregroundness([fore], table, [labels], cfg)[0]
+            adjusted = adjusted_foregroundness(fore, labels, table, fore.max(), cfg)
             expected = oracles.refine_fields(
                 [fore.tolist()],
                 [labels.tolist()],
@@ -469,11 +484,11 @@ class TestRefineMasks:
             f_nonlocal = rng.uniform(-2 / 3, 2 / 3, size=n)
             table = ConsensusTable(np.arange(n), f_local, f_nonlocal)
             cfg = RefineConfig(mode="nonlocal")
-            before = adjusted_foregroundness([fore], table, [labels], cfg)[0] > 0
+            before = adjusted_foregroundness(fore, labels, table, fore.max(), cfg) > 0
             bumped = ConsensusTable(
                 np.arange(n), np.minimum(f_local + 0.5, 1.0), f_nonlocal
             )
-            after = adjusted_foregroundness([fore], bumped, [labels], cfg)[0] > 0
+            after = adjusted_foregroundness(fore, labels, bumped, fore.max(), cfg) > 0
             assert np.all(after >= before)
 
 
@@ -573,12 +588,82 @@ class TestRefineSequence:
         expected = oracles.consensus_rows(stats.ids, stats.local_consensus, stats.mean_lab)
         assert np.allclose(result.consensus.f_nonlocal, expected, rtol=0, atol=1e-12)
         table = ConsensusTable(stats.ids, stats.local_consensus, expected)
-        masks = refine_masks(result.initial.foregroundness, table, labels)
+        fores = result.initial.foregroundness
+        video_max = max(fore.max() for fore in fores)
+        masks = [refine_mask(f, frame, table, video_max) for f, frame in zip(fores, labels)]
         for a, b in zip(result.masks, masks):
             assert a.tobytes() == b.tobytes()
 
 
+    def test_labels_changed_between_passes_raise(self, tmp_path):
+        # pass two reads every label map again; a map rewritten since pass
+        # one is an error naming the ids the consensus table does not hold
+        root, _, _ = self._video(tmp_path)
+        seq = _RelabelledOnSecondRead(open_sequence(root), new_id=9)
+        with pytest.raises(ValueError, match=r"missing from consensus table: \[9\]"):
+            refine_sequence(seq)
+
+    def test_memory_growth_per_frame(self, tmp_path):
+        # Pass two holds one frame's labels and adjusted field at a time, so
+        # what refine keeps per frame is its float64 foregroundness (8 B per
+        # pixel), its initial mask and its refined mask (1 B each).
+        height, width = 120, 160
+        rows, cols = np.indices((height, width))
+        labels = (rows // 10) * (width // 10) + cols // 10
+        seqs = {}
+        for num_frames in (4, 12):
+            scene = moving_block_arrays(
+                height=height, width=width, block=(slice(40, 80), slice(60, 100)),
+                num_frames=num_frames,
+            )
+            root = write_video_dir(
+                tmp_path / f"tiles{num_frames}",
+                frames=scene["frames"],
+                flows=scene["flows"],
+                saliencies=scene["saliencies"],
+                labels=[labels] * num_frames,
+            )
+            seqs[num_frames] = open_sequence(root)
+        refine_sequence(seqs[4])  # lazy imports happen outside the traced runs
+        peaks = {}
+        for num_frames, seq in seqs.items():
+            tracemalloc.start()
+            try:
+                refine_sequence(seq)
+                peaks[num_frames] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        per_frame_pixel = (peaks[12] - peaks[4]) / (8 * height * width)
+        assert per_frame_pixel <= 10.0, f"{per_frame_pixel:.1f} B per frame per pixel"
+
+
+class _RelabelledOnSecondRead:
+    """A sequence whose label maps carry a new id from their second read on."""
+
+    def __init__(self, seq, new_id):
+        self._seq, self._new_id = seq, new_id
+        self._reads = collections.Counter()
+
+    def __getattr__(self, name):
+        return getattr(self._seq, name)
+
+    def labels(self, index):
+        labels = self._seq.labels(index)
+        self._reads[index] += 1
+        if self._reads[index] > 1:
+            labels[0, 0] = self._new_id
+        return labels
+
+
 class TestRefineConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("epsilon", float("nan")), ("epsilon", float("inf")), ("epsilon", -1.0),
+        ("w0", float("nan")), ("w0", float("inf")), ("w0", -float("inf")),
+    ])
+    def test_rejects_non_finite_values_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RefineConfig(**{field: value})
+
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             RefineConfig(mode="global")

@@ -366,6 +366,11 @@ class TestSegmenterConfig:
         with pytest.raises(ValueError, match="exponents"):
             SegmenterConfig(vs_exponents=exponents)
 
+    @pytest.mark.parametrize("k", [float("nan"), float("inf"), -float("inf"), -0.5])
+    def test_k_fences_must_be_finite_and_non_negative(self, k):
+        with pytest.raises(ValueError, match="k_fences"):
+            SegmenterConfig(k_fences=k)
+
 
 class TestSegmentSequence:
     def test_moving_block_matches_oracle(self, tmp_path):
