@@ -8,9 +8,10 @@ last quarter).
 
 Contour accuracy follows the DAVIS benchmark (Perazzi et al., CVPR 2016):
 boundaries are mask pixels with a background 4-neighbor, the tolerance
-defaults to ceil(0.0075 x image diagonal), and matches come from Euclidean
-distance transforms. Those transforms and erosions run on the bounding box
-of the two masks, so their cost scales with the object and not the frame.
+defaults to ceil(0.0075 x image diagonal), and a boundary pixel matches when
+the other boundary has a pixel within that Euclidean distance. Boundaries and
+matches are found with numpy slices on the bounding box of the two masks, so
+their cost scales with the object and not the frame.
 """
 
 from __future__ import annotations
@@ -23,10 +24,6 @@ import numpy as np
 
 from tukeyseg.io import read_mask_dir
 from tukeyseg.parallel import parallel_map
-
-# scipy.ndimage is imported where it is called, so that importing this module
-# (as every subcommand does) does not load it.
-_CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 RECALL_THRESHOLD = 0.5
 
@@ -43,13 +40,60 @@ def jaccard(mask, reference) -> float:
     return float(np.logical_and(m, g).sum() / union)
 
 
+def _mask_2d(mask) -> np.ndarray:
+    """A mask as a 2-D bool array."""
+    m = np.asarray(mask) != 0
+    if m.ndim != 2:
+        raise ValueError(f"mask must be 2-D, got shape {m.shape}")
+    return m
+
+
 def mask_boundary(mask) -> np.ndarray:
     """Mask pixels with a background 4-neighbor or on the image border."""
-    from scipy import ndimage
+    m = _mask_2d(mask)
+    boundary = m.copy()
+    boundary[1:-1, 1:-1] &= ~(m[:-2, 1:-1] & m[2:, 1:-1] & m[1:-1, :-2] & m[1:-1, 2:])
+    return boundary
 
-    m = np.asarray(mask) != 0
-    interior = ndimage.binary_erosion(m, structure=_CROSS, border_value=0)
-    return m & ~interior
+
+def _near(boundary, tolerance) -> np.ndarray:
+    """Pixels with a ``boundary`` pixel within Euclidean distance ``tolerance``.
+
+    The test is sqrt(dy**2 + dx**2) <= tolerance on float64, which is exactly
+    the test of a Euclidean distance transform's value, since that value is
+    the sqrt of the integer squared distance to the nearest boundary pixel.
+    For each row offset dy, a window of row prefix counts answers whether row
+    y + dy has a boundary pixel within the disk's half-width of each column.
+    Offsets are cut to the array's size, as no two of its pixels are further
+    apart, so the cost is O(area x min(tolerance, height)) for any tolerance.
+    """
+    height, width = boundary.shape
+    dx_squared = np.arange(width, dtype=np.float64) ** 2
+
+    def half_width(dy):
+        return int(np.count_nonzero(np.sqrt(dy * dy + dx_squared) <= tolerance)) - 1
+
+    widest = half_width(0)
+    near = np.zeros(boundary.shape, dtype=bool)
+    if widest < 0:
+        return near
+    # counts[:, widest + 1 + x] = boundary pixels in columns 0..x of the row,
+    # with the row's total beyond the last column and 0 before the first.
+    counts = np.zeros((height, width + 2 * widest + 1), dtype=np.int32)
+    np.cumsum(boundary, axis=1, out=counts[:, widest + 1:widest + 1 + width])
+    counts[:, widest + 1 + width:] = counts[:, widest + width:widest + 1 + width]
+    for dy in range(height):
+        r = half_width(dy)
+        if r < 0:
+            break
+        hit = (counts[:, widest + r + 1:widest + r + 1 + width]
+               > counts[:, widest - r:widest - r + width])
+        if dy == 0:
+            near |= hit
+        else:
+            near[:-dy] |= hit[dy:]
+            near[dy:] |= hit[:-dy]
+    return near
 
 
 def default_tolerance(width: int, height: int) -> int:
@@ -64,14 +108,13 @@ def contour_f(mask, reference, tolerance: float | None = None) -> float:
     within ``tolerance`` (Euclidean distance). Two empty boundaries score
     1, one empty boundary scores 0.
 
-    Boundaries and distances are computed on the bounding box of both
-    masks only. The result is exactly that of the whole image: every
-    boundary pixel lies in the box, so each distance transform sees all of
-    its zeros, and every pixel outside the box is background, which is what
-    the erosion assumes beyond the box's edges.
+    Boundaries and matches are computed on the bounding box of both masks
+    only. The result is exactly that of the whole image: every boundary
+    pixel lies in the box, and every pixel outside the box is background,
+    which is what the boundary test assumes beyond the box's edges.
     """
-    m = np.asarray(mask) != 0
-    g = np.asarray(reference) != 0
+    m = _mask_2d(mask)
+    g = _mask_2d(reference)
     if m.shape != g.shape:
         raise ValueError(f"dimension mismatch: {m.shape} vs {g.shape}")
     if tolerance is None:
@@ -85,12 +128,8 @@ def contour_f(mask, reference, tolerance: float | None = None) -> float:
     boundary_g = mask_boundary(g[box])
     if not boundary_m.any() or not boundary_g.any():
         return 0.0
-    from scipy import ndimage
-
-    distance_to_g = ndimage.distance_transform_edt(~boundary_g)
-    distance_to_m = ndimage.distance_transform_edt(~boundary_m)
-    precision = float((distance_to_g[boundary_m] <= tolerance).mean())
-    recall = float((distance_to_m[boundary_g] <= tolerance).mean())
+    precision = float(_near(boundary_g, tolerance)[boundary_m].mean())
+    recall = float(_near(boundary_m, tolerance)[boundary_g].mean())
     if precision + recall == 0.0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)

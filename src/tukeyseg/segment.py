@@ -9,6 +9,7 @@ terms are computed and summed; it relies on the
 shape. The foregroundness field is thresholded at mean + standard
 deviation, with a half-threshold discount wherever the previous frame's
 mask was foreground, and reduced to the single strongest connected segment.
+Segments are labelled in numpy from the mask's row runs.
 """
 
 from __future__ import annotations
@@ -26,14 +27,6 @@ from tukeyseg.parallel import parallel_map
 log = logging.getLogger(__name__)
 
 COMPONENT_NAMES = ("x", "y", "magnitude", "angle")
-
-# scipy.ndimage is imported where it is called, so that a process that never
-# labels components (``combine``) does not pay for loading it.
-_STRUCTURES = {
-    4: np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool),
-    8: np.ones((3, 3), dtype=bool),
-}
-
 
 @dataclass(frozen=True)
 class SegmenterConfig:
@@ -74,7 +67,7 @@ def flow_measures(flow: FlowField) -> FlowMeasures:
     v = np.asarray(flow.v, dtype=np.float64)
     magnitude = np.hypot(u, v)
     angle = np.arctan2(v, u)
-    angle = np.where(angle == -np.pi, np.pi, angle)
+    angle[angle == -np.pi] = np.pi
     return FlowMeasures(x=u, y=v, magnitude=magnitude, angle=angle)
 
 
@@ -96,36 +89,80 @@ def threshold_mask(fore, previous_mask=None) -> np.ndarray:
     return (f > threshold).astype(np.uint8)
 
 
+def _run_components(fg, connectivity):
+    """Label the foreground of a 2-D bool array as row runs.
+
+    Returns each run's length and component, runs in row-major order, and
+    the number of components. Components are numbered in the order of their
+    first run, which is the order of their first row-major pixel.
+    """
+    height, width = fg.shape
+    stride = width + 2
+    padded = np.zeros((height, stride), dtype=np.int8)
+    padded[:, 1:-1] = fg
+    # Each row is framed by two zero columns, so runs never cross rows and
+    # nonzero steps alternate between a start (+1) and an end (-1).
+    steps = np.flatnonzero(np.diff(padded.ravel()))
+    starts, ends = steps[0::2], steps[1::2]
+    # Run j of the previous row touches run i when their column ranges overlap;
+    # under 8-connectivity the ranges are widened by one column. The framing
+    # columns keep these ranges from reaching any other row.
+    widen = 1 if connectivity == 8 else 0
+    first = np.searchsorted(ends + stride, starts - widen, side="right")
+    stop = np.searchsorted(starts + stride, ends + widen, side="left")
+    links = np.maximum(stop - first, 0)
+    below = np.repeat(np.arange(starts.size), links)
+    above = np.arange(below.size) - np.repeat(np.cumsum(links) - links - first, links)
+    # Hook each root to the smallest root it is linked to, then jump pointers
+    # until every run points at its root; repeat until no link joins two roots.
+    # A parent is never larger than its run, so each root is its component's
+    # first run.
+    parent = np.arange(starts.size)
+    while True:
+        a, b = parent[below], parent[above]
+        joins = a != b
+        if not joins.any():
+            break
+        np.minimum.at(parent, np.maximum(a, b)[joins], np.minimum(a, b)[joins])
+        while not np.array_equal(jumped := parent[parent], parent):
+            parent = jumped
+    is_root = parent == np.arange(starts.size)
+    component = (np.cumsum(is_root) - 1)[parent]
+    return ends - starts, component, int(np.count_nonzero(is_root))
+
+
 def select_top_segments(mask, weight, n_segments: int = 1, connectivity: int = 8) -> np.ndarray:
     """Keep only the n connected components with the largest weight sums.
 
     Ties go to the larger component, then to the component whose first
-    row-major pixel comes first, so the result is fully deterministic.
+    row-major pixel comes first, so the result is fully deterministic. Each
+    component's weights are added in row-major order.
     """
     m = np.asarray(mask)
+    if m.ndim != 2:
+        raise ValueError(f"mask must be 2-D, got shape {m.shape}")
     w = np.asarray(weight, dtype=np.float64)
     if m.shape != w.shape:
         raise ValueError(f"dimension mismatch: mask {m.shape} vs weight {w.shape}")
-    if connectivity not in _STRUCTURES:
+    if connectivity not in (4, 8):
         raise ValueError("connectivity must be 4 or 8")
-    from scipy import ndimage
-
-    labeled, count = ndimage.label(m != 0, structure=_STRUCTURES[connectivity])
+    if n_segments < 1:
+        raise ValueError("n_segments must be at least 1")
+    fg = m != 0
+    lengths, component, count = _run_components(fg, connectivity)
     if count <= n_segments:
-        return (m != 0).astype(np.uint8)
-    flat = labeled.ravel()
-    weight_sums = np.bincount(flat, weights=w.ravel(), minlength=count + 1)
-    sizes = np.bincount(flat, minlength=count + 1)
-    first_pixel = np.full(count + 1, flat.size, dtype=np.int64)
-    np.minimum.at(first_pixel, flat, np.arange(flat.size))
-    ranked = sorted(
-        range(1, count + 1),
-        key=lambda c: (-weight_sums[c], -sizes[c], first_pixel[c]),
-    )
-    keep = np.zeros(count + 1, dtype=bool)
+        return fg.astype(np.uint8)
+    pixel_component = np.repeat(component, lengths)
+    weight_sums = np.bincount(pixel_component, weights=w[fg], minlength=count)
+    sizes = np.bincount(component, weights=lengths, minlength=count)
+    # lexsort is stable and components are numbered by first pixel, which
+    # settles the remaining ties.
+    ranked = np.lexsort((-sizes, -weight_sums))
+    keep = np.zeros(count, dtype=bool)
     keep[ranked[:n_segments]] = True
-    keep[0] = False
-    return keep[labeled].astype(np.uint8)
+    out = np.zeros(fg.shape, dtype=np.uint8)
+    out[fg] = keep[pixel_component]
+    return out
 
 
 @dataclass

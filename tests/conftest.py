@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,54 @@ def mask_dtype_matrix():
                          (np.int8, (0, 0))):
         cases.append((f"{np.dtype(dtype).name} {shape}", np.zeros(shape, dtype)))
     return cases
+
+
+
+def _spiral(height, width):
+    """A one-pixel-wide 4-connected path spiralling inward, arms one pixel apart."""
+    m = np.zeros((height, width), dtype=np.uint8)
+    m[0, :] = 1
+    row, col = 0, width - 1
+    across, down = width - 1, height - 1
+    for turn in itertools.count():
+        length = down if turn % 2 == 0 else across
+        if length <= 0:
+            return m
+        if turn % 4 == 0:
+            m[row:row + length + 1, col] = 1
+            row += length
+        elif turn % 4 == 1:
+            m[row, col - length:col + 1] = 1
+            col -= length
+        elif turn % 4 == 2:
+            m[row - length:row + 1, col] = 1
+            row -= length
+        else:
+            m[row, col:col + length + 1] = 1
+            col += length
+        if turn % 2 == 0:
+            down -= 2
+        else:
+            across -= 2
+
+
+def adversarial_masks(height=480, width=854):
+    """Masks at DAVIS size that are hard for component labelling and contour matching.
+
+    ``noise`` is 50% iid foreground: tens of thousands of 4-connected
+    components and as many row runs as pixels allow. ``comb`` is two
+    interlocking combs, one hanging from the top row and one standing on the
+    bottom row, with one-pixel teeth and gaps: two components of one run per
+    tooth per row. ``spiral`` is one 4-connected path through the whole
+    frame, so that merging runs must carry a label around every arm.
+    """
+    comb = np.zeros((height, width), dtype=np.uint8)
+    comb[0] = 1
+    comb[:height - 2, 0::4] = 1
+    comb[-1] = 1
+    comb[2:, 2::4] = 1
+    noise = np.random.default_rng(20181119).random((height, width)) < 0.5
+    return {"noise": noise.astype(np.uint8), "comb": comb, "spiral": _spiral(height, width)}
 
 
 @pytest.fixture

@@ -396,6 +396,28 @@ def consensus_rows(ids, f_local, mean_lab, epsilon=1e-3):
     return f_nonlocal
 
 
+def top_segments_ndimage(mask, weight, n_segments, connectivity=8):
+    """The n heaviest components from ``ndimage.label``; weights summed in row-major order."""
+    structure = ndimage.generate_binary_structure(2, 1 if connectivity == 4 else 2)
+    m = np.asarray(mask)
+    labeled, count = ndimage.label(m != 0, structure=structure)
+    if count <= n_segments:
+        return (m != 0).astype(np.uint8)
+    flat = labeled.ravel()
+    weight_sums = np.bincount(flat, weights=np.asarray(weight, np.float64).ravel(),
+                              minlength=count + 1)
+    sizes = np.bincount(flat, minlength=count + 1)
+    first_pixel = np.full(count + 1, flat.size, dtype=np.int64)
+    np.minimum.at(first_pixel, flat, np.arange(flat.size))
+    ranked = sorted(
+        range(1, count + 1),
+        key=lambda c: (-weight_sums[c], -sizes[c], first_pixel[c]),
+    )
+    keep = np.zeros(count + 1, dtype=bool)
+    keep[ranked[:n_segments]] = True
+    return keep[labeled].astype(np.uint8)
+
+
 def contour_f_full_frame(mask, reference, tolerance):
     """Boundary F-measure with one erosion per mask and two EDTs over the whole image."""
     cross = ndimage.generate_binary_structure(2, 1)

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import tukeyseg
 from conftest import moving_block_arrays, write_video_dir
-from tukeyseg import metrics, segment
 from tukeyseg.cli import build_parser, main
 from tukeyseg.io import read_mask_dir, write_mask_pgm
 
@@ -633,16 +632,15 @@ class TestDeterminismAcrossJobs:
         assert outputs["1"] == outputs["8"]
 
 
-# Runs subcommands in a fresh interpreter and fails if scipy is loaded by the
-# package import or by a combine run.
+# Runs subcommands in a fresh interpreter and fails if the package import or
+# any subcommand loads scipy, which only the tests use, as a reference.
 _FRESH_RUN = """
 import json, sys
 import tukeyseg, tukeyseg.cli
 assert "scipy" not in sys.modules, "importing tukeyseg loaded scipy"
 for argv in json.loads(sys.argv[1]):
     assert tukeyseg.cli.main(argv) == 0, argv
-    if argv[0] == "combine":
-        assert "scipy" not in sys.modules, "combine loaded scipy"
+    assert "scipy" not in sys.modules, f"{argv[0]} loaded scipy"
 """
 
 
@@ -656,7 +654,7 @@ def _run_fresh(*argvs):
 
 
 class TestScipyLoadedOnDemand:
-    """Only the functions that call scipy.ndimage import it, so combine never loads scipy."""
+    """No subcommand loads scipy, at one job or two; fresh runs write what in-process ones do."""
 
     def test_import_and_combine_load_no_scipy(self, block_video, tmp_path):
         video, truth = block_video
@@ -673,10 +671,9 @@ class TestScipyLoadedOnDemand:
         assert main(_all_commands(video, truth, tmp_path, tmp_path / "here", "1")[command]) == 0
         assert _tree_bytes(tmp_path / "fresh") == _tree_bytes(tmp_path / "here")
 
-    def test_literal_cross_structures(self):
-        from scipy import ndimage
-
-        cross = ndimage.generate_binary_structure(2, 1)
-        for literal in (segment._STRUCTURES[4], metrics._CROSS):
-            assert literal.dtype == cross.dtype
-            assert np.array_equal(literal, cross)
+    def test_one_job_loads_no_scipy(self, block_video, tmp_path, capsys):
+        video, truth = block_video
+        _run_fresh(*_all_commands(video, truth, tmp_path, tmp_path / "fresh", "1").values())
+        for argv in _all_commands(video, truth, tmp_path, tmp_path / "here", "1").values():
+            assert main(argv) == 0
+        assert _tree_bytes(tmp_path / "fresh") == _tree_bytes(tmp_path / "here")

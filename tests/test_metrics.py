@@ -1,11 +1,17 @@
 """Tests for region similarity and contour accuracy."""
 
+import math
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
+from conftest import adversarial_masks
 from tukeyseg import metrics
 from tukeyseg.io import write_mask_pgm
 from tukeyseg.metrics import (
@@ -80,6 +86,17 @@ class TestBoundary:
         assert not interior.any()
         assert boundary.sum() == 4 * 5 - 2 * 3
 
+    @pytest.mark.parametrize("shape", [(6,), (2, 3, 4), ()])
+    def test_rejects_mask_that_is_not_2d(self, shape):
+        flat = np.zeros((3, 4), dtype=np.uint8)
+        for mask in (np.ones(shape, np.uint8), np.zeros(shape, np.uint8)):
+            with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+                mask_boundary(mask)
+            with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+                contour_f(mask, mask, 1)
+            with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+                contour_f(flat, mask, 1)
+
 
 class TestContourF:
     def test_identity(self):
@@ -125,6 +142,53 @@ class TestContourF:
     def test_default_tolerance_scales_with_diagonal(self):
         assert default_tolerance(854, 480) == 8
         assert default_tolerance(10, 10) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        tolerance=st.sampled_from([0, 1, 2, 3, 5, 8]) | st.floats(0, 16),
+    )
+    def test_matches_distance_transform_and_brute_force(self, data, shape, tolerance):
+        m, g = (data.draw(hnp.arrays(np.uint8, shape, elements=st.integers(0, 1)))
+                for _ in range(2))
+        got = contour_f(m, g, tolerance)
+        assert got == oracles.contour_f_full_frame(m, g, tolerance)
+        assert got == pytest.approx(oracles.contour_f(m.tolist(), g.tolist(), tolerance),
+                                    abs=1e-12)
+
+    @pytest.mark.parametrize("tolerance, expected", [
+        (math.inf, 1.0), (1e300, 1.0), (math.nan, 0.0), (-1, 0.0), (-math.inf, 0.0), (0, 0.0),
+    ])
+    def test_extreme_tolerances_on_disjoint_boundaries(self, tolerance, expected):
+        m = _square(40, 60, slice(0, 4), slice(0, 5))
+        g = _square(40, 60, slice(30, 40), slice(50, 60))
+        assert contour_f(m, g, tolerance) == expected
+        assert contour_f(g, m, tolerance) == expected
+        assert oracles.contour_f_full_frame(m, g, tolerance) == expected
+
+    def test_huge_tolerance_allocates_nothing_large(self):
+        m = _square(480, 854, slice(100, 105), slice(200, 205))
+        g = _square(480, 854, slice(140, 150), slice(250, 260))
+        tracemalloc.start()
+        try:
+            assert contour_f(m, g, 1e5) == 1.0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the full-frame bool copies of both masks, and next to nothing for the box
+        assert peak < 3 * m.size
+
+    @pytest.mark.parametrize("tolerance", [None, 2.5])
+    @pytest.mark.parametrize("pair", [
+        ("noise", "noise"), ("noise", "comb"), ("comb", "spiral"), ("spiral", "noise"),
+    ])
+    def test_adversarial_masks_match_distance_transform(self, pair, tolerance):
+        masks = adversarial_masks()
+        m = masks[pair[0]]
+        g = np.roll(masks[pair[1]], 3, axis=1)
+        resolved = default_tolerance(m.shape[1], m.shape[0]) if tolerance is None else tolerance
+        assert contour_f(m, g, tolerance) == oracles.contour_f_full_frame(m, g, resolved)
 
 
 _H, _W = 48, 64

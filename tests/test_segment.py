@@ -5,9 +5,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
-from conftest import moving_block_arrays, write_video_dir
+from conftest import adversarial_masks, moving_block_arrays, write_video_dir
 from tukeyseg.io import FlowField, open_sequence
 from tukeyseg.metrics import jaccard
 from tukeyseg.io import write_saliency_pgm
@@ -341,6 +344,46 @@ class TestSelectTopSegments:
         out4 = select_top_segments(mask, weight, 1, connectivity=4)
         assert out8.sum() == 2  # diagonal joins into one component
         assert out4.tolist() == [[1, 0], [0, 0]]
+
+    @pytest.mark.parametrize("n_segments", [0, -1])
+    def test_rejects_fewer_than_one_segment(self, n_segments):
+        mask = np.array([[1, 0, 1]], dtype=np.uint8)
+        with pytest.raises(ValueError, match="n_segments"):
+            select_top_segments(mask, np.ones((1, 3)), n_segments)
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 4), ()])
+    def test_rejects_mask_that_is_not_2d(self, shape):
+        mask = np.ones(shape, dtype=np.uint8)
+        with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+            select_top_segments(mask, np.ones(shape))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+        n_segments=st.sampled_from([1, 2]),
+        connectivity=st.sampled_from([4, 8]),
+    )
+    def test_matches_oracles_with_ties(self, data, shape, n_segments, connectivity):
+        mask = data.draw(hnp.arrays(np.uint8, shape, elements=st.integers(0, 1)))
+        # quarter weights add exactly in any order, so equal sums tie in every oracle
+        weight = data.draw(hnp.arrays(np.int8, shape, elements=st.integers(0, 3))) / 4.0
+        got = select_top_segments(mask, weight, n_segments, connectivity)
+        expected = oracles.top_segments(mask.tolist(), weight.tolist(), n_segments, connectivity)
+        assert got.tolist() == expected
+        assert np.array_equal(
+            got, oracles.top_segments_ndimage(mask, weight, n_segments, connectivity))
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    @pytest.mark.parametrize("name", ["noise", "comb", "spiral"])
+    def test_adversarial_masks_match_label_reference(self, name, connectivity):
+        mask = adversarial_masks()[name]
+        weight = np.random.default_rng(7).random(mask.shape)
+        for n_segments in (1, 2):
+            got = select_top_segments(mask, weight, n_segments, connectivity)
+            expected = oracles.top_segments_ndimage(mask, weight, n_segments, connectivity)
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, expected)
 
 
 class TestSegmenterConfig:
