@@ -28,24 +28,24 @@ from tukeyseg.parallel import parallel_map
 RECALL_THRESHOLD = 0.5
 
 
-def jaccard(mask, reference) -> float:
-    """Intersection over union; two empty masks score a perfect 1."""
-    m = np.asarray(mask) != 0
-    g = np.asarray(reference) != 0
-    if m.shape != g.shape:
-        raise ValueError(f"dimension mismatch: {m.shape} vs {g.shape}")
-    union = int(np.logical_or(m, g).sum())
-    if union == 0:
-        return 1.0
-    return float(np.logical_and(m, g).sum() / union)
-
-
 def _mask_2d(mask) -> np.ndarray:
     """A mask as a 2-D bool array."""
     m = np.asarray(mask) != 0
     if m.ndim != 2:
         raise ValueError(f"mask must be 2-D, got shape {m.shape}")
     return m
+
+
+def jaccard(mask, reference) -> float:
+    """Intersection over union; two empty masks score a perfect 1."""
+    m = _mask_2d(mask)
+    g = _mask_2d(reference)
+    if m.shape != g.shape:
+        raise ValueError(f"dimension mismatch: {m.shape} vs {g.shape}")
+    union = int(np.logical_or(m, g).sum())
+    if union == 0:
+        return 1.0
+    return float(np.logical_and(m, g).sum() / union)
 
 
 def mask_boundary(mask) -> np.ndarray:

@@ -11,7 +11,8 @@ nearest neighbors in mean-LAB color. Both are added to the (rescaled)
 foregroundness field and the sign of the result decides each pixel, keeping
 the two strongest segments per frame.
 
-Memory does not grow with LAB frames: each frame is converted, summed per
+Memory does not grow with LAB frames: each frame is converted, a band of
+rows at a time in scratch sized like the consensus blocks, summed per
 supervoxel and dropped, and the video-wide per-channel LAB bounds are
 tracked on the way. Min-max normalization is affine, so it is applied to the
 per-supervoxel means at the end rather than to every pixel. The neighbor
@@ -31,6 +32,7 @@ import numpy as np
 
 from tukeyseg.parallel import parallel_map
 from tukeyseg.segment import (
+    _CACHE_ELEMENTS,
     SegmenterConfig,
     SegmentationResult,
     segment_sequence,
@@ -85,23 +87,48 @@ def _srgb_linear(c: np.ndarray) -> np.ndarray:
 _SRGB_LINEAR_LUT = _srgb_linear(np.arange(256, dtype=np.float64) / 255.0)
 
 
+def _lab_into(rgb, out, t, f, dark) -> None:
+    """Write the L*a*b* of ``rgb`` into ``out``, using ``t``, ``f`` and ``dark`` as scratch.
+
+    All four have ``rgb``'s shape.
+    """
+    np.matmul(_SRGB_LINEAR_LUT[rgb], _SRGB_TO_XYZ.T, out=t)
+    t /= _D65_WHITE
+    delta = 6.0 / 29.0
+    np.cbrt(t, out=f)
+    np.less_equal(t, delta**3, out=dark)  # the linear toe of the L*a*b* transfer function
+    t /= 3.0 * delta**2
+    t += 4.0 / 29.0
+    np.copyto(f, t, where=dark)
+    np.multiply(116.0, f[..., 1], out=out[..., 0])
+    out[..., 0] -= 16.0
+    np.multiply(500.0, np.subtract(f[..., 0], f[..., 1], out=out[..., 1]), out=out[..., 1])
+    np.multiply(200.0, np.subtract(f[..., 1], f[..., 2], out=out[..., 2]), out=out[..., 2])
+
+
 def rgb_to_lab(rgb) -> np.ndarray:
-    """Convert 8-bit sRGB (a uint8 array) to CIE L*a*b* under the D65 white point."""
+    """Convert 8-bit sRGB (a uint8 array) to CIE L*a*b* under the D65 white point.
+
+    The pixels are converted a band of image rows at a time, into scratch
+    reused across bands. Each row stays one ``(width, 3) @ (3, 3)`` product,
+    and a 1-D or 2-D array is one row, so the bits do not depend on the band.
+    """
     a = np.asarray(rgb)
     if a.ndim < 1 or a.shape[-1] != 3:
         raise ValueError("rgb array must have a trailing dimension of 3")
     if a.dtype != np.uint8:
         raise ValueError(f"rgb array must be uint8, not {a.dtype}")
-    t = _SRGB_LINEAR_LUT[a] @ _SRGB_TO_XYZ.T
-    t /= _D65_WHITE
-    delta = 6.0 / 29.0
-    f = np.cbrt(t)
-    dark = t <= delta**3  # the linear toe of the L*a*b* transfer function
-    f[dark] = t[dark] / (3.0 * delta**2) + 4.0 / 29.0
-    lightness = 116.0 * f[..., 1] - 16.0
-    a_axis = 500.0 * (f[..., 0] - f[..., 1])
-    b_axis = 200.0 * (f[..., 1] - f[..., 2])
-    return np.stack([lightness, a_axis, b_axis], axis=-1)
+    out = np.empty(a.shape)
+    width = a.shape[-2] if a.ndim > 1 else 1
+    rows = math.prod(a.shape[:-2])
+    pixels, lab = a.reshape(rows, width, 3), out.reshape(rows, width, 3)
+    band = max(1, min(rows, _CACHE_ELEMENTS // (3 * width or 1)))
+    t, f = np.empty((2, band, width, 3))
+    dark = np.empty((band, width, 3), dtype=bool)
+    for start in range(0, rows, band):
+        n = min(band, rows - start)
+        _lab_into(pixels[start : start + n], lab[start : start + n], t[:n], f[:n], dark[:n])
+    return out
 
 
 def normalize_lab(lab, low, high) -> np.ndarray:
@@ -206,12 +233,6 @@ def supervoxel_stats(label_frames, lab_frames, mask_frames) -> SupervoxelStats:
     )
 
 
-# Rows of supervoxels per block of the consensus distance pass are chosen so
-# that a block's (rows, n) float64 distance matrix holds about 512 KB and
-# stays in cache.
-_BLOCK_ELEMENTS = 2**16
-
-
 def build_consensus(stats: SupervoxelStats, cfg: RefineConfig | None = None) -> ConsensusTable:
     """Compute local consensus and, in non-local mode, neighbor votes.
 
@@ -235,7 +256,7 @@ def build_consensus(stats: SupervoxelStats, cfg: RefineConfig | None = None) -> 
     k = math.ceil(n / 100)
     ids = stats.ids
     channels = np.ascontiguousarray(stats.mean_lab.T, dtype=np.float64)
-    block = max(1, _BLOCK_ELEMENTS // n)
+    block = max(1, _CACHE_ELEMENTS // n)
     dist_buffer, term_buffer = np.empty((block, n)), np.empty((block, n))
     f_nonlocal = np.empty(n, dtype=np.float64)
     for start in range(0, n, block):

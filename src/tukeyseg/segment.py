@@ -6,10 +6,14 @@ each measure's outlier scale, and a visual-saliency map modulates the
 un-gated deviation sum. :func:`frame_foregroundness` is the one place these
 terms are computed and summed; it relies on the
 :class:`~tukeyseg.io.FrameSequence` accessors for rasters of the sequence's
-shape. The foregroundness field is thresholded at mean + standard
-deviation, with a half-threshold discount wherever the previous frame's
-mask was foreground, and reduced to the single strongest connected segment.
-Segments are labelled in numpy from the mask's row runs.
+shape. The statistics take whole-frame measures; the terms are summed a
+band of rows at a time, in buffers sized like refinement's consensus blocks
+(about 512 KB each) so that they stay in cache. Each pixel's operations keep
+their whole-frame order, so the bits do not depend on the band. The
+foregroundness field is thresholded at mean + standard deviation, with a
+half-threshold discount wherever the previous frame's mask was foreground,
+and reduced to the single strongest connected segment. Segments are
+labelled in numpy from the mask's row runs.
 """
 
 from __future__ import annotations
@@ -27,6 +31,11 @@ from tukeyseg.parallel import parallel_map
 log = logging.getLogger(__name__)
 
 COMPONENT_NAMES = ("x", "y", "magnitude", "angle")
+
+# Float64 elements (about 512 KB) one band or block of per-pixel or
+# per-supervoxel work holds in each of its buffers, so that it stays in cache.
+_CACHE_ELEMENTS = 2**16
+
 
 @dataclass(frozen=True)
 class SegmenterConfig:
@@ -183,24 +192,41 @@ def frame_foregroundness(seq: FrameSequence, index: int, cfg: SegmenterConfig | 
     pixel to an un-gated deviation sum. Each visual-saliency exponent k then
     adds vs**k times that sum. The terms are added to +0.0 in this order;
     floating-point addition is not associative, so the order fixes the bits.
+
+    The terms are computed a band of rows at a time, in buffers reused
+    across bands.
     """
     cfg = cfg or SegmenterConfig()
     measures = flow_measures(seq.flow(index))
     vs = seq.saliency(index)
-    fore = np.zeros(vs.shape)
-    deviations = 0.0
+    terms = []
     scales = {}
     for name, component in zip(COMPONENT_NAMES, measures.as_tuple()):
         q = stats.quartiles(component)
         outliers = stats.outlier_set(component, stats.fences(q, cfg.k_fences))
         alpha = stats.outlier_scale(component, outliers)
-        absdev = np.abs(component - q.q2)
-        if alpha >= cfg.min_flow_scale:
-            fore += np.where(outliers != 0, alpha * absdev, 0.0)
-        deviations = deviations + max(alpha, cfg.min_flow_scale) * absdev
+        gate = outliers.view(bool) if alpha >= cfg.min_flow_scale else None
+        terms.append((component, q.q2, alpha, gate, max(alpha, cfg.min_flow_scale)))
         scales[name] = alpha
-    for k in cfg.vs_exponents:
-        fore += np.power(vs, k) * deviations
+    fore = np.zeros(vs.shape)
+    height, width = fore.shape
+    band = min(height, max(1, _CACHE_ELEMENTS // width))
+    buffers = np.empty((3, band, width))
+    for start in range(0, height, band):
+        rows = slice(start, start + band)
+        out = fore[rows]
+        absdev, term, deviations = buffers[:, : len(out)]
+        deviations.fill(0.0)
+        for component, median, alpha, gate, floored in terms:
+            np.abs(np.subtract(component[rows], median, out=absdev), out=absdev)
+            if gate is not None:
+                # Off the outliers the motion term is +0.0, which changes only a
+                # -0.0 sum; a sum started at +0.0 never is one, so it is not added.
+                np.multiply(alpha, absdev, out=term)
+                np.add(out, term, out=out, where=gate[rows])
+            deviations += np.multiply(floored, absdev, out=term)
+        for k in cfg.vs_exponents:
+            out += np.multiply(np.power(vs[rows], k, out=term), deviations, out=term)
     return fore, scales
 
 
@@ -230,7 +256,8 @@ def segment_sequence(
         mask = select_top_segments(mask, fore, 1, cfg.connectivity)
         masks.append(mask)
         previous = mask
-        log.debug("frame %d: %d foreground pixels, scales %s", index, int(mask.sum()), scales)
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("frame %d: %d foreground pixels, scales %s", index, int(mask.sum()), scales)
     return SegmentationResult(
         masks=masks,
         foregroundness=[fore for fore, _ in per_frame],

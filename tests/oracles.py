@@ -18,6 +18,9 @@ from collections import deque
 import numpy as np
 from scipy import ndimage
 
+from tukeyseg import stats
+from tukeyseg.segment import COMPONENT_NAMES, SegmenterConfig, flow_measures
+
 
 # --- robust statistics ---
 
@@ -368,6 +371,55 @@ def rgb_to_lab_pow(rgb):
     t = xyz / np.array([0.95047, 1.0, 1.08883])
     delta = 6.0 / 29.0
     f = np.where(t > delta**3, np.cbrt(t), t / (3.0 * delta**2) + 4.0 / 29.0)
+    lightness = 116.0 * f[..., 1] - 16.0
+    a_axis = 500.0 * (f[..., 0] - f[..., 1])
+    b_axis = 200.0 * (f[..., 1] - f[..., 2])
+    return np.stack([lightness, a_axis, b_axis], axis=-1)
+
+
+def frame_foregroundness_full_frame(seq, index, cfg=None):
+    """``segment.frame_foregroundness`` with every term a whole-frame temporary.
+
+    The measures and their statistics come from the package; the terms are
+    added to +0.0 in the package's order.
+    """
+    cfg = cfg or SegmenterConfig()
+    measures = flow_measures(seq.flow(index))
+    vs = seq.saliency(index)
+    fore = np.zeros(vs.shape)
+    deviations = 0.0
+    scales = {}
+    for name, component in zip(COMPONENT_NAMES, measures.as_tuple()):
+        q = stats.quartiles(component)
+        outliers = stats.outlier_set(component, stats.fences(q, cfg.k_fences))
+        alpha = stats.outlier_scale(component, outliers)
+        absdev = np.abs(component - q.q2)
+        if alpha >= cfg.min_flow_scale:
+            fore += np.where(outliers != 0, alpha * absdev, 0.0)
+        deviations = deviations + max(alpha, cfg.min_flow_scale) * absdev
+        scales[name] = alpha
+    for k in cfg.vs_exponents:
+        fore += np.power(vs, k) * deviations
+    return fore, scales
+
+
+def rgb_to_lab_full_frame(rgb):
+    """8-bit sRGB to L*a*b* (D65) from a table linearization, whole-array temporaries."""
+    levels = np.arange(256) / 255.0
+    linear = np.where(levels <= 0.04045, levels / 12.92, ((levels + 0.055) / 1.055) ** 2.4)
+    srgb_to_xyz = np.array(
+        [
+            [0.4124564, 0.3575761, 0.1804375],
+            [0.2126729, 0.7151522, 0.0721750],
+            [0.0193339, 0.1191920, 0.9503041],
+        ]
+    )
+    t = linear[np.asarray(rgb)] @ srgb_to_xyz.T
+    t /= np.array([0.95047, 1.0, 1.08883])
+    delta = 6.0 / 29.0
+    f = np.cbrt(t)
+    dark = t <= delta**3
+    f[dark] = t[dark] / (3.0 * delta**2) + 4.0 / 29.0
     lightness = 116.0 * f[..., 1] - 16.0
     a_axis = 500.0 * (f[..., 0] - f[..., 1])
     b_axis = 200.0 * (f[..., 1] - f[..., 2])

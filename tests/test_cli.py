@@ -632,6 +632,29 @@ class TestDeterminismAcrossJobs:
         assert outputs["1"] == outputs["8"]
 
 
+    def test_tis0_and_refine_byte_identical_over_partial_bands(self, tmp_path, capsys):
+        # 2048 columns give foregroundness bands of 32 rows and LAB bands of
+        # 10; 45 rows end both in a partial band
+        scene = moving_block_arrays(height=45, width=2048, block=(slice(5, 30), slice(700, 1100)),
+                                    num_frames=3)
+        rows, cols = np.indices((45, 2048))
+        video = write_video_dir(
+            tmp_path / "video",
+            frames=scene["frames"],
+            flows=scene["flows"],
+            saliencies=scene["saliencies"],
+            labels=[(rows // 9) * 128 + cols // 16] * 3,
+        )
+        outputs = {}
+        for jobs in ("1", "2", "3"):
+            base = tmp_path / f"jobs{jobs}"
+            for command in ("tis0", "refine"):
+                argv = [command, "--input", str(video), "--output", str(base / command)]
+                assert main([*argv, "--jobs", jobs]) == 0
+            outputs[jobs] = _tree_bytes(base)
+        assert outputs["1"] == outputs["2"] == outputs["3"]
+
+
 # Runs subcommands in a fresh interpreter and fails if the package import or
 # any subcommand loads scipy, which only the tests use, as a reference.
 _FRESH_RUN = """

@@ -54,6 +54,15 @@ class TestJaccard:
         with pytest.raises(ValueError, match="dimension mismatch"):
             jaccard(np.zeros((2, 2)), np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("shape", [(5,), (2, 2, 2), ()])
+    def test_rejects_mask_that_is_not_2d(self, shape):
+        flat = np.zeros((2, 2), dtype=np.uint8)
+        for mask in (np.ones(shape, np.uint8), np.zeros(shape, np.uint8)):
+            with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+                jaccard(mask, mask)
+            with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+                jaccard(flat, mask)
+
     @given(st.integers(0, 2**16 - 1), st.integers(0, 2**16 - 1))
     def test_symmetric(self, bits_a, bits_b):
         a = np.array([(bits_a >> i) & 1 for i in range(16)]).reshape(4, 4)

@@ -10,7 +10,7 @@ import oracles
 from conftest import moving_block_arrays, write_video_dir
 from tukeyseg.io import open_sequence
 from tukeyseg.refine import (
-    _BLOCK_ELEMENTS,
+    _CACHE_ELEMENTS,
     ConsensusTable,
     RefineConfig,
     SupervoxelStats,
@@ -63,6 +63,52 @@ class TestRgbToLab:
     def test_equals_pow_formula_on_random_image(self, rng):
         image = rng.integers(0, 256, size=(37, 53, 3), dtype=np.uint8)
         assert np.array_equal(rgb_to_lab(image), oracles.rgb_to_lab_pow(image))
+
+
+class TestRgbToLabBands:
+    """The banded conversion has the bits of the whole-array one, at every band edge."""
+
+    @staticmethod
+    def _assert_equals_full_frame(rgb):
+        lab = rgb_to_lab(rgb)
+        assert lab.shape == rgb.shape and lab.dtype == np.float64
+        assert lab.tobytes() == oracles.rgb_to_lab_full_frame(rgb).tobytes()
+
+    @pytest.mark.parametrize("shape", [
+        (3,), (1, 3), (256, 3), (4, 5, 6, 3), (2, 3, 7, 5, 3),
+        (2, 30, 854, 3),  # bands of 25 rows cross from the first image into the second
+    ])
+    def test_vectors_lists_and_stacks(self, rng, shape):
+        self._assert_equals_full_frame(rng.integers(0, 256, size=shape, dtype=np.uint8))
+
+    @pytest.mark.parametrize("width", [1, 854])
+    @pytest.mark.parametrize("bands, rows", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)],
+                             ids=["1", "band-1", "band", "band+1", "2band+3"])
+    def test_images_at_band_edges(self, rng, width, bands, rows):
+        height = bands * (_CACHE_ELEMENTS // (3 * width)) + rows
+        image = rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8)
+        self._assert_equals_full_frame(image)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (0, 4, 3), (4, 0, 3), (2, 0, 5, 3)])
+    def test_empty(self, shape):
+        self._assert_equals_full_frame(np.zeros(shape, np.uint8))
+
+    def test_davis_size(self, rng):
+        self._assert_equals_full_frame(rng.integers(0, 256, size=(480, 854, 3), dtype=np.uint8))
+
+    def test_peak_memory_per_pixel(self, rng):
+        # Whole-array temporaries peaked at 99 B per pixel. Banded, the 24 B
+        # result and about 4 B of band scratch peak at 28.1 B; the bound
+        # leaves 14% for allocator drift.
+        image = rng.integers(0, 256, size=(480, 854, 3), dtype=np.uint8)
+        rgb_to_lab(image)
+        tracemalloc.start()
+        try:
+            rgb_to_lab(image)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (480 * 854) <= 32.0
 
 
 class TestNormalizeLab:
@@ -559,7 +605,7 @@ class TestRefineSequence:
         seq = open_sequence(root)
         results = [refine_sequence(seq, jobs=jobs) for jobs in (1, 2, 8)]
         n = len(results[0].consensus.ids)
-        assert n == 336 and n > _BLOCK_ELEMENTS // n
+        assert n == 336 and n > _CACHE_ELEMENTS // n
         for other in results[1:]:
             assert np.array_equal(other.consensus.f_nonlocal, results[0].consensus.f_nonlocal)
             for a, b in zip(results[0].masks, other.masks):

@@ -1,7 +1,9 @@
 """Tests for the flow/saliency outlier segmenter."""
 
+import logging
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from tukeyseg.io import FlowField, open_sequence
 from tukeyseg.metrics import jaccard
 from tukeyseg.io import write_saliency_pgm
 from tukeyseg.segment import (
+    _CACHE_ELEMENTS,
     COMPONENT_NAMES,
     SegmenterConfig,
     flow_measures,
@@ -250,6 +253,65 @@ class TestForegroundness:
                 gated += sum(alpha >= cfg.min_flow_scale for alpha in scales.values())
                 ungated += sum(alpha < cfg.min_flow_scale for alpha in scales.values())
         assert gated > 0 and ungated > 0
+
+
+def _cauchy_frame(rng, height, width):
+    """A frame with Cauchy flows, a faster block, and saliency drawn uniformly from [0, 1)."""
+    u = rng.standard_cauchy(size=(height, width))
+    u[: height // 2 + 1, : width // 2 + 1] += 20.0
+    return _OneFrame(u, rng.standard_cauchy(size=(height, width)), rng.random((height, width)))
+
+
+@pytest.fixture(scope="module")
+def davis_frame():
+    return _cauchy_frame(np.random.default_rng(480), 480, 854)
+
+
+class TestForegroundnessBands:
+    """The banded field has the bits of the whole-frame one, at every band edge."""
+
+    CONFIGS = [
+        SegmenterConfig(min_flow_scale=0.0, vs_exponents=(2.0,)),
+        SegmenterConfig(min_flow_scale=0.0, vs_exponents=(1, 0.25)),
+        SegmenterConfig(min_flow_scale=1.0, vs_exponents=(2.0,)),
+        SegmenterConfig(min_flow_scale=1.0, vs_exponents=(1, 0.25)),
+    ]
+
+    @staticmethod
+    def _assert_equals_full_frame(frame, cfg):
+        fore, scales = frame_foregroundness(frame, 0, cfg)
+        expected, expected_scales = oracles.frame_foregroundness_full_frame(frame, 0, cfg)
+        assert fore.tobytes() == expected.tobytes()
+        assert scales == expected_scales
+        return scales
+
+    @pytest.mark.parametrize("width", [1, 2048])
+    @pytest.mark.parametrize("bands, rows", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)],
+                             ids=["1", "band-1", "band", "band+1", "2band+3"])
+    def test_equals_full_frame_at_band_edges(self, rng, width, bands, rows):
+        height = bands * (_CACHE_ELEMENTS // width) + rows
+        frame = _cauchy_frame(rng, height, width)
+        gated = []
+        for cfg in self.CONFIGS:
+            scales = self._assert_equals_full_frame(frame, cfg)
+            gated.append(any(alpha >= cfg.min_flow_scale for alpha in scales.values()))
+        assert gated == [True, True, False, False]
+
+    def test_equals_full_frame_at_davis_size(self, davis_frame):
+        self._assert_equals_full_frame(davis_frame, SegmenterConfig())
+
+    def test_peak_memory_per_pixel(self, davis_frame):
+        # Whole-frame temporaries peaked at 74 B per pixel. Banded, the four
+        # float64 measures, their outlier flags, the field and the statistics'
+        # copies peak at 47.8 B; the bound leaves 17% for allocator drift.
+        frame_foregroundness(davis_frame, 0)
+        tracemalloc.start()
+        try:
+            frame_foregroundness(davis_frame, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / davis_frame.saliency(0).size <= 56.0
 
 
 class TestThresholdMask:
@@ -504,6 +566,45 @@ class TestSegmentSequence:
         serial = segment_sequence(seq, jobs=1)
         threaded = segment_sequence(seq, jobs=8)
         for a, b in zip(serial.masks, threaded.masks):
+            assert a.tobytes() == b.tobytes()
+
+    def test_fields_byte_equal_across_jobs_over_partial_bands(self, tmp_path, rng):
+        # 4096 columns give bands of 16 rows; 37 rows end in a partial band
+        height, width = 37, 4096
+        assert height % (_CACHE_ELEMENTS // width) != 0
+        flows = [(rng.standard_cauchy((height, width)), rng.standard_cauchy((height, width)))
+                 for _ in range(4)]
+        root = write_video_dir(
+            tmp_path / "vid",
+            frames=[np.zeros((height, width, 3), np.uint8)] * 5,
+            flows=flows,
+            saliencies=[rng.random((height, width)) for _ in range(5)],
+        )
+        seq = open_sequence(root)
+        serial, threaded = (segment_sequence(seq, jobs=jobs) for jobs in (1, 3))
+        for field in ("masks", "foregroundness"):
+            for a, b in zip(getattr(serial, field), getattr(threaded, field), strict=True):
+                assert a.tobytes() == b.tobytes()
+        assert serial.flow_scales == threaded.flow_scales
+
+    def test_debug_log_counts_foreground_only_when_enabled(self, tmp_path, caplog):
+        scene = moving_block_arrays(block_flow=(30.0, 0.0), num_frames=2)
+        root = write_video_dir(
+            tmp_path / "vid",
+            frames=scene["frames"],
+            flows=scene["flows"],
+            saliencies=scene["saliencies"],
+        )
+        seq = open_sequence(root)
+        with caplog.at_level(logging.INFO, logger="tukeyseg.segment"):
+            quiet = segment_sequence(seq)
+        assert not caplog.records
+        with caplog.at_level(logging.DEBUG, logger="tukeyseg.segment"):
+            loud = segment_sequence(seq)
+        counts = [int(mask.sum()) for mask in loud.masks]
+        assert counts[0] > 0
+        assert [record.args[:2] for record in caplog.records] == list(enumerate(counts))
+        for a, b in zip(quiet.masks, loud.masks, strict=True):
             assert a.tobytes() == b.tobytes()
 
     def test_flow_scales_reported_per_component(self, tmp_path):
