@@ -11,6 +11,12 @@ subcommands do not write is refused before any input is read, and never
 written to. ``eval --output`` replaces its one table file the same way. A
 non-zero exit leaves the previous outputs as they were and removes any
 directory the run created.
+
+Importing this module loads ``tukeyseg.io``, numpy and the standard
+library only. Each subcommand imports its own stage when it runs: ``tis0``
+``tukeyseg.segment``, ``refine`` ``tukeyseg.refine``, ``combine``
+``tukeyseg.fusion`` and ``eval`` ``tukeyseg.metrics``, each with what that
+module imports, so no invocation pays to load the stages it does not run.
 """
 
 from __future__ import annotations
@@ -25,12 +31,13 @@ import sys
 import tempfile
 from pathlib import Path
 
-from tukeyseg import fusion, metrics
 from tukeyseg.io import open_sequence, read_mask_dir, write_mask_pgm
-from tukeyseg.refine import RefineConfig, refine_sequence
-from tukeyseg.segment import SegmenterConfig, segment_sequence
 
 log = logging.getLogger(__name__)
+
+# The names of tukeyseg.fusion.STRATEGIES, spelled out so that building the
+# parser does not load the fusion stage; a test keeps the two equal.
+_STRATEGIES = ("tism", "mean", "median")
 
 
 def _exponent_list(text: str) -> tuple[float, ...]:
@@ -118,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     combine.add_argument("--input", required=True,
                          help="directory whose subdirectories each hold one method's %%05d.pgm masks")
     combine.add_argument("--output", required=True, help="directory for fused masks and the weight report")
-    combine.add_argument("--strategy", choices=fusion.STRATEGIES, default="tism",
+    combine.add_argument("--strategy", choices=_STRATEGIES, default="tism",
                          help="fusion rule (default tism)")
     combine.add_argument("--k-fences", type=_non_negative, default=1.5)
     combine.add_argument("--jobs", type=_jobs, default=1)
@@ -219,7 +226,9 @@ def _fusion_report_csv(records) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def _segmenter_config(args) -> SegmenterConfig:
+def _segmenter_config(args):
+    from tukeyseg.segment import SegmenterConfig
+
     return SegmenterConfig(
         k_fences=args.k_fences,
         vs_exponents=args.vs_exponents,
@@ -229,6 +238,8 @@ def _segmenter_config(args) -> SegmenterConfig:
 
 
 def _cmd_tis0(args) -> int:
+    from tukeyseg.segment import segment_sequence
+
     _output_names(Path(args.output))
     seq = open_sequence(args.input)
     result = segment_sequence(seq, _segmenter_config(args), jobs=args.jobs)
@@ -240,6 +251,8 @@ def _cmd_tis0(args) -> int:
 
 
 def _cmd_refine(args) -> int:
+    from tukeyseg.refine import RefineConfig, refine_sequence
+
     _output_names(Path(args.output))
     seq = open_sequence(args.input)
     ref_cfg = RefineConfig(mode=args.mode, w0=args.w0)
@@ -250,6 +263,8 @@ def _cmd_refine(args) -> int:
 
 
 def _cmd_combine(args) -> int:
+    from tukeyseg.fusion import fuse_sequence
+
     _output_names(Path(args.output))
     root = Path(args.input)
     if not root.is_dir():
@@ -266,7 +281,7 @@ def _cmd_combine(args) -> int:
         )
     num_frames = lengths.pop()
     frames = [[masks[i] for masks in per_method] for i in range(num_frames)]
-    fused, records = fusion.fuse_sequence(
+    fused, records = fuse_sequence(
         frames,
         method_names=[d.name for d in method_dirs],
         strategy=args.strategy,
@@ -281,10 +296,10 @@ def _cmd_combine(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    rows = metrics.evaluate_dataset(
-        args.input, args.ground_truth, tolerance=args.tolerance, jobs=args.jobs
-    )
-    csv = metrics.rows_to_csv(rows)
+    from tukeyseg.metrics import evaluate_dataset, rows_to_csv
+
+    rows = evaluate_dataset(args.input, args.ground_truth, tolerance=args.tolerance, jobs=args.jobs)
+    csv = rows_to_csv(rows)
     sys.stdout.write(csv)
     if args.output:
         out = Path(args.output)

@@ -106,7 +106,8 @@ def contour_f(mask, reference, tolerance: float | None = None) -> float:
 
     A boundary pixel matches when a boundary pixel of the other mask lies
     within ``tolerance`` (Euclidean distance). Two empty boundaries score
-    1, one empty boundary scores 0.
+    1, one empty boundary scores 0. A NaN, infinite or negative
+    ``tolerance`` raises ``ValueError``.
 
     Boundaries and matches are computed on the bounding box of both masks
     only. The result is exactly that of the whole image: every boundary
@@ -119,6 +120,8 @@ def contour_f(mask, reference, tolerance: float | None = None) -> float:
         raise ValueError(f"dimension mismatch: {m.shape} vs {g.shape}")
     if tolerance is None:
         tolerance = default_tolerance(m.shape[1], m.shape[0])
+    elif not 0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance {tolerance} is not finite and non-negative")
     rows = np.flatnonzero(m.any(axis=1) | g.any(axis=1))
     if rows.size == 0:
         return 1.0

@@ -1,8 +1,10 @@
-"""Deterministic fan-out helper for per-frame work."""
+"""Deterministic fan-out helper for per-frame work.
+
+``concurrent.futures`` is imported only when a pool is built, so a run at
+one job, or with a single item, never loads it.
+"""
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 
 def parallel_map(fn, items, jobs: int = 1) -> list:
@@ -14,5 +16,7 @@ def parallel_map(fn, items, jobs: int = 1) -> list:
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))

@@ -139,11 +139,15 @@ def normalize_lab(lab, low, high) -> np.ndarray:
     extremes over every pixel of the video (``SupervoxelStats.lab_min`` and
     ``lab_max``). The map is affine, so normalizing the means equals taking
     the mean of the normalized pixels, up to rounding. A channel that is
-    constant across the video maps to 0.
+    constant across the video maps to 0. Missing (``None``) or non-finite
+    bounds raise ``ValueError``.
     """
     lab = np.asarray(lab, dtype=np.float64)
     low = np.asarray(low, dtype=np.float64)
-    span = np.asarray(high, dtype=np.float64) - low
+    high = np.asarray(high, dtype=np.float64)
+    if not (np.isfinite(low).all() and np.isfinite(high).all()):
+        raise ValueError(f"LAB bounds must be given and finite, not low={low}, high={high}")
+    span = high - low
     safe = np.where(span > 0, span, 1.0)
     return np.where(span > 0, (lab - low) / safe, 0.0)
 

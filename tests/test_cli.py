@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 import tukeyseg
 from conftest import moving_block_arrays, write_video_dir
-from tukeyseg.cli import build_parser, main
+from tukeyseg import fusion
+from tukeyseg.cli import _STRATEGIES, build_parser, main
 from tukeyseg.io import read_mask_dir, write_mask_pgm
 
 
@@ -68,6 +69,9 @@ class TestParser:
                 ["refine", "--input", "a", "--output", "b", "--mode", "psychic"]
             )
         assert exc.value.code != 0
+
+    def test_strategy_choices_are_the_fusion_strategies(self):
+        assert _STRATEGIES == fusion.STRATEGIES
 
     def test_exponent_list_parsing(self):
         args = build_parser().parse_args(
@@ -329,9 +333,9 @@ class TestOutputDirectory:
             "00000.pgm", "00001.pgm", "00002.pgm", "flow_alphas.csv"]
 
     @pytest.mark.parametrize("command, computes", [
-        ("tis0", ["open_sequence", "segment_sequence"]),
-        ("refine", ["open_sequence", "refine_sequence"]),
-        ("combine", ["read_mask_dir", "fusion.fuse_sequence"]),
+        ("tis0", ["tukeyseg.cli.open_sequence", "tukeyseg.segment.segment_sequence"]),
+        ("refine", ["tukeyseg.cli.open_sequence", "tukeyseg.refine.refine_sequence"]),
+        ("combine", ["tukeyseg.cli.read_mask_dir", "tukeyseg.fusion.fuse_sequence"]),
     ])
     def test_foreign_content_refused_before_computing(self, block_video, tmp_path, monkeypatch,
                                                       capsys, command, computes):
@@ -343,8 +347,8 @@ class TestOutputDirectory:
         def never(*args, **kwargs):
             raise AssertionError("input read before the output directory was checked")
 
-        for name in computes:
-            monkeypatch.setattr(f"tukeyseg.cli.{name}", never)
+        for target in computes:
+            monkeypatch.setattr(target, never)
         source = video / "masks" if command == "combine" else video
         assert main([command, "--input", str(source), "--output", str(out)]) == 1
         assert "notes.txt" in capsys.readouterr().err
@@ -656,14 +660,29 @@ class TestDeterminismAcrossJobs:
 
 
 # Runs subcommands in a fresh interpreter and fails if the package import or
-# any subcommand loads scipy, which only the tests use, as a reference.
+# any subcommand loads scipy, which only the tests use, as a reference; if
+# importing the CLI loads a stage module, or a subcommand loads more than its
+# own stage imports; or if a run at one job loads concurrent.futures.
 _FRESH_RUN = """
 import json, sys
 import tukeyseg, tukeyseg.cli
+STAGES = {"tis0": {"segment", "stats", "parallel"},
+          "refine": {"refine", "segment", "stats", "parallel"},
+          "combine": {"fusion", "stats", "parallel"},
+          "eval": {"metrics", "parallel"}}
+def loaded():
+    return {name[len("tukeyseg."):] for name in sys.modules if name.startswith("tukeyseg.")}
 assert "scipy" not in sys.modules, "importing tukeyseg loaded scipy"
+assert loaded() == {"cli", "io"}, f"importing tukeyseg.cli loaded {sorted(loaded())}"
+expected, pooled = loaded(), False
 for argv in json.loads(sys.argv[1]):
     assert tukeyseg.cli.main(argv) == 0, argv
     assert "scipy" not in sys.modules, f"{argv[0]} loaded scipy"
+    expected |= STAGES[argv[0]]
+    assert loaded() == expected, f"{argv[0]}: loaded {sorted(loaded())}, not {sorted(expected)}"
+    pooled = pooled or "--jobs" in argv and argv[argv.index("--jobs") + 1] != "1"
+    assert pooled or "concurrent.futures" not in sys.modules, (
+        f"{argv[0]} at one job loaded concurrent.futures")
 """
 
 
@@ -677,7 +696,23 @@ def _run_fresh(*argvs):
 
 
 class TestScipyLoadedOnDemand:
-    """No subcommand loads scipy, at one job or two; fresh runs write what in-process ones do."""
+    """What the package import and each subcommand load, at one job or two; fresh runs
+    write what in-process ones do."""
+
+    def test_package_names_resolve_to_their_modules(self):
+        listed = dir(tukeyseg)
+        for name in tukeyseg.__all__:
+            value = getattr(tukeyseg, name)
+            assert value.__module__.startswith("tukeyseg.")
+            assert getattr(sys.modules[value.__module__], name) is value
+            assert name in listed
+        namespace = {}
+        exec("from tukeyseg import *", namespace)
+        assert sorted(set(namespace) - {"__builtins__"}) == sorted(tukeyseg.__all__)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            getattr(tukeyseg, "no_such_name")
+        with pytest.raises(ImportError):
+            exec("from tukeyseg import no_such_name", {})
 
     def test_import_and_combine_load_no_scipy(self, block_video, tmp_path):
         video, truth = block_video

@@ -1,0 +1,173 @@
+"""Golden output digests: the sha256 of every file each subcommand writes, against a table.
+
+Two seeded synthetic videos are built here: ``wide`` is 70x1024, so that its
+foregroundness bands (64 rows) and LAB bands (21 rows) both end in a partial
+band, and ``small`` is 33x47 with more frames. Each case runs one subcommand
+in-process and hashes its outputs; the test fails on any difference from
+``golden_digests.json`` and names the Python and numpy versions the table was
+made with and the ones running now. A change that is meant to move output
+bits regenerates the table with
+
+    PYTHONPATH=src python tests/test_golden.py --write
+
+and lists each changed file and the reason with the change.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import platform
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from conftest import write_video_dir
+from tukeyseg.cli import main
+from tukeyseg.io import write_mask_pgm
+
+TABLE = Path(__file__).with_name("golden_digests.json")
+
+VIDEOS = {"wide": (70, 1024, 4, 20181101), "small": (33, 47, 6, 20181102)}
+
+# (case name, argv); {wide}, {small}, {pred}, {truth} and {out} are filled in per run.
+# The motion gate changes masks of ``wide`` only: every ``small`` frame keeps its segment.
+CASES = [
+    ("tis0-wide", ["tis0", "--input", "{wide}", "--output", "{out}"]),
+    ("tis0-wide-jobs3", ["tis0", "--input", "{wide}", "--output", "{out}", "--jobs", "3"]),
+    ("tis0-small", ["tis0", "--input", "{small}", "--output", "{out}"]),
+    ("tis0-small-jobs3", ["tis0", "--input", "{small}", "--output", "{out}", "--jobs", "3"]),
+    ("tis0-wide-gate-off", ["tis0", "--input", "{wide}", "--output", "{out}",
+                            "--min-flow-scale", "0"]),
+    ("tis0-small-flags", ["tis0", "--input", "{small}", "--output", "{out}", "--k-fences", "0.5",
+                          "--min-flow-scale", "0.8", "--vs-exponents", "2,0.25",
+                          "--connectivity", "4"]),
+    ("refine-wide-local", ["refine", "--input", "{wide}", "--output", "{out}", "--mode", "local"]),
+    ("refine-wide-nonlocal", ["refine", "--input", "{wide}", "--output", "{out}"]),
+    ("refine-wide-nonlocal-jobs3", ["refine", "--input", "{wide}", "--output", "{out}",
+                                    "--jobs", "3"]),
+    ("refine-small-local", ["refine", "--input", "{small}", "--output", "{out}",
+                            "--mode", "local"]),
+    ("refine-small-nonlocal", ["refine", "--input", "{small}", "--output", "{out}",
+                               "--min-flow-scale", "0", "--w0", "0.5", "--jobs", "3"]),
+    *[(f"combine-{video}-{strategy}-k{k}{'-jobs3' * (jobs == '3')}",
+       ["combine", "--input", f"{{{video}}}/masks", "--output", "{out}", "--strategy", strategy,
+        "--k-fences", k, "--jobs", jobs])
+      for video in VIDEOS for strategy in ("tism", "mean", "median") for k in ("1.5", "0")
+      for jobs in ("1", "3")],
+    ("eval", ["eval", "--input", "{pred}", "--ground-truth", "{truth}",
+              "--output", "{out}/eval.csv"]),
+    ("eval-jobs3", ["eval", "--input", "{pred}", "--ground-truth", "{truth}",
+                    "--output", "{out}/eval.csv", "--jobs", "3"]),
+    ("eval-tolerance2", ["eval", "--input", "{pred}", "--ground-truth", "{truth}",
+                         "--output", "{out}/eval.csv", "--tolerance", "2"]),
+]
+
+
+def build_video(root: Path, height: int, width: int, num_frames: int, seed: int):
+    """A scene with one moving ellipse; returns its ground-truth and shifted masks.
+
+    The video has frames, T-1 noisy flows, saliency, a supervoxel grid whose
+    cells on the object get ids of their own, and four mask methods: the
+    truth, the truth shifted, the truth with speckle, and on every other
+    frame a far larger blob, an outlier for fusion's fences. Each background
+    cell has one of four colours, so that many supervoxels tie in colour
+    distance. The ellipse crosses the end of the first band of ``wide``.
+    """
+    rng = np.random.default_rng(seed)
+    rows, cols = np.indices((height, width))
+    grid = (rows // 6) * (width // 8 + 1) + cols // 8
+    background = rng.integers(0, 70, (4, 3))[rng.integers(0, 4, grid.max() + 1)][grid]
+    truths, frames, flows, saliencies, labels = [], [], [], [], []
+    for t in range(num_frames):
+        cy, cx = 0.5 * height + t, 0.3 * width + 0.05 * width * t
+        truth = (((rows - cy) / (0.4 * height)) ** 2 + ((cols - cx) / (0.12 * width)) ** 2
+                 <= 1).astype(np.uint8)
+        frame = background.copy()
+        frame[truth == 1] += np.array([150, 40, 20]) + rng.integers(0, 20, (truth.sum(), 3))
+        u = rng.normal(0.4, 0.3, (height, width)) + 3.5 * truth
+        v = rng.normal(0.0, 0.3, (height, width)) + 1.0 * truth
+        saliency = np.clip(0.35 * rng.random((height, width)) + 0.55 * truth, 0, 1)
+        labels.append(np.where(truth == 1, 60000 + grid % 500, grid))
+        truths.append(truth)
+        frames.append(frame.astype(np.uint8))
+        saliencies.append(saliency)
+        if t < num_frames - 1:
+            flows.append((u, v))
+    blob = ((rows > height // 6) & (cols < width // 2)).astype(np.uint8)
+    speckle = [(m ^ (rng.random(m.shape) < 0.02)).astype(np.uint8) for m in truths]
+    masks = {
+        "good": truths,
+        "shifted": [np.roll(m, 2, axis=1) for m in truths],
+        "speckled": speckle,
+        "wild": [blob if t % 2 == 0 else m for t, m in enumerate(truths)],
+    }
+    write_video_dir(root, frames=frames, flows=flows, saliencies=saliencies, labels=labels,
+                    masks=masks)
+    return truths, masks["shifted"]
+
+
+def build_inputs(base: Path) -> dict[str, str]:
+    """Both videos plus eval's prediction and ground-truth roots, one sequence per video."""
+    places = {root: str(base / root) for root in ("pred", "truth")}
+    for name, (height, width, num_frames, seed) in VIDEOS.items():
+        truths, predicted = build_video(base / name, height, width, num_frames, seed)
+        for root, masks in (("truth", truths), ("pred", predicted)):
+            directory = base / root / name
+            directory.mkdir(parents=True)
+            for i, mask in enumerate(masks):
+                (directory / f"{i:05d}.pgm").write_bytes(write_mask_pgm(mask))
+        places[name] = str(base / name)
+    return places
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def compute_digests(base: Path) -> dict[str, str]:
+    """Run every case under ``base``; maps ``case/file`` to the file's sha256."""
+    places = build_inputs(base / "inputs")
+    digests = {}
+    for case, template in CASES:
+        out = base / "outputs" / case
+        argv = [arg.format(out=out, **places) for arg in template]
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        assert code == 0, f"{case}: exit {code}"
+        for path in sorted(out.rglob("*")):
+            if path.is_file():
+                digests[f"{case}/{path.relative_to(out).as_posix()}"] = _sha256(path)
+    return digests
+
+
+def _versions() -> dict[str, str]:
+    return {"python": platform.python_version(), "numpy": np.__version__}
+
+
+def test_outputs_match_golden_table(tmp_path):
+    table = json.loads(TABLE.read_text())
+    digests = compute_digests(tmp_path)
+    if digests != table["digests"]:
+        expected = table["digests"]
+        changed = sorted(k for k in digests.keys() | expected.keys()
+                         if digests.get(k) != expected.get(k))
+        now = _versions()
+        raise AssertionError(
+            f"{len(changed)} output digests differ from {TABLE.name} "
+            f"(made with Python {table['python']}, numpy {table['numpy']}; "
+            f"this run: Python {now['python']}, numpy {now['numpy']}): "
+            + ", ".join(changed[:20]))
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(f"usage: PYTHONPATH=src python {sys.argv[0]} --write")
+    with tempfile.TemporaryDirectory() as scratch:
+        table = {**_versions(), "digests": compute_digests(Path(scratch))}
+    TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(table['digests'])} digests to {TABLE}")

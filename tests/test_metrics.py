@@ -152,6 +152,17 @@ class TestContourF:
         assert default_tolerance(854, 480) == 8
         assert default_tolerance(10, 10) == 1
 
+    @pytest.mark.parametrize("tolerance", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_invalid_tolerance_refused(self, tolerance):
+        m = _square(10, 10, slice(2, 6), slice(2, 6))
+        disjoint = (_square(40, 60, slice(0, 4), slice(0, 5)),
+                    _square(40, 60, slice(30, 40), slice(50, 60)))
+        for masks in ((m, m), disjoint, (np.zeros((10, 10)), np.zeros((10, 10)))):
+            with pytest.raises(ValueError, match=re.escape(f"tolerance {tolerance}")):
+                contour_f(*masks, tolerance)
+        with pytest.raises(ValueError, match="tolerance"):
+            sequence_scores([m], [m], tolerance)
+
     @settings(max_examples=300, deadline=None)
     @given(
         data=st.data(),
@@ -166,9 +177,7 @@ class TestContourF:
         assert got == pytest.approx(oracles.contour_f(m.tolist(), g.tolist(), tolerance),
                                     abs=1e-12)
 
-    @pytest.mark.parametrize("tolerance, expected", [
-        (math.inf, 1.0), (1e300, 1.0), (math.nan, 0.0), (-1, 0.0), (-math.inf, 0.0), (0, 0.0),
-    ])
+    @pytest.mark.parametrize("tolerance, expected", [(1e300, 1.0), (0, 0.0)])
     def test_extreme_tolerances_on_disjoint_boundaries(self, tolerance, expected):
         m = _square(40, 60, slice(0, 4), slice(0, 5))
         g = _square(40, 60, slice(30, 40), slice(50, 60))

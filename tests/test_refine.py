@@ -118,6 +118,18 @@ class TestNormalizeLab:
         out = normalize_lab(means, low=[7.0, 0.0, 0.0], high=[7.0, 0.0, 0.0])
         assert np.all(out == 0.0)
 
+    # (None, None) is what a SupervoxelStats built without lab_min/lab_max holds
+    @pytest.mark.parametrize("low, high", [
+        (None, None),
+        ([0.0, 0.0, 0.0], None),
+        ([0.0, np.nan, 0.0], [1.0, 1.0, 1.0]),
+        ([0.0, 0.0, 0.0], [1.0, 1.0, np.nan]),
+        ([0.0, 0.0, -np.inf], [1.0, 1.0, 1.0]),
+    ])
+    def test_missing_or_non_finite_bounds_refused(self, low, high):
+        with pytest.raises(ValueError, match="bounds"):
+            normalize_lab(np.ones((4, 3)), low, high)
+
     def test_linear_map(self):
         means = np.array([[10.0, 0, 0], [20.0, 0.5, 0], [30.0, 1.0, 0]])
         out = normalize_lab(means, low=[10.0, 0.0, 0.0], high=[30.0, 1.0, 0.0])
