@@ -167,13 +167,18 @@ def _check_payload(actual: int, expected: int, what: str) -> None:
         raise ValueError(f"{what} payload longer than header implies")
 
 
-def read_pgm(data: bytes) -> np.ndarray:
-    """Decode an 8-bit binary PGM into a (height, width) uint8 array."""
+def _pgm_pixels(data: bytes) -> np.ndarray:
+    """A read-only (height, width) uint8 view of an 8-bit binary PGM's payload."""
     width, height, maxval, offset = _parse_pnm_header(data, b"P5")
     if maxval != 255:
         raise ValueError(f"maxval {maxval} unsupported: 8-bit PGM must use 255")
     _check_payload(len(data) - offset, width * height, "PGM")
-    return np.frombuffer(data, dtype=np.uint8, offset=offset).reshape(height, width).copy()
+    return np.frombuffer(data, dtype=np.uint8, offset=offset).reshape(height, width)
+
+
+def read_pgm(data: bytes) -> np.ndarray:
+    """Decode an 8-bit binary PGM into a (height, width) uint8 array."""
+    return _pgm_pixels(data).copy()
 
 
 def write_pgm(gray) -> bytes:
@@ -191,7 +196,7 @@ def write_pgm(gray) -> bytes:
 
 def read_mask_pgm(data: bytes) -> np.ndarray:
     """Decode a PGM mask; bytes above 127 become 1, the rest 0."""
-    return (read_pgm(data) > 127).astype(np.uint8)
+    return (_pgm_pixels(data) > 127).view(np.uint8)
 
 
 def write_mask_pgm(mask) -> bytes:

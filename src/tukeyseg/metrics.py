@@ -29,23 +29,42 @@ RECALL_THRESHOLD = 0.5
 
 
 def _mask_2d(mask) -> np.ndarray:
-    """A mask as a 2-D bool array."""
-    m = np.asarray(mask) != 0
+    """A mask as a 2-D bool array; a bool array is returned as it is."""
+    m = np.asarray(mask)
+    if m.dtype != bool:
+        m = m != 0
     if m.ndim != 2:
         raise ValueError(f"mask must be 2-D, got shape {m.shape}")
     return m
 
 
-def jaccard(mask, reference) -> float:
-    """Intersection over union; two empty masks score a perfect 1."""
+def _mask_pair(mask, reference) -> tuple[np.ndarray, np.ndarray]:
+    """Two same-shape 2-D bool masks cut to the bounding box of their union.
+
+    Both crops are empty when neither mask has a foreground pixel.
+    """
     m = _mask_2d(mask)
     g = _mask_2d(reference)
     if m.shape != g.shape:
         raise ValueError(f"dimension mismatch: {m.shape} vs {g.shape}")
-    union = int(np.logical_or(m, g).sum())
-    if union == 0:
+    rows = np.flatnonzero(m.any(axis=1) | g.any(axis=1))
+    if rows.size == 0:
+        return m[:0, :0], g[:0, :0]
+    cols = np.flatnonzero(m.any(axis=0) | g.any(axis=0))
+    box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+    return m[box], g[box]
+
+
+def jaccard(mask, reference) -> float:
+    """Intersection over union; two empty masks score a perfect 1.
+
+    The pixels are counted on the bounding box of both masks, outside which
+    neither has any.
+    """
+    m, g = _mask_pair(mask, reference)
+    if m.size == 0:
         return 1.0
-    return float(np.logical_and(m, g).sum() / union)
+    return np.count_nonzero(m & g) / np.count_nonzero(m | g)
 
 
 def mask_boundary(mask) -> np.ndarray:
@@ -114,21 +133,16 @@ def contour_f(mask, reference, tolerance: float | None = None) -> float:
     pixel lies in the box, and every pixel outside the box is background,
     which is what the boundary test assumes beyond the box's edges.
     """
-    m = _mask_2d(mask)
-    g = _mask_2d(reference)
-    if m.shape != g.shape:
-        raise ValueError(f"dimension mismatch: {m.shape} vs {g.shape}")
+    m, g = _mask_pair(mask, reference)
     if tolerance is None:
-        tolerance = default_tolerance(m.shape[1], m.shape[0])
+        height, width = np.shape(mask)
+        tolerance = default_tolerance(width, height)
     elif not 0 <= tolerance < math.inf:
         raise ValueError(f"tolerance {tolerance} is not finite and non-negative")
-    rows = np.flatnonzero(m.any(axis=1) | g.any(axis=1))
-    if rows.size == 0:
+    if m.size == 0:
         return 1.0
-    cols = np.flatnonzero(m.any(axis=0) | g.any(axis=0))
-    box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
-    boundary_m = mask_boundary(m[box])
-    boundary_g = mask_boundary(g[box])
+    boundary_m = mask_boundary(m)
+    boundary_g = mask_boundary(g)
     if not boundary_m.any() or not boundary_g.any():
         return 0.0
     precision = float(_near(boundary_g, tolerance)[boundary_m].mean())

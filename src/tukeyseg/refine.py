@@ -14,15 +14,19 @@ the two strongest segments per frame.
 Memory does not grow with LAB frames: each frame is converted, a band of
 rows at a time in scratch sized like the consensus blocks, summed per
 supervoxel and dropped, and the video-wide per-channel LAB bounds are
-tracked on the way. Min-max normalization is affine, so it is applied to the
-per-supervoxel means at the end rather than to every pixel. The neighbor
-search computes all n^2 city-block distances, a block of rows at a time in
-bounded memory, and selects each row's k nearest with a partial sort; ties
-at the k-th distance go to the smaller id.
+tracked on the way. With ``jobs`` workers, they convert the next frames
+while the calling thread tallies one, so at most ``jobs + 1`` LAB frames
+are held at once; pass two refines one frame per worker. Min-max
+normalization is affine, so it is applied to the per-supervoxel means at
+the end rather than to every pixel. The neighbor search computes all n^2
+city-block distances, a block of rows at a time in bounded memory, and
+selects each row's k nearest with a partial sort; ties at the k-th distance
+go to the smaller id.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import logging
 import math
@@ -30,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from tukeyseg.parallel import parallel_map
+from tukeyseg.parallel import parallel_imap, parallel_map
 from tukeyseg.segment import (
     _CACHE_ELEMENTS,
     SegmenterConfig,
@@ -92,14 +96,16 @@ def _lab_into(rgb, out, t, f, dark) -> None:
 
     All four have ``rgb``'s shape.
     """
-    np.matmul(_SRGB_LINEAR_LUT[rgb], _SRGB_TO_XYZ.T, out=t)
-    t /= _D65_WHITE
+    np.matmul(_SRGB_LINEAR_LUT.take(rgb), _SRGB_TO_XYZ.T, out=t)
+    # One scalar division per channel view; Y's white is 1.0, which leaves it as it is.
+    t[..., 0] /= _D65_WHITE[0]
+    t[..., 2] /= _D65_WHITE[2]
     delta = 6.0 / 29.0
     np.cbrt(t, out=f)
     np.less_equal(t, delta**3, out=dark)  # the linear toe of the L*a*b* transfer function
-    t /= 3.0 * delta**2
-    t += 4.0 / 29.0
-    np.copyto(f, t, where=dark)
+    if dark.any():
+        np.divide(t, 3.0 * delta**2, out=f, where=dark)
+        np.add(f, 4.0 / 29.0, out=f, where=dark)
     np.multiply(116.0, f[..., 1], out=out[..., 0])
     out[..., 0] -= 16.0
     np.multiply(500.0, np.subtract(f[..., 0], f[..., 1], out=out[..., 1]), out=out[..., 1])
@@ -190,18 +196,20 @@ def supervoxel_stats(label_frames, lab_frames, mask_frames) -> SupervoxelStats:
 
     The three arguments are equal-length iterables of per-frame arrays and
     may be lazy (generators), so no more than one LAB frame need be held at
-    a time. ``mean_lab`` is the mean of the LAB values given; ``lab_min``
-    and ``lab_max`` are the per-channel extremes over every pixel, the
-    bounds ``normalize_lab`` needs. Per-frame partial sums are merged in
-    frame order, so the result does not depend on how the frames were
-    scheduled.
+    a time: each is dropped before the next is asked for. ``mean_lab`` is
+    the mean of the LAB values given; ``lab_min`` and ``lab_max`` are the
+    per-channel extremes over every pixel, the bounds ``normalize_lab``
+    needs. Per-frame partial sums are merged in frame order, so the result
+    does not depend on how the frames were scheduled.
     """
     counts = np.zeros(0, dtype=np.int64)
     label_sums = np.zeros(0, dtype=np.int64)
     lab_sums = np.zeros((0, 3), dtype=np.float64)
     lab_min = np.full(3, np.inf)
     lab_max = np.full(3, -np.inf)
-    for labels, lab, mask in itertools.zip_longest(label_frames, lab_frames, mask_frames):
+    lab_frames = iter(lab_frames)
+    for labels, mask in itertools.zip_longest(label_frames, mask_frames):
+        lab = next(lab_frames, None)
         if labels is None or lab is None or mask is None:
             raise ValueError("label, LAB, and mask frame lists must have equal length")
         labels, lab, mask = np.asarray(labels), np.asarray(lab, dtype=np.float64), np.asarray(mask)
@@ -224,6 +232,11 @@ def supervoxel_stats(label_frames, lab_frames, mask_frames) -> SupervoxelStats:
             lab_sums[:, channel] += np.bincount(flat, weights=values, minlength=len(counts))
             lab_min[channel] = min(lab_min[channel], values.min())
             lab_max[channel] = max(lab_max[channel], values.max())
+        # Drop the frame before asking for the next, so that a producer that
+        # converts frames ahead needs no room for one more.
+        del lab, values
+    if next(lab_frames, None) is not None:
+        raise ValueError("label, LAB, and mask frame lists must have equal length")
     if not len(counts):
         raise ValueError("no frames")
     present = np.nonzero(counts)[0]
@@ -341,14 +354,6 @@ class RefinementResult:
     consensus: ConsensusTable
 
 
-def _lab_frames(seq, jobs: int):
-    """Yield every frame's raw LAB in order, converting ``jobs`` frames at a time."""
-    step = max(1, jobs)
-    for start in range(0, seq.num_frames, step):
-        batch = range(start, min(start + step, seq.num_frames))
-        yield from parallel_map(lambda i: rgb_to_lab(seq.frame(i)), batch, jobs)
-
-
 def refine_sequence(
     seq,
     seg_cfg: SegmenterConfig | None = None,
@@ -366,13 +371,17 @@ def refine_sequence(
         raise ValueError(f"sequence '{seq.name}': supervoxel label rasters are required")
     initial = segment_sequence(seq, seg_cfg, jobs)
     label_frames = (seq.labels(i) for i in range(seq.num_frames))
-    stats = supervoxel_stats(label_frames, _lab_frames(seq, jobs), initial.masks)
+    lab_frames = parallel_imap(lambda i: rgb_to_lab(seq.frame(i)), range(seq.num_frames), jobs)
+    with contextlib.closing(lab_frames):
+        stats = supervoxel_stats(label_frames, lab_frames, initial.masks)
     stats = replace(stats, mean_lab=normalize_lab(stats.mean_lab, stats.lab_min, stats.lab_max))
     table = build_consensus(stats, ref_cfg)
     log.info("consensus over %d supervoxels (mode=%s)", len(table.ids), ref_cfg.mode)
     video_max = max(float(fore.max()) for fore in initial.foregroundness)
-    masks = [
-        refine_mask(fore, seq.labels(i), table, video_max, ref_cfg, seg_cfg.connectivity)
-        for i, fore in enumerate(initial.foregroundness)
-    ]
+    masks = parallel_map(
+        lambda i: refine_mask(initial.foregroundness[i], seq.labels(i), table, video_max,
+                              ref_cfg, seg_cfg.connectivity),
+        range(seq.num_frames),
+        jobs,
+    )
     return RefinementResult(masks=masks, initial=initial, consensus=table)

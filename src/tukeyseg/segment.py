@@ -90,12 +90,11 @@ def threshold_mask(fore, previous_mask=None) -> np.ndarray:
     f = np.asarray(fore, dtype=np.float64)
     beta = float(f.mean() + f.std())
     if previous_mask is None:
-        return (f > beta).astype(np.uint8)
+        return (f > beta).view(np.uint8)
     prev = np.asarray(previous_mask)
     if prev.shape != f.shape:
         raise ValueError(f"dimension mismatch: field {f.shape} vs previous mask {prev.shape}")
-    threshold = np.where(prev != 0, 0.5 * beta, beta)
-    return (f > threshold).astype(np.uint8)
+    return np.where(prev != 0, f > 0.5 * beta, f > beta).view(np.uint8)
 
 
 def _run_components(fg, connectivity):

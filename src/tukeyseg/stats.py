@@ -107,7 +107,7 @@ def outlier_set(data, f: OutlierFences) -> np.ndarray:
     d = np.asarray(data, dtype=np.float64)
     if not np.all(np.isfinite(d)):
         raise ValueError("non-finite input")
-    return ((d < f.o1) | (d > f.o3)).astype(np.uint8)
+    return ((d < f.o1) | (d > f.o3)).view(np.uint8)
 
 
 def outlier_scale(data, outliers) -> float:

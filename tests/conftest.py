@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import threading
 
 import numpy as np
 import pytest
@@ -15,6 +16,19 @@ from tukeyseg.io import (
     write_ppm,
     write_saliency_pgm,
 )
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left():
+    """Fail a test that leaves a thread running which was not running before it.
+
+    Every ``--jobs`` pool must be shut down by the time its call returns or
+    raises, so a leaked pool fails the test that leaked it.
+    """
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    assert not left, f"threads still running after the test: {left}"
 
 
 @pytest.fixture

@@ -470,6 +470,25 @@ def top_segments_ndimage(mask, weight, n_segments, connectivity=8):
     return keep[labeled].astype(np.uint8)
 
 
+def jaccard_full_frame(mask, reference):
+    """Intersection over union counted over the whole image."""
+    m = np.asarray(mask) != 0
+    g = np.asarray(reference) != 0
+    union = int(np.logical_or(m, g).sum())
+    if union == 0:
+        return 1.0
+    return float(np.logical_and(m, g).sum() / union)
+
+
+def threshold_mask_field(fore, previous_mask=None):
+    """Mean + std threshold, halved under the previous mask, as a float64 threshold field."""
+    f = np.asarray(fore, dtype=np.float64)
+    beta = float(f.mean() + f.std())
+    if previous_mask is None:
+        return (f > beta).astype(np.uint8)
+    return (f > np.where(np.asarray(previous_mask) != 0, 0.5 * beta, beta)).astype(np.uint8)
+
+
 def contour_f_full_frame(mask, reference, tolerance):
     """Boundary F-measure with one erosion per mask and two EDTs over the whole image."""
     cross = ndimage.generate_binary_structure(2, 1)

@@ -119,6 +119,13 @@ class TestPgm:
         data = b"P5\n3 1\n255\n" + bytes([127, 128, 0])
         assert read_mask_pgm(data).tolist() == [[0, 1, 0]]
 
+    def test_mask_of_every_level_is_a_writable_uint8_array(self):
+        levels = np.arange(256, dtype=np.uint8).reshape(16, 16)
+        mask = read_mask_pgm(write_pgm(levels))
+        assert mask.dtype == np.uint8 and mask.shape == (16, 16)
+        assert mask.tobytes() == (levels > 127).astype(np.uint8).tobytes()
+        mask[0, 0] = 1  # a fresh array, not a view of the file's bytes
+
     def test_mask_writer_rejects_other_values(self):
         with pytest.raises(ValueError, match="0 or 1"):
             write_mask_pgm(np.array([[2]]))

@@ -69,6 +69,23 @@ class TestJaccard:
         b = np.array([(bits_b >> i) & 1 for i in range(16)]).reshape(4, 4)
         assert jaccard(a, b) == jaccard(b, a)
 
+    def test_equals_full_frame_count(self, rng):
+        # the counts are taken on the bounding box of both masks
+        for _ in range(200):
+            height, width = rng.integers(1, 12, size=2)
+            density = rng.choice([0.0, 0.02, 0.3, 1.0])
+            a, b = (rng.random((2, height, width)) < density).astype(np.uint8)
+            for m, g in ((a, b), (a.astype(bool), b), (a * 3.5, b.astype(bool))):
+                assert jaccard(m, g) == oracles.jaccard_full_frame(m, g)
+        for mask in adversarial_masks(60, 90).values():
+            shifted = np.roll(mask, (3, 5), axis=(0, 1))
+            assert jaccard(mask, shifted) == oracles.jaccard_full_frame(mask, shifted)
+
+    def test_bool_mask_used_as_given(self):
+        m = np.eye(3, dtype=bool)
+        assert metrics._mask_2d(m) is m
+        assert metrics._mask_2d(m.astype(np.uint8)).dtype == bool
+
     def test_monotone_under_true_positive(self, rng):
         for _ in range(100):
             g = (rng.random((6, 6)) > 0.5).astype(np.uint8)

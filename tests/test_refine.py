@@ -2,12 +2,14 @@
 
 import collections
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 import oracles
 from conftest import moving_block_arrays, write_video_dir
+from tukeyseg.cli import main
 from tukeyseg.io import open_sequence
 from tukeyseg.refine import (
     _CACHE_ELEMENTS,
@@ -95,6 +97,23 @@ class TestRgbToLabBands:
 
     def test_davis_size(self, rng):
         self._assert_equals_full_frame(rng.integers(0, 256, size=(480, 854, 3), dtype=np.uint8))
+
+    @pytest.mark.parametrize("low, high, height", [(0, 17, 480), (40, 256, 480), (0, 256, 77)],
+                             ids=["all-toe", "no-toe", "partial-band"])
+    def test_toe_and_partial_band_at_davis_width(self, rng, low, high, height):
+        # Each XYZ channel over its white is a convex mix of the linear RGB
+        # levels, so levels under 17 put every value on the linear toe of the
+        # L*a*b* curve and levels from 40 put none there. 77 rows are three
+        # bands of 25 and a partial band of 2.
+        def linear(level):
+            c = level / 255.0
+            return c / 12.92 if c <= 0.04045 else ((c + 0.055) / 1.055) ** 2.4
+
+        toe = (6.0 / 29.0) ** 3
+        assert linear(16) <= toe < linear(40)
+        assert height % (_CACHE_ELEMENTS // (3 * 854)) != 0
+        image = rng.integers(low, high, size=(height, 854, 3), dtype=np.uint8)
+        self._assert_equals_full_frame(image)
 
     def test_peak_memory_per_pixel(self, rng):
         # Whole-array temporaries peaked at 99 B per pixel. Banded, the 24 B
@@ -245,6 +264,31 @@ class TestSupervoxelStats:
             supervoxel_stats(
                 [np.zeros((1, 1), int)] * 2, iter([np.zeros((1, 1, 3))]), [np.zeros((1, 1))] * 2
             )
+
+    @pytest.mark.parametrize("lengths", [(2, 3, 2), (1, 2, 2), (2, 2, 1), (0, 1, 0)])
+    def test_any_list_longer_or_shorter(self, lengths):
+        n_labels, n_lab, n_masks = lengths
+        with pytest.raises(ValueError, match="equal length"):
+            supervoxel_stats(
+                [np.zeros((1, 1), int)] * n_labels,
+                iter([np.zeros((1, 1, 3))] * n_lab),
+                [np.zeros((1, 1))] * n_masks,
+            )
+
+    def test_each_lab_frame_dropped_before_the_next_is_asked_for(self, rng):
+        # what lets refine convert frames ahead without room for one more
+        alive = []
+
+        def lab_frames():
+            for _ in range(4):
+                assert all(ref() is None for ref in alive)
+                frame = [rng.random((4, 5, 3))]
+                alive.append(weakref.ref(frame[0]))
+                yield frame.pop()
+
+        labels = [rng.integers(0, 5, size=(4, 5)) for _ in range(4)]
+        supervoxel_stats(labels, lab_frames(), [np.zeros((4, 5))] * 4)
+        assert len(alive) == 4
 
     def test_no_frames(self):
         with pytest.raises(ValueError, match="no frames"):
@@ -652,6 +696,34 @@ class TestRefineSequence:
         for a, b in zip(result.masks, masks):
             assert a.tobytes() == b.tobytes()
 
+
+    @pytest.mark.parametrize("name, kind", [("frames/00002.ppm", "PPM"),
+                                            ("svx/00002.pgm16", "PGM16")])
+    def test_corrupt_file_fails_alike_at_any_jobs(self, tmp_path, capsys, name, kind):
+        # Frames are first decoded in the LAB pass, in the workers at two
+        # jobs; label maps in the tally, on the main thread, while the
+        # workers convert the next frames. Either way the error is the one
+        # the file raises, no worker is left running, and no output
+        # directory is made.
+        scene = moving_block_arrays(height=20, width=24, num_frames=5)
+        labels = np.arange(20 * 24).reshape(20, 24) // 40
+        root = write_video_dir(tmp_path / "video", frames=scene["frames"], flows=scene["flows"],
+                               saliencies=scene["saliencies"], labels=[labels] * 5)
+        corrupt = root / name
+        corrupt.write_bytes(corrupt.read_bytes()[:-7])
+        seq = open_sequence(root)
+        errors, stderr = [], []
+        for jobs in ("1", "2"):
+            with pytest.raises(ValueError) as excinfo:
+                refine_sequence(seq, jobs=int(jobs))
+            errors.append(str(excinfo.value))
+            out = tmp_path / f"refined{jobs}"
+            argv = ["refine", "--input", str(root), "--output", str(out), "--jobs", jobs]
+            assert main(argv) == 1
+            assert not out.exists()
+            stderr.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == f"{corrupt}: truncated {kind} payload"
+        assert stderr[0] == stderr[1] == f"error: {errors[0]}\n"
 
     def test_labels_changed_between_passes_raise(self, tmp_path):
         # pass two reads every label map again; a map rewritten since pass

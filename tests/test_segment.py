@@ -348,6 +348,23 @@ class TestThresholdMask:
         with pytest.raises(ValueError, match="dimension mismatch"):
             threshold_mask(np.zeros((2, 2)), np.zeros((3, 3)))
 
+    def test_pixels_on_either_threshold_stay_background(self):
+        # a two-valued field {2, 4} has mean 3 and std 1 exactly, so beta = 4
+        # and beta / 2 = 2 fall on its values
+        f = np.array([[2.0, 4.0], [4.0, 2.0]])
+        prev = np.array([[1, 1], [0, 0]], dtype=np.uint8)
+        assert threshold_mask(f).tolist() == [[0, 0], [0, 0]]
+        assert threshold_mask(f, prev).tolist() == [[0, 1], [0, 0]]
+
+    def test_equals_threshold_field(self, rng):
+        for _ in range(100):
+            f = rng.integers(0, 6, size=(7, 9)) * rng.choice([0.25, 0.1, 1.0])
+            prev = rng.integers(0, 3, size=(7, 9)).astype(rng.choice([np.uint8, np.float64]))
+            for previous in (None, prev):
+                mask = threshold_mask(f, previous)
+                assert mask.dtype == np.uint8
+                assert mask.tobytes() == oracles.threshold_mask_field(f, previous).tobytes()
+
 
 class TestSelectTopSegments:
     def test_single_component_unchanged(self):

@@ -246,6 +246,12 @@ class TestOutlierSet:
         flags = outlier_set(np.array([-10.0, 0.0, 10.0]), OutlierFences(-5, 5, 1.5))
         assert flags.tolist() == [1, 0, 1]
 
+    def test_uint8_flags_of_the_input_shape(self, rng):
+        data = rng.normal(size=(4, 5))
+        flags = outlier_set(data, OutlierFences(-1.0, 1.0, 1.5))
+        assert flags.dtype == np.uint8 and flags.shape == (4, 5)
+        assert flags.tolist() == (np.abs(data) > 1.0).astype(np.uint8).tolist()
+
 
 class TestOutlierScale:
     def test_single_outlier(self):
