@@ -450,9 +450,14 @@ def read_mask_dir(directory) -> list[np.ndarray]:
     paths = _scan_indexed(directory, "pgm")
     if not paths:
         raise ValueError(f"{directory}: no masks found")
-    masks = [read_mask_pgm(p.read_bytes()) for p in paths]
-    for path, mask in zip(paths, masks):
-        if mask.shape != masks[0].shape:
+    masks = []
+    for path in paths:
+        try:
+            mask = read_mask_pgm(path.read_bytes())
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+        if masks and mask.shape != masks[0].shape:
             raise ValueError(f"{path}: dimensions differ from {paths[0]}")
+        masks.append(mask)
     return masks
 

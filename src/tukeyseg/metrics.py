@@ -120,6 +120,12 @@ def default_tolerance(width: int, height: int) -> int:
     return math.ceil(0.0075 * math.hypot(width, height))
 
 
+def _check_tolerance(tolerance: float | None) -> None:
+    """Refuse a NaN, infinite or negative tolerance; ``None`` asks for the default."""
+    if tolerance is not None and not 0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance {tolerance} is not finite and non-negative")
+
+
 def contour_f(mask, reference, tolerance: float | None = None) -> float:
     """Boundary-matching F-measure between two masks.
 
@@ -133,12 +139,11 @@ def contour_f(mask, reference, tolerance: float | None = None) -> float:
     pixel lies in the box, and every pixel outside the box is background,
     which is what the boundary test assumes beyond the box's edges.
     """
+    _check_tolerance(tolerance)
     m, g = _mask_pair(mask, reference)
     if tolerance is None:
         height, width = np.shape(mask)
         tolerance = default_tolerance(width, height)
-    elif not 0 <= tolerance < math.inf:
-        raise ValueError(f"tolerance {tolerance} is not finite and non-negative")
     if m.size == 0:
         return 1.0
     boundary_m = mask_boundary(m)
@@ -224,8 +229,10 @@ def evaluate_dataset(
 
     Both roots hold one directory per sequence with %05d.pgm masks. Every
     ground-truth sequence must have a matching prediction directory with
-    the same frame count.
+    the same frame count. An invalid ``tolerance`` is refused before any
+    mask is read.
     """
+    _check_tolerance(tolerance)
     prediction_root = Path(prediction_root)
     ground_truth_root = Path(ground_truth_root)
     if not ground_truth_root.is_dir():

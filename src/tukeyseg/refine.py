@@ -12,15 +12,15 @@ foregroundness field and the sign of the result decides each pixel, keeping
 the two strongest segments per frame.
 
 Memory does not grow with LAB frames: each frame is converted, a band of
-rows at a time in scratch sized like the consensus blocks, summed per
-supervoxel and dropped, and the video-wide per-channel LAB bounds are
-tracked on the way. With ``jobs`` workers, they convert the next frames
-while the calling thread tallies one, so at most ``jobs + 1`` LAB frames
-are held at once; pass two refines one frame per worker. Min-max
-normalization is affine, so it is applied to the per-supervoxel means at
-the end rather than to every pixel. The neighbor search computes all n^2
-city-block distances, a block of rows at a time in bounded memory, and
-selects each row's k nearest with a partial sort; ties at the k-th distance
+rows at a time in cache-sized scratch, summed per supervoxel and dropped,
+and the video-wide per-channel LAB bounds are tracked on the way. With
+``jobs`` workers, they convert the next frames while the calling thread
+tallies one, so at most ``jobs + 1`` LAB frames are held at once; pass two
+refines one frame per worker. Min-max normalization is affine, so it is
+applied to the per-supervoxel means at the end rather than to every pixel.
+The neighbor search is exact but pruned: blocks of rows close in color look
+only at the columns within a growing radius of their bounding box, and
+select each row's k nearest with a partial sort; ties at the k-th distance
 go to the smaller id.
 """
 
@@ -250,6 +250,83 @@ def supervoxel_stats(label_frames, lab_frames, mask_frames) -> SupervoxelStats:
     )
 
 
+_CONSENSUS_BLOCK = 32  # rows per block of the neighbor search
+_RADIUS_SAMPLE = 64    # rows whose k-th distance sets the first search radius
+
+
+def _morton_order(points: np.ndarray) -> np.ndarray:
+    """Indices that sort ``(n, 3)`` points along a Z-order curve through their bounding box.
+
+    Each channel is cut into 1024 cells between its minimum and maximum.
+    """
+    low = points.min(axis=0)
+    span = points.max(axis=0) - low
+    scale = np.divide(1023, span, out=np.zeros(3), where=span > 0)
+    cells = np.clip((points - low) * scale, 0, 1023).astype(np.int64)
+    code = np.zeros(len(points), dtype=np.int64)
+    for channel in range(3):
+        v = cells[:, channel]  # its 10 bits spread to every third bit
+        v = (v | (v << 16)) & 0x030000FF
+        v = (v | (v << 8)) & 0x0300F00F
+        v = (v | (v << 4)) & 0x030C30C3
+        v = (v | (v << 2)) & 0x09249249
+        code |= v << (2 - channel)
+    return np.argsort(code, kind="stable")
+
+
+def _city_block(channels: np.ndarray, rows, cols) -> np.ndarray:
+    """``(len(rows), len(cols))`` distances |dL| + |da| + |db|, added in that order.
+
+    ``channels`` is ``(3, n)``; ``rows`` and ``cols`` index its columns.
+    """
+    dist = np.abs(channels[0, cols] - channels[0, rows, None])
+    for channel in channels[1:]:
+        dist += np.abs(channel[cols] - channel[rows, None])
+    return dist
+
+
+def _first_radius(channels: np.ndarray, k: int) -> float:
+    """About the 90th percentile of the k-th neighbor distance, over evenly spaced rows."""
+    n = channels.shape[1]
+    sample = np.arange(0, n, max(1, n // _RADIUS_SAMPLE))[:_RADIUS_SAMPLE]
+    kth = []
+    for start in range(0, len(sample), _CONSENSUS_BLOCK):
+        rows = sample[start : start + _CONSENSUS_BLOCK]
+        dist = _city_block(channels, rows, slice(None))
+        dist[np.arange(len(rows)), rows] = np.inf
+        kth.append(np.partition(dist, k - 1, axis=1)[:, k - 1])
+    kth = np.concatenate(kth)
+    rank = (9 * len(kth)) // 10
+    return float(np.partition(kth, rank)[rank])
+
+
+def _search_block(channels, ids, rows, k, radius, near, near_dist) -> np.ndarray:
+    """The k nearest of ``rows`` among the columns within ``radius`` of their bounding box.
+
+    Fills ``near`` and ``near_dist`` for the rows whose k-th distance is at
+    most ``radius`` and returns which rows those are.
+    """
+    box = channels[:, rows]
+    # each column's L1 distance to the box, the channel gaps added in L, a, b order
+    gaps = np.maximum(np.maximum(box.min(axis=1, keepdims=True) - channels,
+                                 channels - box.max(axis=1, keepdims=True)), 0.0)
+    cols = np.flatnonzero(gaps[0] + gaps[1] + gaps[2] <= radius)
+    if len(cols) <= k:
+        return np.zeros(len(rows), dtype=bool)
+    dist = _city_block(channels, rows, cols)
+    index = np.arange(len(rows))
+    dist[index, np.searchsorted(cols, rows)] = np.inf
+    part = np.argpartition(dist, k - 1, axis=1)[:, :k]
+    kth = dist[index, part[:, -1]]
+    done = kth <= radius
+    tied = done & (np.count_nonzero(dist <= kth[:, None], axis=1) > k)
+    for row in np.flatnonzero(tied):
+        part[row] = np.lexsort((ids[cols], dist[row]))[:k]
+    near[rows[done]] = cols[part[done]]
+    near_dist[rows[done]] = dist[index[done, None], part[done]]
+    return done
+
+
 def build_consensus(stats: SupervoxelStats, cfg: RefineConfig | None = None) -> ConsensusTable:
     """Compute local consensus and, in non-local mode, neighbor votes.
 
@@ -258,10 +335,24 @@ def build_consensus(stats: SupervoxelStats, cfg: RefineConfig | None = None) -> 
     smaller id. Raw weights are 1 / max(distance, epsilon)^2, rescaled to
     sum to 2/3, and the vote adds neighbors in (distance, id) order.
 
-    All n^2 distances are computed, but a block of rows at a time, so
-    memory stays at a few MB for any n: per block, ``argpartition`` picks
-    the k nearest and only rows with a tie at the k-th distance are fully
-    sorted.
+    The search is exact but pruned. Supervoxels are put in Z-order of their
+    means, and each block of 32 consecutive rows in that order computes
+    distances only to the columns within a radius r of the block's bounding
+    box; r starts near the 90th percentile of the k-th distance of 64
+    sampled rows. A row whose k-th distance among those columns is at most
+    r is final. The others go again with 2r, or with 1/1024 of the means'
+    extent (the sum of the channel ranges) if that is larger; a radius at or
+    past the extent takes every column, so the search ends.
+
+    Why it is exact: rounding is monotone, so per channel the computed gap
+    of a column to the box (``lo - x`` or ``x - hi``, or 0) is at most the
+    rounded ``|d|`` to any row of the box, and the three gaps, added in the
+    same order as the distance, sum to at most the rounded distance. Every
+    column within r of a row is thus a candidate, so a row with k-th
+    distance at most r has among its candidates every column nearer than
+    that and every column tied at it, and the smaller id takes the ties as
+    in the full search. The distances are the full search's to the bit.
+    Memory stays at a few 32-by-n arrays.
     """
     cfg = cfg or RefineConfig()
     f_local = stats.local_consensus
@@ -270,31 +361,37 @@ def build_consensus(stats: SupervoxelStats, cfg: RefineConfig | None = None) -> 
     n = len(stats.ids)
     if n < 2:
         raise ValueError("non-local consensus needs at least 2 supervoxels")
+    points = np.asarray(stats.mean_lab, dtype=np.float64)
+    if not np.isfinite(points).all():
+        raise ValueError("supervoxel mean colors must be finite")
     k = math.ceil(n / 100)
-    ids = stats.ids
-    channels = np.ascontiguousarray(stats.mean_lab.T, dtype=np.float64)
-    block = max(1, _CACHE_ELEMENTS // n)
-    dist_buffer, term_buffer = np.empty((block, n)), np.empty((block, n))
+    order = _morton_order(points)
+    ids = stats.ids[order]
+    channels = np.ascontiguousarray(points[order].T)
+    extent = float(np.ptp(channels, axis=1).sum())
+    near, near_dist = np.empty((n, k), dtype=np.intp), np.empty((n, k))
+    radius = _first_radius(channels, k)
+    pending = np.arange(n)
+    while len(pending):
+        if radius >= extent:
+            radius = math.inf  # every column is within it
+        left = []
+        for start in range(0, len(pending), _CONSENSUS_BLOCK):
+            rows = pending[start : start + _CONSENSUS_BLOCK]
+            left.append(rows[~_search_block(channels, ids, rows, k, radius, near, near_dist)])
+        pending = np.concatenate(left)
+        # at least a 1024th of the extent, so that a zero radius grows too
+        radius = max(2.0 * radius, extent / 1024)
+    # (distance, id) order: by distance alone, except in the rows with a tie
+    rank = np.argsort(near_dist, axis=1)
+    ranked = np.take_along_axis(near_dist, rank, axis=1)
+    tied = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)
+    rank[tied] = np.lexsort((ids[near[tied]], near_dist[tied]), axis=1)
+    near = np.take_along_axis(near, rank, axis=1)
+    weights = 1.0 / np.maximum(np.take_along_axis(near_dist, rank, axis=1), cfg.epsilon) ** 2
+    weights *= NONLOCAL_WEIGHT_TOTAL / weights.sum(axis=1, keepdims=True)
     f_nonlocal = np.empty(n, dtype=np.float64)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        rows = np.arange(stop - start)
-        # |dL| + |da| + |db|, added in that order, into buffers reused across blocks
-        dist, term = dist_buffer[: len(rows)], term_buffer[: len(rows)]
-        np.abs(np.subtract(channels[0], channels[0, start:stop, None], out=dist), out=dist)
-        for channel in channels[1:]:
-            dist += np.abs(np.subtract(channel, channel[start:stop, None], out=term), out=term)
-        dist[rows, rows + start] = np.inf
-        near = np.argpartition(dist, k - 1, axis=1)[:, :k]
-        kth = dist[rows, near[:, -1]]
-        for row in np.nonzero(np.count_nonzero(dist <= kth[:, None], axis=1) > k)[0]:
-            near[row] = np.lexsort((ids, dist[row]))[:k]
-        near_dist = np.take_along_axis(dist, near, axis=1)
-        order = np.lexsort((ids[near], near_dist), axis=1)
-        near = np.take_along_axis(near, order, axis=1)
-        weights = 1.0 / np.maximum(np.take_along_axis(near_dist, order, axis=1), cfg.epsilon) ** 2
-        weights *= NONLOCAL_WEIGHT_TOTAL / weights.sum(axis=1, keepdims=True)
-        f_nonlocal[start:stop] = (weights[:, None, :] @ f_local[near][:, :, None])[:, 0, 0]
+    f_nonlocal[order] = (weights[:, None, :] @ f_local[order][near][:, :, None])[:, 0, 0]
     return ConsensusTable(stats.ids, f_local, f_nonlocal)
 
 

@@ -7,13 +7,12 @@ un-gated deviation sum. :func:`frame_foregroundness` is the one place these
 terms are computed and summed; it relies on the
 :class:`~tukeyseg.io.FrameSequence` accessors for rasters of the sequence's
 shape. The statistics take whole-frame measures; the terms are summed a
-band of rows at a time, in buffers sized like refinement's consensus blocks
-(about 512 KB each) so that they stay in cache. Each pixel's operations keep
-their whole-frame order, so the bits do not depend on the band. The
-foregroundness field is thresholded at mean + standard deviation, with a
-half-threshold discount wherever the previous frame's mask was foreground,
-and reduced to the single strongest connected segment. Segments are
-labelled in numpy from the mask's row runs.
+band of rows at a time, in buffers of about 512 KB each so that they stay
+in cache. Each pixel's operations keep their whole-frame order, so the bits
+do not depend on the band. The foregroundness field is thresholded at mean
++ standard deviation, with a half-threshold discount wherever the previous
+frame's mask was foreground, and reduced to the single strongest connected
+segment. Segments are labelled in numpy from the mask's row runs.
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ log = logging.getLogger(__name__)
 
 COMPONENT_NAMES = ("x", "y", "magnitude", "angle")
 
-# Float64 elements (about 512 KB) one band or block of per-pixel or
-# per-supervoxel work holds in each of its buffers, so that it stays in cache.
+# Float64 elements (about 512 KB) one band of per-pixel work holds in each of
+# its buffers, so that it stays in cache.
 _CACHE_ELEMENTS = 2**16
 
 

@@ -464,6 +464,26 @@ class TestCombineCommand:
             assert code == 0
 
 
+@pytest.mark.parametrize("command", ["combine", "eval"])
+def test_undecodable_mask_named(tmp_path, capsys, command):
+    mask = np.zeros((4, 5), dtype=np.uint8)
+    mask[1:3, 1:4] = 1
+    for root in ("methods/a", "methods/b", "gt/seq", "pred/seq"):
+        d = tmp_path / root
+        d.mkdir(parents=True)
+        for i in range(3):
+            (d / f"{i:05d}.pgm").write_bytes(write_mask_pgm(mask))
+    if command == "combine":
+        corrupt = tmp_path / "methods" / "b" / "00001.pgm"
+        argv = ["combine", "--input", str(tmp_path / "methods"), "--output", str(tmp_path / "o")]
+    else:
+        corrupt = tmp_path / "pred" / "seq" / "00001.pgm"
+        argv = ["eval", "--input", str(tmp_path / "pred"), "--ground-truth", str(tmp_path / "gt")]
+    corrupt.write_bytes(corrupt.read_bytes()[:-3])
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {corrupt}: truncated PGM payload\n"
+
+
 class TestEvalCommand:
     def _write_masks(self, root, name, masks):
         d = root / name

@@ -180,6 +180,14 @@ class TestContourF:
         with pytest.raises(ValueError, match="tolerance"):
             sequence_scores([m], [m], tolerance)
 
+    @pytest.mark.parametrize("tolerance", [math.nan, -1.0, math.inf])
+    def test_tolerance_checked_before_the_masks(self, tolerance):
+        # mismatched shapes and a 3-D mask: the tolerance is named, not the masks
+        pairs = ((np.zeros((4, 5)), np.zeros((5, 4))), (np.zeros((2, 2, 2)), np.zeros((2, 2))))
+        for masks in pairs:
+            with pytest.raises(ValueError, match=re.escape(f"tolerance {tolerance}")):
+                contour_f(*masks, tolerance)
+
     @settings(max_examples=300, deadline=None)
     @given(
         data=st.data(),
@@ -429,6 +437,22 @@ class TestEvaluateDataset:
         assert lines[0] == "sequence,J_mean,J_recall,J_decay,F_mean,F_recall,F_decay"
         assert lines[-1].startswith("ALL,")
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("tolerance", [math.nan, -0.5, math.inf])
+    def test_invalid_tolerance_refused_before_reading(self, tmp_path, monkeypatch, tolerance):
+        g = _square(4, 4, slice(1, 3), slice(1, 3))
+        for root in ("pred", "gt"):
+            self._write_sequence(tmp_path / root, "s", [g, g])
+        reads, real_read = [], metrics.read_mask_dir
+
+        def counting_read(directory):
+            reads.append(directory)
+            return real_read(directory)
+
+        monkeypatch.setattr(metrics, "read_mask_dir", counting_read)
+        with pytest.raises(ValueError, match=re.escape(f"tolerance {tolerance}")):
+            evaluate_dataset(tmp_path / "pred", tmp_path / "gt", tolerance=tolerance)
+        assert reads == []
 
     def test_jobs_do_not_change_rows(self, tmp_path):
         g = _square(4, 4, slice(1, 3), slice(1, 3))

@@ -1,6 +1,7 @@
 """Tests for supervoxel consensus refinement."""
 
 import collections
+import math
 import tracemalloc
 import weakref
 
@@ -9,10 +10,12 @@ import pytest
 
 import oracles
 from conftest import moving_block_arrays, write_video_dir
+from tukeyseg import refine
 from tukeyseg.cli import main
 from tukeyseg.io import open_sequence
 from tukeyseg.refine import (
     _CACHE_ELEMENTS,
+    _CONSENSUS_BLOCK,
     ConsensusTable,
     RefineConfig,
     SupervoxelStats,
@@ -390,8 +393,6 @@ class TestBuildConsensus:
         # the oracle recomputes everything from per-pixel frames; emulate by
         # one frame of singleton rows is awkward, so compare the nonlocal
         # votes through its neighbor logic directly
-        import math
-
         for i in range(n):
             others = sorted(
                 (sum(abs(a - b) for a, b in zip(mean_lab[i], mean_lab[j])), j)
@@ -416,41 +417,126 @@ def _random_table(rng, n, levels=None, ids=None):
     return _stats(np.arange(n) if ids is None else ids, counts, fg, mean_lab)
 
 
-class TestConsensusExactness:
-    """The blocked consensus equals the per-row reference bit for bit."""
+def _equals_reference(stats, **kwargs):
+    table = build_consensus(stats, RefineConfig(**kwargs))
+    expected = oracles.consensus_rows(stats.ids, stats.local_consensus, stats.mean_lab, **kwargs)
+    return np.array_equal(table.f_nonlocal, expected)
 
-    # one block holds 2**16 // n rows: n = 256 fits in exactly one block
-    @pytest.mark.parametrize("n", [2, 3, 101, 255, 256, 257, 1000])
+
+def _search_radii(monkeypatch):
+    """The radius of every block the neighbor search looks at, in call order."""
+    radii, search = [], refine._search_block
+
+    def spy(channels, ids, rows, k, radius, *out):
+        radii.append(radius)
+        return search(channels, ids, rows, k, radius, *out)
+
+    monkeypatch.setattr(refine, "_search_block", spy)
+    return radii
+
+
+class TestConsensusExactness:
+    """The pruned consensus equals the per-row reference bit for bit."""
+
+    # blocks of 32 rows: n = 32 is exactly one block, 20 less than one
+    @pytest.mark.parametrize("n", [2, 3, 20, 31, 32, 33, 101, 255, 256, 257, 1000])
     @pytest.mark.parametrize("levels", [None, 3, 2])
     def test_equals_per_row_reference(self, rng, n, levels):
-        stats = _random_table(rng, n, levels)
-        table = build_consensus(stats)
-        expected = oracles.consensus_rows(stats.ids, stats.local_consensus, stats.mean_lab)
-        assert np.array_equal(table.f_nonlocal, expected)
+        assert _equals_reference(_random_table(rng, n, levels))
+
+    def test_far_points_need_a_larger_radius(self, rng, monkeypatch):
+        # a tight cluster sets the first radius; the far points find their
+        # neighbors only in later rounds, at twice the radius or more
+        n = 600
+        mean_lab = 0.5 + 1e-3 * rng.standard_normal((n, 3))
+        mean_lab[::15] = rng.random((n // 15, 3))
+        stats = _stats(np.arange(n), np.full(n, 3), rng.integers(0, 4, n), mean_lab)
+        radii = _search_radii(monkeypatch)
+        assert _equals_reference(stats)
+        assert len(set(radii)) >= 3 and radii[-1] >= 4 * radii[0]
+
+    @pytest.mark.parametrize("n", [2, 20, 150])
+    def test_every_mean_equal(self, rng, n, monkeypatch):
+        # the first radius is 0, which is the extent of the means: one round
+        # over every column ends the search
+        stats = _stats(np.arange(n), np.full(n, 2), rng.integers(0, 3, n), np.full((n, 3), 0.3))
+        radii = _search_radii(monkeypatch)
+        assert _equals_reference(stats)
+        assert radii == [math.inf] * -(-n // _CONSENSUS_BLOCK)
+
+    @staticmethod
+    def _line(gaps, ids):
+        """Supervoxels on the L axis at the given gaps; f_local is -1 in the first block, +1 after."""
+        n = len(gaps) + 1
+        mean_lab = np.zeros((n, 3))
+        mean_lab[1:, 0] = np.cumsum(gaps)
+        return _stats(ids, np.ones(n), np.arange(n) >= _CONSENSUS_BLOCK, mean_lab)
+
+    def test_edge_row_beyond_the_radius_searched_again(self):
+        # 64 rows 1 apart, one neighbor each, so the first radius is 1; the
+        # last row of the first block is 1.8 from the row before it and 1.5
+        # from the row after, which lies outside the radius around the
+        # block. Taking the 1.8 (within 2r) would be wrong.
+        edge = _CONSENSUS_BLOCK - 1
+        gaps = np.ones(2 * _CONSENSUS_BLOCK - 1)
+        gaps[edge - 1], gaps[edge] = 1.8, 1.5
+        assert _equals_reference(self._line(gaps, np.arange(len(gaps) + 1)))
+
+    def test_tie_exactly_at_the_radius(self):
+        # 64 rows 1 apart with descending ids: the last row of the first
+        # block has neighbors at distance 1 = radius on both sides, and the
+        # one in the next block, at a box gap of exactly the radius, has the
+        # smaller id
+        n = 2 * _CONSENSUS_BLOCK
+        assert _equals_reference(self._line(np.ones(n - 1), np.arange(n)[::-1]))
+
+    def test_raw_lab_with_descending_ids(self, rng):
+        # unnormalized L*a*b* ranges; ids non-contiguous and in descending order
+        n = 500
+        ids = np.sort(rng.choice(4 * n, size=n, replace=False))[::-1]
+        assert _equals_reference(_random_table(rng, n, ids=ids))
+
+    def test_quantised_many_ties(self, rng):
+        assert _equals_reference(_random_table(rng, 3000, levels=4))
+
+    def test_refuses_non_finite_means(self):
+        for bad in (np.nan, np.inf):
+            mean_lab = np.zeros((3, 3))
+            mean_lab[1, 2] = bad
+            with pytest.raises(ValueError, match="finite"):
+                build_consensus(_stats([0, 1, 2], [1, 1, 1], [0, 1, 0], mean_lab))
+
+    def test_prunes_most_distances(self, rng, monkeypatch):
+        # Work-count guard: a search that fell back to all n^2 distances would
+        # pass every exactness test. Count the elements the distance kernel
+        # computes on a clustered table.
+        n = 6000
+        centres = rng.random((30, 3))
+        mean_lab = centres[rng.integers(0, 30, n)] + 0.02 * rng.standard_normal((n, 3))
+        stats = _stats(np.arange(n), np.full(n, 4), rng.integers(0, 5, n), mean_lab)
+        computed, kernel = [], refine._city_block
+
+        def counting(channels, rows, cols):
+            dist = kernel(channels, rows, cols)
+            computed.append(dist.size)
+            return dist
+
+        monkeypatch.setattr(refine, "_city_block", counting)
+        build_consensus(stats)
+        assert sum(computed) < 0.4 * n * n
 
     @pytest.mark.parametrize("n", [2, 257, 700])
     def test_non_contiguous_ids(self, rng, n):
         ids = np.sort(rng.choice(5 * n, size=n, replace=False))
-        stats = _random_table(rng, n, levels=3, ids=ids)
-        table = build_consensus(stats)
-        expected = oracles.consensus_rows(stats.ids, stats.local_consensus, stats.mean_lab)
-        assert np.array_equal(table.f_nonlocal, expected)
+        assert _equals_reference(_random_table(rng, n, levels=3, ids=ids))
 
     def test_ties_go_to_smaller_id_not_smaller_index(self, rng):
         # ids in descending order: the tie rule must read ids, not positions
         n = 300
-        stats = _random_table(rng, n, levels=2, ids=np.arange(n)[::-1] * 3)
-        table = build_consensus(stats)
-        expected = oracles.consensus_rows(stats.ids, stats.local_consensus, stats.mean_lab)
-        assert np.array_equal(table.f_nonlocal, expected)
+        assert _equals_reference(_random_table(rng, n, levels=2, ids=np.arange(n)[::-1] * 3))
 
     def test_epsilon(self, rng):
-        stats = _random_table(rng, 400, levels=3)
-        table = build_consensus(stats, RefineConfig(epsilon=0.25))
-        expected = oracles.consensus_rows(
-            stats.ids, stats.local_consensus, stats.mean_lab, epsilon=0.25
-        )
-        assert np.array_equal(table.f_nonlocal, expected)
+        assert _equals_reference(_random_table(rng, 400, levels=3), epsilon=0.25)
 
 
 class TestRefineMasks:
@@ -643,7 +729,7 @@ class TestRefineSequence:
             assert a.tobytes() == b.tobytes()
 
     def test_jobs_deterministic_over_several_blocks(self, tmp_path):
-        # 16 x 21 tiles of 3 x 3 pixels: 336 supervoxels, two consensus blocks
+        # 16 x 21 tiles of 3 x 3 pixels: 336 supervoxels, eleven blocks of the neighbor search
         rng = np.random.default_rng(7)
         scene = moving_block_arrays(
             height=48, width=63, block=(slice(12, 33), slice(18, 42)), num_frames=5
@@ -661,7 +747,7 @@ class TestRefineSequence:
         seq = open_sequence(root)
         results = [refine_sequence(seq, jobs=jobs) for jobs in (1, 2, 8)]
         n = len(results[0].consensus.ids)
-        assert n == 336 and n > _CACHE_ELEMENTS // n
+        assert n == 336 and n > 10 * _CONSENSUS_BLOCK
         for other in results[1:]:
             assert np.array_equal(other.consensus.f_nonlocal, results[0].consensus.f_nonlocal)
             for a, b in zip(results[0].masks, other.masks):
