@@ -12,7 +12,8 @@ foregroundness field and the sign of the result decides each pixel, keeping
 the two strongest segments per frame.
 
 Memory does not grow with LAB frames: each frame is converted, a band of
-rows at a time in cache-sized scratch, summed per supervoxel and dropped,
+rows at a time in cache-sized scratch, into three channel planes, summed
+per supervoxel a contiguous plane at a time and dropped,
 and the video-wide per-channel LAB bounds are tracked on the way. With
 ``jobs`` workers, they convert the next frames while the calling thread
 tallies one, so at most ``jobs + 1`` LAB frames are held at once; pass two
@@ -92,9 +93,10 @@ _SRGB_LINEAR_LUT = _srgb_linear(np.arange(256, dtype=np.float64) / 255.0)
 
 
 def _lab_into(rgb, out, t, f, dark) -> None:
-    """Write the L*a*b* of ``rgb`` into ``out``, using ``t``, ``f`` and ``dark`` as scratch.
+    """Write the L*a*b* of ``rgb`` into the channel planes ``out``.
 
-    All four have ``rgb``'s shape.
+    ``t``, ``f`` and ``dark`` are scratch of ``rgb``'s shape; ``out`` has
+    one plane of ``rgb``'s shape without its channel axis per channel.
     """
     np.matmul(_SRGB_LINEAR_LUT.take(rgb), _SRGB_TO_XYZ.T, out=t)
     # One scalar division per channel view; Y's white is 1.0, which leaves it as it is.
@@ -106,10 +108,11 @@ def _lab_into(rgb, out, t, f, dark) -> None:
     if dark.any():
         np.divide(t, 3.0 * delta**2, out=f, where=dark)
         np.add(f, 4.0 / 29.0, out=f, where=dark)
-    np.multiply(116.0, f[..., 1], out=out[..., 0])
-    out[..., 0] -= 16.0
-    np.multiply(500.0, np.subtract(f[..., 0], f[..., 1], out=out[..., 1]), out=out[..., 1])
-    np.multiply(200.0, np.subtract(f[..., 1], f[..., 2], out=out[..., 2]), out=out[..., 2])
+    light, a, b = out
+    np.multiply(116.0, f[..., 1], out=light)
+    light -= 16.0
+    np.multiply(500.0, np.subtract(f[..., 0], f[..., 1], out=a), out=a)
+    np.multiply(200.0, np.subtract(f[..., 1], f[..., 2], out=b), out=b)
 
 
 def rgb_to_lab(rgb) -> np.ndarray:
@@ -118,23 +121,27 @@ def rgb_to_lab(rgb) -> np.ndarray:
     The pixels are converted a band of image rows at a time, into scratch
     reused across bands. Each row stays one ``(width, 3) @ (3, 3)`` product,
     and a 1-D or 2-D array is one row, so the bits do not depend on the band.
+
+    The result has ``rgb``'s shape but is held as three contiguous channel
+    planes: it is a channel-last view of planar storage, not C-contiguous,
+    and each ``lab[..., c]`` is a C-contiguous plane.
     """
     a = np.asarray(rgb)
     if a.ndim < 1 or a.shape[-1] != 3:
         raise ValueError("rgb array must have a trailing dimension of 3")
     if a.dtype != np.uint8:
         raise ValueError(f"rgb array must be uint8, not {a.dtype}")
-    out = np.empty(a.shape)
+    planes = np.empty((3, *a.shape[:-1]))
     width = a.shape[-2] if a.ndim > 1 else 1
     rows = math.prod(a.shape[:-2])
-    pixels, lab = a.reshape(rows, width, 3), out.reshape(rows, width, 3)
+    pixels, lab = a.reshape(rows, width, 3), planes.reshape(3, rows, width)
     band = max(1, min(rows, _CACHE_ELEMENTS // (3 * width or 1)))
     t, f = np.empty((2, band, width, 3))
     dark = np.empty((band, width, 3), dtype=bool)
     for start in range(0, rows, band):
         n = min(band, rows - start)
-        _lab_into(pixels[start : start + n], lab[start : start + n], t[:n], f[:n], dark[:n])
-    return out
+        _lab_into(pixels[start : start + n], lab[:, start : start + n], t[:n], f[:n], dark[:n])
+    return np.moveaxis(planes, 0, -1)
 
 
 def normalize_lab(lab, low, high) -> np.ndarray:
@@ -219,7 +226,8 @@ def supervoxel_stats(label_frames, lab_frames, mask_frames) -> SupervoxelStats:
             )
         if labels.min() < 0:
             raise ValueError("supervoxel ids must be non-negative")
-        flat = labels.ravel()
+        # cast once, not in every bincount
+        flat = labels.ravel().astype(np.intp, copy=False)
         frame_counts = np.bincount(flat, minlength=len(counts))
         if len(frame_counts) > len(counts):
             counts, label_sums, lab_sums = (
@@ -228,7 +236,7 @@ def supervoxel_stats(label_frames, lab_frames, mask_frames) -> SupervoxelStats:
         counts += frame_counts
         label_sums += np.bincount(flat[mask.ravel() != 0], minlength=len(counts))
         for channel in range(3):
-            values = lab[..., channel].ravel()
+            values = lab[..., channel].ravel()  # a view of rgb_to_lab's planes, no copy
             lab_sums[:, channel] += np.bincount(flat, weights=values, minlength=len(counts))
             lab_min[channel] = min(lab_min[channel], values.min())
             lab_max[channel] = max(lab_max[channel], values.max())

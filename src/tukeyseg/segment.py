@@ -6,13 +6,16 @@ each measure's outlier scale, and a visual-saliency map modulates the
 un-gated deviation sum. :func:`frame_foregroundness` is the one place these
 terms are computed and summed; it relies on the
 :class:`~tukeyseg.io.FrameSequence` accessors for rasters of the sequence's
-shape. The statistics take whole-frame measures; the terms are summed a
-band of rows at a time, in buffers of about 512 KB each so that they stay
-in cache. Each pixel's operations keep their whole-frame order, so the bits
-do not depend on the band. The foregroundness field is thresholded at mean
-+ standard deviation, with a half-threshold discount wherever the previous
-frame's mask was foreground, and reduced to the single strongest connected
-segment. Segments are labelled in numpy from the mask's row runs.
+shape. The statistics take whole-frame measures, x and y at the width the
+flow was decoded (float32 from ``.flo``) with float64 arithmetic inside
+each ufunc, so the values are those of the widened flow; the terms are
+summed a band of rows at a time, in buffers of about 512 KB each so that
+they stay in cache. Each pixel's operations keep their whole-frame order,
+so the bits do not depend on the band. The foregroundness field is
+thresholded at mean + standard deviation, with a half-threshold discount
+wherever the previous frame's mask was foreground, and reduced to the
+single strongest connected segment. Segments are labelled in numpy from
+the mask's row runs.
 """
 
 from __future__ import annotations
@@ -58,7 +61,11 @@ class SegmenterConfig:
 
 @dataclass(frozen=True)
 class FlowMeasures:
-    """The four per-pixel scalar measures derived from one flow field."""
+    """The four per-pixel scalar measures derived from one flow field.
+
+    ``x`` and ``y`` are the flow's own arrays, of its dtype (float32 from a
+    ``.flo`` file); ``magnitude`` and ``angle`` are float64.
+    """
 
     x: np.ndarray
     y: np.ndarray
@@ -70,11 +77,15 @@ class FlowMeasures:
 
 
 def flow_measures(flow: FlowField) -> FlowMeasures:
-    """Derive x/y components, Euclidean magnitude, and angle from a flow field."""
-    u = np.asarray(flow.u, dtype=np.float64)
-    v = np.asarray(flow.v, dtype=np.float64)
-    magnitude = np.hypot(u, v)
-    angle = np.arctan2(v, u)
+    """Derive x/y components, Euclidean magnitude, and angle from a flow field.
+
+    The components are returned as given, not copied or widened. Magnitude
+    and angle are computed in float64, each component widened inside the
+    ufunc, so they have the bits of the widened flow's.
+    """
+    u, v = np.asarray(flow.u), np.asarray(flow.v)
+    magnitude = np.hypot(u, v, dtype=np.float64)
+    angle = np.arctan2(v, u, dtype=np.float64)
     angle[angle == -np.pi] = np.pi
     return FlowMeasures(x=u, y=v, magnitude=magnitude, angle=angle)
 
@@ -99,9 +110,10 @@ def threshold_mask(fore, previous_mask=None) -> np.ndarray:
 def _run_components(fg, connectivity):
     """Label the foreground of a 2-D bool array as row runs.
 
-    Returns each run's length and component, runs in row-major order, and
-    the number of components. Components are numbered in the order of their
-    first run, which is the order of their first row-major pixel.
+    Returns each run's first pixel (a flat row-major index), length and
+    component, runs in row-major order, and the number of components.
+    Components are numbered in the order of their first run, which is the
+    order of their first row-major pixel.
     """
     height, width = fg.shape
     stride = width + 2
@@ -135,7 +147,16 @@ def _run_components(fg, connectivity):
             parent = jumped
     is_root = parent == np.arange(starts.size)
     component = (np.cumsum(is_root) - 1)[parent]
-    return ends - starts, component, int(np.count_nonzero(is_root))
+    # A start step sits just before its run's first pixel, at padded column
+    # c + 1 of frame column c, so it is the pixel's flat index plus 2 per row.
+    first_pixel = starts - 2 * (starts // stride)
+    return first_pixel, ends - starts, component, int(np.count_nonzero(is_root))
+
+
+def _run_pixels(first_pixel, lengths):
+    """Flat row-major indices of every pixel of the given runs, run by run."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.arange(lengths.sum()) + np.repeat(first_pixel - offsets, lengths)
 
 
 def select_top_segments(mask, weight, n_segments: int = 1, connectivity: int = 8) -> np.ndarray:
@@ -144,6 +165,11 @@ def select_top_segments(mask, weight, n_segments: int = 1, connectivity: int = 8
     Ties go to the larger component, then to the component whose first
     row-major pixel comes first, so the result is fully deterministic. Each
     component's weights are added in row-major order.
+
+    Past labelling, the work is in the runs and their pixels, not the
+    frame: weights are gathered and kept runs painted from the runs' first
+    pixels, and only the components weighing at least the n-th largest
+    sum are ranked.
     """
     m = np.asarray(mask)
     if m.ndim != 2:
@@ -156,19 +182,26 @@ def select_top_segments(mask, weight, n_segments: int = 1, connectivity: int = 8
     if n_segments < 1:
         raise ValueError("n_segments must be at least 1")
     fg = m != 0
-    lengths, component, count = _run_components(fg, connectivity)
+    first_pixel, lengths, component, count = _run_components(fg, connectivity)
     if count <= n_segments:
         return fg.astype(np.uint8)
-    pixel_component = np.repeat(component, lengths)
-    weight_sums = np.bincount(pixel_component, weights=w[fg], minlength=count)
-    sizes = np.bincount(component, weights=lengths, minlength=count)
+    weight_sums = np.bincount(np.repeat(component, lengths),
+                              weights=w.ravel()[_run_pixels(first_pixel, lengths)],
+                              minlength=count)
+    # Only components whose sum is at least the n-th largest can be kept. A
+    # NaN key sorts last, as in the full sort, and stays a candidate.
+    keys = -weight_sums
+    nth = np.partition(keys, n_segments - 1)[n_segments - 1]
+    candidates = np.flatnonzero(~(keys > nth))
+    sizes = np.bincount(component, weights=lengths, minlength=count)[candidates]
     # lexsort is stable and components are numbered by first pixel, which
     # settles the remaining ties.
-    ranked = np.lexsort((-sizes, -weight_sums))
+    ranked = candidates[np.lexsort((-sizes, keys[candidates]))]
     keep = np.zeros(count, dtype=bool)
     keep[ranked[:n_segments]] = True
+    kept = keep[component]
     out = np.zeros(fg.shape, dtype=np.uint8)
-    out[fg] = keep[pixel_component]
+    out.ravel()[_run_pixels(first_pixel[kept], lengths[kept])] = 1
     return out
 
 
@@ -216,7 +249,9 @@ def frame_foregroundness(seq: FrameSequence, index: int, cfg: SegmenterConfig | 
         absdev, term, deviations = buffers[:, : len(out)]
         deviations.fill(0.0)
         for component, median, alpha, gate, floored in terms:
-            np.abs(np.subtract(component[rows], median, out=absdev), out=absdev)
+            # a float32 component is widened inside the ufunc, not in a copy
+            np.abs(np.subtract(component[rows], median, out=absdev, dtype=np.float64),
+                   out=absdev)
             if gate is not None:
                 # Off the outliers the motion term is +0.0, which changes only a
                 # -0.0 sum; a sum started at +0.0 never is one, so it is not added.

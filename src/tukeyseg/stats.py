@@ -2,7 +2,10 @@
 
 Everything here is a pure function of its inputs and safe to call from any
 number of threads. Samples may be passed as any array-like; indicator masks
-returned by :func:`outlier_set` match the input's shape.
+returned by :func:`outlier_set` match the input's shape. A float32 sample
+is read at its own width and any other as float64; the arithmetic is
+float64 either way, so a float32 sample gives the results of its exact
+float64 widening.
 """
 
 from __future__ import annotations
@@ -35,6 +38,12 @@ class OutlierFences:
     k: float
 
 
+def _sample_array(data) -> np.ndarray:
+    """``data`` as an array: a float32 one as it is, anything else as float64."""
+    d = np.asarray(data)
+    return d if d.dtype == np.float32 else np.asarray(d, dtype=np.float64)
+
+
 def quartiles(sample) -> Quartiles:
     """Compute Q1/Q2/Q3 by linear interpolation between order statistics.
 
@@ -43,8 +52,8 @@ def quartiles(sample) -> Quartiles:
     p = (n - 1) * q of the sorted sample, between the order statistics a at
     k = floor(p) and b at k + 1, and equals ``a + (b - a) * g`` with
     g = p - k, or ``b - (b - a) * (1 - g)`` where g >= 0.5. Each quartile has
-    the bits of ``np.quantile(sample, q, method="linear")``, save possibly
-    the sign of a zero result.
+    the bits of ``np.quantile(sample, q, method="linear")`` on the sample
+    widened to float64, save possibly the sign of a zero result.
 
     The sample is copied once, flattened, and only the six order statistics
     needed are selected in the copy: one partition at the median's k, then
@@ -53,37 +62,66 @@ def quartiles(sample) -> Quartiles:
     than 4 values are sorted instead. The caller's array is never reordered,
     so one array may be shared by any number of threads.
 
+    The selection runs on integer keys of the sample's own width, which
+    order as the values do: a float32 sample is not widened but keyed by
+    its bits, with the 31 low bits flipped on negative values; a float64
+    sample with no negative value is keyed by its bits as int64. Any other
+    sample is partitioned as float64. The six order statistics are then
+    widened, which is exact, and interpolated on Python floats.
+
     Raises ``ValueError`` for an empty or non-finite sample, and for a
     finite one whose spread overflows float64 (a quartile or the IQR would
     be infinite or NaN).
     """
-    data = np.asarray(sample, dtype=np.float64)
+    data = _sample_array(sample)
     if data.size == 0:
         raise ValueError("empty sample")
     if not np.all(np.isfinite(data)):
         raise ValueError("non-finite input")
-    work = data.flatten()
+    if data.dtype == np.float32:
+        work = data.view(np.int32).flatten()
+        _flip_negatives(work)
+    elif data.min() >= 0:
+        work = data.view(np.int64).flatten()
+    else:
+        work = data.flatten()
     n = work.size
     positions = [(n - 1) * q for q in (0.25, 0.5, 0.75)]
     k1, k2, k3 = lows = [math.floor(p) for p in positions]
     if n < 4:
         work.sort()
-        neighbors = [(work[k], work[min(k + 1, n - 1)]) for k in lows]
+        picked = [work[i] for k in lows for i in (k, min(k + 1, n - 1))]
     else:
         work.partition(k2)
         work[:k2].partition(k1)
         work[k2 + 1 :].partition(k3 - k2 - 1)
-        neighbors = [
-            (work[k1], work[k1 + 1 : k2 + 1].min()),
-            (work[k2], work[k2 + 1 : k3 + 1].min()),
-            (work[k3], work[k3 + 1 :].min()),
+        picked = [
+            work[k1], work[k1 + 1 : k2 + 1].min(),
+            work[k2], work[k2 + 1 : k3 + 1].min(),
+            work[k3], work[k3 + 1 :].min(),
         ]
+    values = np.array(picked, dtype=work.dtype)
+    if work.dtype == np.int32:
+        _flip_negatives(values)
+    values = values.view(data.dtype).tolist()
     q1, q2, q3 = (
-        _lerp(float(a), float(b), p - k) for (a, b), p, k in zip(neighbors, positions, lows)
+        _lerp(values[2 * i], values[2 * i + 1], p - k)
+        for i, (p, k) in enumerate(zip(positions, lows))
     )
     if not all(math.isfinite(v) for v in (q1, q2, q3, q3 - q1)):
         raise ValueError("sample spread overflows float64")
     return Quartiles(q1, q2, q3)
+
+
+def _flip_negatives(keys: np.ndarray) -> None:
+    """Flip the 31 low bits of the negative int32 ``keys``, in place.
+
+    On the bits of float32 values this gives keys that order as the values
+    do (-0.0 just below +0.0), and on such keys it gives the bits back.
+    """
+    flip = keys >> 31
+    flip &= 0x7FFFFFFF
+    keys ^= flip
 
 
 def _lerp(a: float, b: float, g: float) -> float:
@@ -103,26 +141,32 @@ def fences(q: Quartiles, k: float = 1.5) -> OutlierFences:
 
 
 def outlier_set(data, f: OutlierFences) -> np.ndarray:
-    """Indicator of values strictly below o1 or strictly above o3."""
-    d = np.asarray(data, dtype=np.float64)
+    """Indicator of values strictly below o1 or strictly above o3.
+
+    The comparisons are made in float64: a float32 sample is widened inside
+    the ufunc, value by value, never rounding a fence to float32.
+    """
+    d = _sample_array(data)
     if not np.all(np.isfinite(d)):
         raise ValueError("non-finite input")
-    return ((d < f.o1) | (d > f.o3)).view(np.uint8)
+    # np.float64 fences, since NEP 50 would round a Python float to the array's float32
+    return ((d < np.float64(f.o1)) | (d > np.float64(f.o3))).view(np.uint8)
 
 
 def outlier_scale(data, outliers) -> float:
     """Fraction of the data's total absolute magnitude carried by outliers.
 
     Returns 0 when the outlier set is empty, and also when the data sums to
-    zero magnitude (an all-zero source carries no signal to weight).
+    zero magnitude (an all-zero source carries no signal to weight). The
+    magnitudes are float64 whatever the data's width, and summed as such.
     """
-    d = np.asarray(data, dtype=np.float64)
+    d = _sample_array(data)
     o = np.asarray(outliers)
     if d.shape != o.shape:
         raise ValueError(f"dimension mismatch: data {d.shape} vs outliers {o.shape}")
     if not np.all(np.isfinite(d)):
         raise ValueError("non-finite input")
-    magnitude = np.abs(d)
+    magnitude = np.abs(d, dtype=np.float64)
     total = float(magnitude.sum())
     if total == 0.0:
         return 0.0

@@ -393,7 +393,7 @@ def frame_foregroundness_full_frame(seq, index, cfg=None):
         q = stats.quartiles(component)
         outliers = stats.outlier_set(component, stats.fences(q, cfg.k_fences))
         alpha = stats.outlier_scale(component, outliers)
-        absdev = np.abs(component - q.q2)
+        absdev = np.abs(component.astype(np.float64) - q.q2)
         if alpha >= cfg.min_flow_scale:
             fore += np.where(outliers != 0, alpha * absdev, 0.0)
         deviations = deviations + max(alpha, cfg.min_flow_scale) * absdev

@@ -69,6 +69,15 @@ class TestRgbToLab:
         image = rng.integers(0, 256, size=(37, 53, 3), dtype=np.uint8)
         assert np.array_equal(rgb_to_lab(image), oracles.rgb_to_lab_pow(image))
 
+    @pytest.mark.parametrize("shape", [(3,), (5, 3), (4, 6, 3), (2, 3, 4, 3)])
+    def test_channels_are_contiguous_planes(self, rng, shape):
+        # so that the per-supervoxel tally reads each channel without a copy
+        lab = rgb_to_lab(rng.integers(0, 256, size=shape, dtype=np.uint8))
+        assert lab.shape == shape
+        for c in range(3):
+            assert lab[..., c].flags.c_contiguous
+            assert np.shares_memory(lab[..., c].ravel(), lab)
+
 
 class TestRgbToLabBands:
     """The banded conversion has the bits of the whole-array one, at every band edge."""

@@ -65,7 +65,7 @@ def _deviation_sum(u, v, min_scale=0.5):
     total = 0.0
     for component in flow_measures(_flow(u, v)).as_tuple():
         median, _, alpha = _measure_stats(component)
-        total = total + max(alpha, min_scale) * np.abs(component - median)
+        total = total + max(alpha, min_scale) * np.abs(component.astype(np.float64) - median)
     return total
 
 
@@ -91,6 +91,35 @@ class TestFlowMeasures:
         m = flow_measures(_flow(u, v))
         assert np.all(m.angle > -math.pi)
         assert np.all(m.angle <= math.pi)
+
+    def test_components_are_the_flows_own_arrays(self, rng):
+        flow = _flow(rng.normal(size=(6, 7)), rng.normal(size=(6, 7)))
+        m = flow_measures(flow)
+        assert m.x is flow.u and m.y is flow.v
+        assert m.x.dtype == np.float32
+        assert m.magnitude.dtype == m.angle.dtype == np.float64
+
+    def test_magnitude_and_angle_of_the_widened_flow(self, rng):
+        u, v = rng.standard_cauchy(size=(2, 40, 50)).astype(np.float32)
+        m = flow_measures(_flow(u, v))
+        wide = flow_measures(FlowField(u.astype(np.float64), v.astype(np.float64)))
+        assert m.magnitude.tobytes() == wide.magnitude.tobytes()
+        assert m.angle.tobytes() == wide.angle.tobytes()
+
+    def test_no_float64_copy_of_the_components(self, rng):
+        # Magnitude and angle are 16 B per pixel; float64 copies of x and y
+        # would add 16 more. The slack covers the angle's 1 B/pixel bool
+        # temporary and the ufunc buffers.
+        shape = (480, 854)
+        flow = _flow(*rng.normal(size=(2, *shape)))
+        flow_measures(flow)
+        tracemalloc.start()
+        try:
+            flow_measures(flow)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (shape[0] * shape[1]) <= 18.0
 
 
 class TestMotionSaliency:
@@ -130,7 +159,8 @@ class TestMotionSaliency:
             for component in flow_measures(_flow(u, v)).as_tuple():
                 median, flags, alpha = _measure_stats(component)
                 if alpha >= 0.5:
-                    expected += np.where(flags != 0, alpha * np.abs(component - median), 0.0)
+                    absdev = np.abs(component.astype(np.float64) - median)
+                    expected += np.where(flags != 0, alpha * absdev, 0.0)
                     quiet &= flags == 0
             assert np.all(out[quiet] == 0)
             assert np.allclose(out, expected, rtol=1e-12, atol=1e-9)
@@ -452,6 +482,28 @@ class TestSelectTopSegments:
         assert got.tolist() == expected
         assert np.array_equal(
             got, oracles.top_segments_ndimage(mask, weight, n_segments, connectivity))
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    @pytest.mark.parametrize("n_segments", [1, 2, 3])
+    def test_speckled_masks_with_tied_weights_match_label_reference(
+            self, rng, n_segments, connectivity):
+        # Hundreds of small components; quarter weights add exactly in any
+        # order, so many sums and sizes tie and the first-pixel rule decides.
+        for density in (0.2, 0.4, 0.6):
+            for _ in range(10):
+                mask = (rng.random((60, 90)) < density).astype(np.uint8)
+                weight = rng.integers(0, 4, size=mask.shape) / 4.0
+                got = select_top_segments(mask, weight, n_segments, connectivity)
+                expected = oracles.top_segments_ndimage(mask, weight, n_segments, connectivity)
+                assert np.array_equal(got, expected)
+
+    def test_nan_sums_rank_last(self):
+        # components from left: size 1 weight NaN, size 2 weight NaN, size 1 weight 1
+        mask = np.array([[1, 0, 1, 1, 0, 1]], dtype=np.uint8)
+        weight = np.array([[np.nan, 0.0, np.nan, 0.0, 0.0, 1.0]])
+        assert select_top_segments(mask, weight, 1).tolist() == [[0, 0, 0, 0, 0, 1]]
+        # the full sort puts the larger of the two NaN components next
+        assert select_top_segments(mask, weight, 2).tolist() == [[0, 0, 1, 1, 0, 1]]
 
     @pytest.mark.parametrize("connectivity", [4, 8])
     @pytest.mark.parametrize("name", ["noise", "comb", "spiral"])

@@ -2,6 +2,7 @@
 
 import itertools
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -148,6 +149,94 @@ class TestQuartilesBitExact:
         read_only.flags.writeable = False
         for sample in (read_only, base.T, base[::3, 1::2], np.asfortranarray(base)):
             assert as_tuple(quartiles(sample)) == oracles.quartiles_np(sample)
+
+
+class TestQuartilesOnIntegerKeys:
+    """float32 and non-negative float64 samples select on integer keys of their bits."""
+
+    F32 = np.finfo(np.float32)
+
+    def _assert_matches_widened(self, sample):
+        assert as_tuple(quartiles(sample)) == oracles.quartiles_np(sample.astype(np.float64))
+
+    def test_float32_edge_values(self, rng):
+        tiny = self.F32.smallest_subnormal
+        edges = np.array([-0.0, 0.0, tiny, -tiny, 3 * tiny, self.F32.smallest_normal,
+                          self.F32.max, -self.F32.max, 1.0, -1.0, 1.0, np.nextafter(1, 2)],
+                         dtype=np.float32)
+        for n in range(1, 41):
+            for _ in range(20):
+                self._assert_matches_widened(rng.choice(edges, size=n))
+            self._assert_matches_widened(np.sort(rng.choice(edges, size=n))[::-1])
+
+    def test_float32_random_samples(self, rng):
+        for n in range(1, 41):
+            for _ in range(10):
+                self._assert_matches_widened(rng.standard_cauchy(size=n).astype(np.float32))
+                self._assert_matches_widened(rng.integers(-3, 4, size=n).astype(np.float32))
+
+    def test_non_negative_float64_with_both_zeros(self, rng):
+        values = np.array([-0.0, 0.0, 5e-324, 1e-300, 0.5, 2.0, 1e300])
+        for n in range(1, 41):
+            for _ in range(20):
+                self._assert_matches_widened(rng.choice(values, size=n))
+                self._assert_matches_widened(rng.choice([-0.0, 0.0], size=n))
+
+    def test_float32_sample_is_not_widened(self, rng):
+        # a float64 copy of the sample would be 8 B per value; the keys are 4
+        sample = rng.normal(size=400_000).astype(np.float32)
+        quartiles(sample)
+        tracemalloc.start()
+        try:
+            quartiles(sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / sample.size <= 8.5
+
+
+class TestFloat32FencesAreNotRounded:
+    """A float32 sample is compared with its fences in float64 (the NEP 50 trap).
+
+    Each fence lies strictly between two adjacent float32 values, nearer the
+    one that rounding would move it onto; a Python-float fence is rounded to
+    float32 under NEP 50 and would decide that value the other way.
+    """
+
+    @staticmethod
+    def _trap():
+        a, b = np.float32(1.0), np.nextafter(np.float32(1.0), np.float32(2.0))
+        c, d = np.float32(-2.0), np.nextafter(np.float32(-2.0), np.float32(0.0))
+        o3 = float(a) + 0.75 * (float(b) - float(a))  # rounds up to b in float32
+        o1 = float(c) + 0.25 * (float(d) - float(c))  # rounds down to c in float32
+        sample = np.array([c, d, -1.0, 0.0, 0.5, a, b, c, b], dtype=np.float32)
+        return sample, OutlierFences(o1, o3, 1.5)
+
+    def test_the_trap_is_real(self):
+        sample, f = self._trap()
+        assert np.float32(f.o3) == sample[6] and np.float32(f.o1) == sample[0]
+        wide = sample.astype(np.float64)
+        rounded = ((sample < f.o1) | (sample > f.o3)).view(np.uint8)
+        assert not np.array_equal(rounded, ((wide < f.o1) | (wide > f.o3)).view(np.uint8))
+
+    def test_flags_and_alpha_equal_the_widened_sample(self):
+        sample, f = self._trap()
+        wide = sample.astype(np.float64)
+        flags = outlier_set(sample, f)
+        assert flags.tobytes() == outlier_set(wide, f).tobytes()
+        assert flags.tolist() == [1, 0, 0, 0, 0, 0, 1, 1, 1]
+        assert outlier_scale(sample, flags) == outlier_scale(wide, flags)
+
+    def test_fences_from_quartiles_equal_the_widened_sample(self, rng):
+        for _ in range(200):
+            sample = rng.standard_cauchy(size=rng.integers(5, 300)).astype(np.float32)
+            wide = sample.astype(np.float64)
+            for k in (0.0, 0.3, 1.5):
+                f = fences(quartiles(sample), k)
+                assert f == fences(quartiles(wide), k)
+                flags = outlier_set(sample, f)
+                assert flags.tobytes() == outlier_set(wide, f).tobytes()
+                assert outlier_scale(sample, flags) == outlier_scale(wide, flags)
 
 
 class TestQuartilesInput:
