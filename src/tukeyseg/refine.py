@@ -226,8 +226,8 @@ def supervoxel_stats(label_frames, lab_frames, mask_frames) -> SupervoxelStats:
             )
         if labels.min() < 0:
             raise ValueError("supervoxel ids must be non-negative")
-        # cast once, not in every bincount
-        flat = labels.ravel().astype(np.intp, copy=False)
+        # cast once, not in every bincount, refusing float ids as bincount does
+        flat = labels.ravel().astype(np.intp, casting="same_kind", copy=False)
         frame_counts = np.bincount(flat, minlength=len(counts))
         if len(frame_counts) > len(counts):
             counts, label_sums, lab_sums = (

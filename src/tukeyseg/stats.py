@@ -113,15 +113,22 @@ def quartiles(sample) -> Quartiles:
     return Quartiles(q1, q2, q3)
 
 
+# values per block of _flip_negatives: 256 KB of int32 temporary
+_FLIP_BLOCK = 1 << 16
+
+
 def _flip_negatives(keys: np.ndarray) -> None:
-    """Flip the 31 low bits of the negative int32 ``keys``, in place.
+    """Flip the 31 low bits of the negative 1-D int32 ``keys``, in place.
 
     On the bits of float32 values this gives keys that order as the values
-    do (-0.0 just below +0.0), and on such keys it gives the bits back.
+    do (-0.0 just below +0.0), and on such keys it gives the bits back. It
+    runs a block at a time, so its temporary is one block, not a second
+    copy of the keys.
     """
-    flip = keys >> 31
-    flip &= 0x7FFFFFFF
-    keys ^= flip
+    for block in np.split(keys, range(_FLIP_BLOCK, keys.size, _FLIP_BLOCK)):
+        flip = block >> 31
+        flip &= 0x7FFFFFFF
+        block ^= flip
 
 
 def _lerp(a: float, b: float, g: float) -> float:

@@ -306,6 +306,20 @@ class TestSupervoxelStats:
         with pytest.raises(ValueError, match="no frames"):
             supervoxel_stats([], iter([]), [])
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_float_ids_are_refused(self, dtype):
+        # a float id such as 0.7 must not be truncated into supervoxel 0
+        labels = [np.array([[0.7, 1.0]]).astype(dtype)]
+        with pytest.raises(TypeError, match="Cannot cast"):
+            supervoxel_stats(labels, [np.zeros((1, 2, 3))], [np.zeros((1, 2))])
+
+    @pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.int32, np.int64, np.uint64])
+    def test_integer_ids_of_any_width(self, dtype):
+        labels = [np.array([[0, 1, 1]], dtype=dtype)]
+        stats = supervoxel_stats(labels, [np.ones((1, 3, 3))], [np.array([[0, 1, 1]])])
+        assert stats.ids.tolist() == [0, 1]
+        assert stats.pixel_counts.tolist() == [1, 2]
+
 
 def _stats(ids, counts, fg, mean_lab):
     return SupervoxelStats(
