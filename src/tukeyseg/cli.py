@@ -280,7 +280,13 @@ def _cmd_combine(args) -> int:
             + ", ".join(f"{d.name}={len(m)}" for d, m in zip(method_dirs, per_method))
         )
     num_frames = lengths.pop()
-    frames = [[masks[i] for masks in per_method] for i in range(num_frames)]
+    height, width = per_method[0].shape
+    for d, masks in zip(method_dirs, per_method):
+        if masks.shape != (height, width):
+            raise ValueError(f"{d}: masks are {masks.shape[1]}x{masks.shape[0]}, "
+                             f"but those of '{method_dirs[0].name}' are {width}x{height}")
+    # one frame's masks are decoded when the pool is ready for that frame
+    frames = zip(*per_method)
     fused, records = fuse_sequence(
         frames,
         method_names=[d.name for d in method_dirs],

@@ -17,6 +17,7 @@ frame; the result is bit-exact with the whole-frame sum.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,11 @@ class FusionRecord:
 
 
 def _validated(masks) -> list[np.ndarray]:
+    """The masks as bool arrays of one shape, each checked once.
+
+    A one-byte {0, 1} mask (uint8, int8, bool) is read through a bool view
+    of its own memory; any other dtype is compared with 0 once.
+    """
     arrays = [np.asarray(m) for m in masks]
     if not arrays:
         raise ValueError("at least one mask is required")
@@ -48,7 +54,7 @@ def _validated(masks) -> list[np.ndarray]:
                 f"dimension mismatch across masks: {a.shape} vs {arrays[0].shape}"
             )
         check_levels(a, 1, "mask values must be 0 or 1")
-    return arrays
+    return [a.view(bool) if a.dtype.itemsize == 1 else a != 0 for a in arrays]
 
 
 def foreground_counts(masks) -> list[int]:
@@ -73,7 +79,7 @@ def _foreground_box(masks) -> tuple[slice, ...] | None:
 
 
 def _vote(masks, weights, total: float) -> np.ndarray:
-    """Pixels whose weighted vote share strictly exceeds 0.5.
+    """Pixels of the bool ``masks`` whose weighted vote share strictly exceeds 0.5.
 
     The votes are summed in place on the bounding box of the voting masks'
     foreground, adding each weight only where its mask is set. That is
@@ -88,7 +94,7 @@ def _vote(masks, weights, total: float) -> np.ndarray:
         return fused
     weighted = np.zeros(fused[box].shape, dtype=np.float64)
     for weight, mask in voters:
-        np.add(weighted, weight, out=weighted, where=mask[box] != 0)
+        np.add(weighted, weight, out=weighted, where=mask[box])
     fused[box] = weighted / total > 0.5
     return fused
 
@@ -130,33 +136,48 @@ def fuse_sequence(
 ) -> tuple[list[np.ndarray], list[FusionRecord]]:
     """Fuse a whole sequence frame by frame.
 
-    ``frames`` is a list over frames, each entry a list of per-method
-    masks in a fixed method order. Weights are recomputed independently
-    for every frame; the diagnostic records always carry the reliability
-    weights, whatever the fusion strategy. :func:`fuse_frame` fuses each
-    frame, so each frame's masks are validated, counted and weighed once.
+    ``frames`` is any iterable over frames, each entry an iterable of
+    per-method masks in a fixed method order. It is consumed lazily and in
+    order, through :func:`~tukeyseg.parallel.parallel_map`: a frame is taken
+    only when a worker is free for it, so at most ``jobs + 1`` frames' masks
+    are held at once, and a generator that decodes each frame's masks holds
+    no more. Weights are recomputed independently for every frame; the
+    diagnostic records always carry the reliability weights, whatever the
+    fusion strategy. :func:`fuse_frame` fuses each frame, so each frame's
+    masks are validated, counted and weighed once.
     """
-    frames = [list(frame) for frame in frames]
-    if not frames:
+    frames = iter(frames)
+    first = next(frames, None)
+    if first is None:
         raise ValueError("no frames to fuse")
-    n_methods = len(frames[0])
-    if any(len(frame) != n_methods for frame in frames):
-        raise ValueError("every frame must provide the same number of masks")
+    first = list(first)
+    n_methods = len(first)
     if method_names is None:
         method_names = [f"method{j:02d}" for j in range(n_methods)]
     method_names = [str(name) for name in method_names]
     if len(method_names) != n_methods:
         raise ValueError("method_names length must match the number of masks per frame")
 
-    def fuse_one(index: int):
-        fused, alphas, counts = fuse_frame(frames[index], k_fences, strategy)
+    def numbered(frames):
+        for index, frame in enumerate(frames):
+            masks = list(frame)
+            if len(masks) != n_methods:
+                raise ValueError("every frame must provide the same number of masks")
+            yield index, masks
+
+    items = numbered(itertools.chain([first], frames))
+    del first  # held from here on only until the pool takes it
+
+    def fuse_one(item):
+        index, masks = item
+        fused, alphas, counts = fuse_frame(masks, k_fences, strategy)
         records = [
             FusionRecord(frame=index, method=name, count=count, alpha=float(alpha))
             for name, count, alpha in zip(method_names, counts, alphas)
         ]
         return fused, records
 
-    results = parallel_map(fuse_one, range(len(frames)), jobs)
+    results = parallel_map(fuse_one, items, jobs)
     fused_masks = [fused for fused, _ in results]
     records = [record for _, frame_records in results for record in frame_records]
     return fused_masks, records

@@ -29,6 +29,14 @@ A video directory binds per-frame rasters by a zero-based index::
 The flow directory may hold T-1 files; the last frame then reuses the
 final flow file. All rasters of a video must share one (width, height).
 
+A directory of %05d.pgm masks on its own, such as one method's masks or
+one sequence's ground truth, is read by :func:`read_mask_dir`. It scans
+the names and reads the first file's header only, and returns a lazy
+sequence that decodes each mask when it is accessed, so a caller that
+walks the masks in order holds one at a time. Every such reader, like the
+:class:`FrameSequence` accessors, checks each raster's size when it is
+decoded and names the file that fails.
+
 Values
 ------
 Every netpbm writer stores exactly the integers 0..maxval and raises
@@ -40,8 +48,10 @@ and bool arrays need at most a ``min`` and a ``max``.
 
 from __future__ import annotations
 
+import operator
 import re
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -181,17 +191,29 @@ def read_pgm(data: bytes) -> np.ndarray:
     return _pgm_pixels(data).copy()
 
 
+def _write_p5(values, top: int, message: str, scale: int = 1) -> bytes:
+    """Encode a 2-D array of the integers 0..top, each times ``scale``, as 8-bit PGM.
+
+    The values are checked by :func:`check_levels` with ``message``, and the
+    payload is computed straight into one header-plus-payload buffer.
+    """
+    a = np.asarray(values)
+    if a.ndim != 2:
+        raise ValueError("PGM data must be 2-D")
+    if a.size == 0:
+        raise ValueError("PGM data must be non-empty")
+    check_levels(a, top, message)
+    header = f"P5\n{a.shape[1]} {a.shape[0]}\n255\n".encode()
+    out = bytearray(len(header) + a.size)
+    out[: len(header)] = header
+    payload = np.frombuffer(out, dtype=np.uint8, offset=len(header)).reshape(a.shape)
+    np.multiply(a, np.uint8(scale), out=payload, casting="unsafe")
+    return bytes(out)
+
+
 def write_pgm(gray) -> bytes:
     """Encode a (height, width) array of 0..255 values as binary PGM."""
-    g = np.asarray(gray)
-    if g.ndim != 2:
-        raise ValueError("PGM data must be 2-D")
-    if g.size == 0:
-        raise ValueError("PGM data must be non-empty")
-    check_levels(g, 255, "PGM values must be integers in 0..255")
-    g = g.astype(np.uint8)
-    header = f"P5\n{g.shape[1]} {g.shape[0]}\n255\n".encode()
-    return header + g.tobytes()
+    return _write_p5(gray, 255, "PGM values must be integers in 0..255")
 
 
 def read_mask_pgm(data: bytes) -> np.ndarray:
@@ -201,9 +223,7 @@ def read_mask_pgm(data: bytes) -> np.ndarray:
 
 def write_mask_pgm(mask) -> bytes:
     """Encode a {0,1} mask as a {0,255} PGM."""
-    m = np.asarray(mask)
-    check_levels(m, 1, "mask values must be 0 or 1")
-    return write_pgm(m.astype(np.uint8) * 255)
+    return _write_p5(mask, 1, "mask values must be 0 or 1", scale=255)
 
 
 def read_saliency_pgm(data: bytes) -> np.ndarray:
@@ -295,6 +315,25 @@ def _peek_dims(path: Path) -> tuple[int, int]:
     return width, height
 
 
+def _read_raster(path: Path, decode, shape: tuple[int, int], owner: str):
+    """Decode one raster file and check that it is ``shape`` (height, width).
+
+    A file that fails to decode or has another size raises ``ValueError``
+    naming it; ``owner`` names what the size belongs to.
+    """
+    try:
+        raster = decode(path.read_bytes())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    found = raster.u.shape if isinstance(raster, FlowField) else raster.shape[:2]
+    if found != shape:
+        raise ValueError(
+            f"{path}: dimensions {found[1]}x{found[0]} do not match "
+            f"{owner} {shape[1]}x{shape[0]}"
+        )
+    return raster
+
+
 @dataclass(frozen=True)
 class FrameSequence:
     """Immutable index of one video's on-disk rasters.
@@ -326,19 +365,7 @@ class FrameSequence:
             raise IndexError(f"frame index {index} out of range 0..{self.num_frames - 1}")
 
     def _read(self, decode, relative: str):
-        """Decode one raster file and check it has the sequence's (height, width)."""
-        path = self.root / relative
-        try:
-            raster = decode(path.read_bytes())
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-        shape = raster.u.shape if isinstance(raster, FlowField) else raster.shape[:2]
-        if shape != (self.height, self.width):
-            raise ValueError(
-                f"{path}: dimensions {shape[1]}x{shape[0]} do not match "
-                f"sequence {self.width}x{self.height}"
-            )
-        return raster
+        return _read_raster(self.root / relative, decode, (self.height, self.width), "sequence")
 
     def frame(self, index: int) -> np.ndarray:
         self._check_index(index)
@@ -444,20 +471,38 @@ def open_sequence(root) -> FrameSequence:
     )
 
 
-def read_mask_dir(directory) -> list[np.ndarray]:
-    """Read a directory of %05d.pgm masks with uniform dimensions."""
+@dataclass(frozen=True)
+class MaskSequence(Sequence):
+    """The %05d.pgm masks of one directory: a read-only sequence decoded on access.
+
+    ``len``, indexing and iteration follow the file indices. Nothing is kept:
+    each access reads and decodes its file, so iterating once holds one mask
+    at a time. Every mask returned has ``shape``, the (height, width) in the
+    first file's header; a file that fails to decode or has another size
+    raises ``ValueError`` on access, naming the file.
+    """
+
+    paths: tuple[Path, ...]
+    shape: tuple[int, int]
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+    def __getitem__(self, index) -> np.ndarray:
+        path = self.paths[operator.index(index)]
+        return _read_raster(path, read_mask_pgm, self.shape, "directory")
+
+
+def read_mask_dir(directory) -> MaskSequence:
+    """Index a directory of %05d.pgm masks, decoding none of them.
+
+    The contiguous file names and their count come from a scan of the
+    directory, the size from the first file's header; each mask is decoded
+    when it is accessed (see :class:`MaskSequence`).
+    """
     directory = Path(directory)
     paths = _scan_indexed(directory, "pgm")
     if not paths:
         raise ValueError(f"{directory}: no masks found")
-    masks = []
-    for path in paths:
-        try:
-            mask = read_mask_pgm(path.read_bytes())
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-        if masks and mask.shape != masks[0].shape:
-            raise ValueError(f"{path}: dimensions differ from {paths[0]}")
-        masks.append(mask)
-    return masks
-
+    width, height = _peek_dims(paths[0])
+    return MaskSequence(tuple(paths), (height, width))

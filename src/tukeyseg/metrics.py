@@ -16,6 +16,7 @@ their cost scales with the object and not the frame.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,6 +27,7 @@ from tukeyseg.io import read_mask_dir
 from tukeyseg.parallel import parallel_map
 
 RECALL_THRESHOLD = 0.5
+_END = object()  # marks the end of the shorter of two zipped sequences
 
 
 def _mask_2d(mask) -> np.ndarray:
@@ -181,22 +183,27 @@ class SequenceScore:
 
 
 def sequence_scores(masks, references, tolerance: float | None = None) -> SequenceScore:
-    """Score a predicted mask sequence against its references."""
-    masks = list(masks)
-    references = list(references)
-    if len(masks) != len(references):
-        raise ValueError(
-            f"length mismatch: {len(masks)} predictions vs {len(references)} references"
-        )
-    if not masks:
+    """Score a predicted mask sequence against its references.
+
+    ``masks`` and ``references`` may be any iterables. They are walked in
+    step, one (prediction, reference) pair at a time, so two lazy sequences
+    or generators are never held whole; one that ends before the other
+    raises ``ValueError`` ("length mismatch").
+    """
+    j, f = [], []
+    for index, (m, g) in enumerate(itertools.zip_longest(masks, references, fillvalue=_END)):
+        if m is _END or g is _END:
+            ended = "predictions" if m is _END else "references"
+            raise ValueError(f"length mismatch: the {ended} end after {index} frames")
+        j.append(jaccard(m, g))
+        f.append(contour_f(m, g, tolerance))
+    if not j:
         raise ValueError("empty sequence")
-    j = tuple(jaccard(m, g) for m, g in zip(masks, references))
-    f = tuple(contour_f(m, g, tolerance) for m, g in zip(masks, references))
     j_mean = float(np.mean(j))
     f_mean = float(np.mean(f))
     return SequenceScore(
-        j_per_frame=j,
-        f_per_frame=f,
+        j_per_frame=tuple(j),
+        f_per_frame=tuple(f),
         j_mean=j_mean,
         f_mean=f_mean,
         j_recall=j_mean > RECALL_THRESHOLD,
@@ -252,6 +259,10 @@ def evaluate_dataset(
                 f"sequence '{name}': {len(predictions)} predictions for "
                 f"{len(references)} ground-truth frames"
             )
+        if predictions.shape != references.shape:
+            (ph, pw), (gh, gw) = predictions.shape, references.shape
+            raise ValueError(f"sequence '{name}', frame 0: prediction is {pw}x{ph}, "
+                             f"ground truth {gw}x{gh}")
         score = sequence_scores(predictions, references, tolerance)
         return DatasetRow(
             sequence=name,

@@ -33,8 +33,9 @@ def parallel_imap(fn, items, jobs: int = 1):
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        pending = deque()
-        for item in itertools.chain(head, items):
+        pending = deque(pool.submit(fn, item) for item in head)
+        del head  # the pool holds the first items only until they are consumed
+        for item in items:
             pending.append(pool.submit(fn, item))
             if len(pending) > jobs:
                 yield pending.popleft().result()

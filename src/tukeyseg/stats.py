@@ -63,11 +63,11 @@ def quartiles(sample) -> Quartiles:
     so one array may be shared by any number of threads.
 
     The selection runs on integer keys of the sample's own width, which
-    order as the values do: a float32 sample is not widened but keyed by
-    its bits, with the 31 low bits flipped on negative values; a float64
-    sample with no negative value is keyed by its bits as int64. Any other
-    sample is partitioned as float64. The six order statistics are then
-    widened, which is exact, and interpolated on Python floats.
+    order as the values do: each value is keyed by its bits as the signed
+    integer of its width (int32 for a float32 sample, which is not widened,
+    int64 for any other), with every bit but the sign flipped on negative
+    values. The six order statistics are then widened, which is exact, and
+    interpolated on Python floats.
 
     Raises ``ValueError`` for an empty or non-finite sample, and for a
     finite one whose spread overflows float64 (a quartile or the IQR would
@@ -78,13 +78,8 @@ def quartiles(sample) -> Quartiles:
         raise ValueError("empty sample")
     if not np.all(np.isfinite(data)):
         raise ValueError("non-finite input")
-    if data.dtype == np.float32:
-        work = data.view(np.int32).flatten()
-        _flip_negatives(work)
-    elif data.min() >= 0:
-        work = data.view(np.int64).flatten()
-    else:
-        work = data.flatten()
+    work = data.view(np.int32 if data.dtype == np.float32 else np.int64).flatten()
+    _flip_negatives(work)
     n = work.size
     positions = [(n - 1) * q for q in (0.25, 0.5, 0.75)]
     k1, k2, k3 = lows = [math.floor(p) for p in positions]
@@ -101,8 +96,7 @@ def quartiles(sample) -> Quartiles:
             work[k3], work[k3 + 1 :].min(),
         ]
     values = np.array(picked, dtype=work.dtype)
-    if work.dtype == np.int32:
-        _flip_negatives(values)
+    _flip_negatives(values)
     values = values.view(data.dtype).tolist()
     q1, q2, q3 = (
         _lerp(values[2 * i], values[2 * i + 1], p - k)
@@ -113,21 +107,23 @@ def quartiles(sample) -> Quartiles:
     return Quartiles(q1, q2, q3)
 
 
-# values per block of _flip_negatives: 256 KB of int32 temporary
+# values per block of _flip_negatives: 256 KB of int32 or 512 KB of int64 temporary
 _FLIP_BLOCK = 1 << 16
 
 
 def _flip_negatives(keys: np.ndarray) -> None:
-    """Flip the 31 low bits of the negative 1-D int32 ``keys``, in place.
+    """Flip every bit but the sign of the negative 1-D int32 or int64 ``keys``, in place.
 
-    On the bits of float32 values this gives keys that order as the values
-    do (-0.0 just below +0.0), and on such keys it gives the bits back. It
-    runs a block at a time, so its temporary is one block, not a second
-    copy of the keys.
+    On the bits of float values of the same width this gives keys that
+    order as the values do (-0.0 just below +0.0), and on such keys it
+    gives the bits back. It runs a block at a time, so its temporary is one
+    block, not a second copy of the keys.
     """
+    sign = 8 * keys.itemsize - 1
+    low = (1 << sign) - 1
     for block in np.split(keys, range(_FLIP_BLOCK, keys.size, _FLIP_BLOCK)):
-        flip = block >> 31
-        flip &= 0x7FFFFFFF
+        flip = block >> sign
+        flip &= low
         block ^= flip
 
 

@@ -484,6 +484,50 @@ def test_undecodable_mask_named(tmp_path, capsys, command):
     assert capsys.readouterr().err == f"error: {corrupt}: truncated PGM payload\n"
 
 
+@pytest.fixture
+def counted_mask_decodes(monkeypatch):
+    """The byte length of each mask decoded through ``tukeyseg.io.read_mask_pgm``, in order."""
+    decoded, real = [], tukeyseg.io.read_mask_pgm
+
+    def counting(data):
+        decoded.append(len(data))
+        return real(data)
+
+    monkeypatch.setattr(tukeyseg.io, "read_mask_pgm", counting)
+    return decoded
+
+
+def _write_mask_tree(root, shapes):
+    """Two masks of the given (height, width) in each named directory under ``root``."""
+    for name, shape in shapes.items():
+        d = root / name
+        d.mkdir(parents=True)
+        for i in range(2):
+            (d / f"{i:05d}.pgm").write_bytes(write_mask_pgm(np.ones(shape, dtype=np.uint8)))
+
+
+def test_combine_names_the_directory_of_another_size(tmp_path, capsys, counted_mask_decodes):
+    _write_mask_tree(tmp_path / "methods", {"a": (4, 4), "b": (4, 5)})
+    argv = ["combine", "--input", str(tmp_path / "methods"), "--output", str(tmp_path / "o")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: {tmp_path / 'methods' / 'b'}: masks are 5x4" in err
+    assert "'a' are 4x4" in err
+    assert counted_mask_decodes == []
+    assert not (tmp_path / "o").exists()
+
+
+def test_eval_names_the_sequence_and_frame_of_another_size(tmp_path, capsys,
+                                                           counted_mask_decodes):
+    _write_mask_tree(tmp_path / "gt", {"seq": (4, 4)})
+    _write_mask_tree(tmp_path / "pred", {"seq": (4, 5)})
+    argv = ["eval", "--input", str(tmp_path / "pred"), "--ground-truth", str(tmp_path / "gt")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: sequence 'seq', frame 0: prediction is 5x4, ground truth 4x4\n")
+    assert counted_mask_decodes == []
+
+
 class TestEvalCommand:
     def _write_masks(self, root, name, masks):
         d = root / name

@@ -1,5 +1,7 @@
 """Tests for reliability-weighted mask fusion."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -328,6 +330,44 @@ class TestFuseSequence:
             assert a.tobytes() == b.tobytes()
 
 
+class TestFuseSequenceStreams:
+    SHAPE = (240, 320)  # 76.8 KB per uint8 mask
+    METHODS = 6
+
+    def _frames(self, count, made):
+        """A generator of boxes that drift; ``made`` counts the frames it has made."""
+        for i in range(count):
+            made.append(i)
+            masks = []
+            for j in range(self.METHODS):
+                m = np.zeros(self.SHAPE, dtype=np.uint8)
+                m[10 + i : 90 + i, 20 + 3 * j : 120 + 3 * j] = 1
+                masks.append(m)
+            yield masks
+
+    def _peak(self, count, jobs):
+        made = []
+        tracemalloc.start()
+        try:
+            fused, records = fuse_sequence(self._frames(count, made), jobs=jobs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert made == list(range(count)) and len(fused) == count
+        assert len(records) == count * self.METHODS
+        return peak
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_holds_jobs_plus_one_frames_of_inputs(self, jobs):
+        # 16 frames may hold 12 more fused outputs than 4 frames, but no more
+        # inputs; the slack covers a 4-frame run that ends before its pool's
+        # window of jobs + 1 frames fills (holding every frame would add 12)
+        frame_inputs = self.METHODS * self.SHAPE[0] * self.SHAPE[1]
+        fused_output = self.SHAPE[0] * self.SHAPE[1]
+        growth = self._peak(16, jobs) - self._peak(4, jobs)
+        assert growth <= 12 * fused_output + (jobs + 1) * frame_inputs
+
+
 def _scene_masks(rng, shape, n_masks, empty=(), full=()):
     """Masks holding one random rectangle each, some of them empty or all foreground."""
     masks = []
@@ -374,7 +414,8 @@ class TestAgainstFullFrameOracle:
             total = float(weights.sum())
             if total == 0.0:
                 continue
-            assert np.array_equal(fusion._vote(masks, weights, total),
+            # _vote takes the bool masks that fuse_frame's check hands it
+            assert np.array_equal(fusion._vote([m.view(bool) for m in masks], weights, total),
                                   oracles.vote_full_frame(masks, weights))
 
     @pytest.mark.parametrize("strategy", STRATEGIES)

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from tukeyseg import io
 from tukeyseg.io import (
     FLO_SENTINEL,
     FlowField,
@@ -132,15 +133,18 @@ class TestPgm:
 
     @pytest.mark.parametrize("name, mask", mask_dtype_matrix())
     def test_mask_writer_accepts_what_isin_accepts(self, name, mask):
-        if mask.size == 0:
-            with pytest.raises(ValueError, match="non-empty"):
-                write_mask_pgm(mask)
-        elif np.isin(mask, (0, 1)).all():
-            payload = bytes(255 * int(v != 0) for v in mask.ravel())
-            assert write_mask_pgm(mask) == b"P5\n3 2\n255\n" + payload
-        else:
-            with pytest.raises(ValueError, match="0 or 1"):
-                write_mask_pgm(mask)
+        for m in (mask, mask.T, np.tile(mask, (3, 5))[1::2, ::3]):  # and strided views
+            if m.size == 0:
+                with pytest.raises(ValueError, match="non-empty"):
+                    write_mask_pgm(m)
+            elif np.isin(m, (0, 1)).all():
+                header = f"P5\n{m.shape[1]} {m.shape[0]}\n255\n".encode()
+                payload = bytes(255 * int(v != 0) for v in m.ravel())
+                encoded = write_mask_pgm(m)
+                assert type(encoded) is bytes and encoded == header + payload
+            else:
+                with pytest.raises(ValueError, match="0 or 1"):
+                    write_mask_pgm(m)
 
     def test_saliency_quantization_round_trip(self, rng):
         field = rng.integers(0, 256, size=(4, 6)) / 255.0
@@ -387,3 +391,43 @@ class TestReadMaskDir:
         d.mkdir()
         with pytest.raises(ValueError, match="no masks"):
             read_mask_dir(d)
+
+    @staticmethod
+    def _write(d, count, shape=(2, 3)):
+        d.mkdir(exist_ok=True)
+        for i in range(count):
+            mask = np.zeros(shape, dtype=np.uint8)
+            mask.flat[i % mask.size] = 1
+            (d / f"{i:05d}.pgm").write_bytes(write_mask_pgm(mask))
+
+    def test_len_indexing_and_size_from_the_header(self, tmp_path):
+        self._write(tmp_path / "m", 4)
+        masks = read_mask_dir(tmp_path / "m")
+        assert len(masks) == 4 and masks.shape == (2, 3)
+        assert [int(np.flatnonzero(masks[i])[0]) for i in range(4)] == [0, 1, 2, 3]
+        assert np.array_equal(masks[-1], masks[3])
+        assert [m.tolist() for m in masks] == [masks[i].tolist() for i in range(4)]
+        with pytest.raises(IndexError):
+            masks[4]
+
+    def test_nothing_decoded_until_accessed(self, tmp_path, monkeypatch):
+        self._write(tmp_path / "m", 3)
+        decoded, real = [], io.read_mask_pgm
+        monkeypatch.setattr(io, "read_mask_pgm", lambda data: decoded.append(1) or real(data))
+        masks = read_mask_dir(tmp_path / "m")
+        assert decoded == []
+        masks[2]
+        assert decoded == [1]
+        for _ in masks:
+            pass
+        assert decoded == [1] * 4
+
+    def test_file_rewritten_with_another_size_named_on_access(self, tmp_path):
+        self._write(tmp_path / "m", 3)
+        masks = read_mask_dir(tmp_path / "m")
+        path = tmp_path / "m" / "00001.pgm"
+        path.write_bytes(write_mask_pgm(np.zeros((3, 2), dtype=np.uint8)))
+        assert masks[0].shape == masks[2].shape == (2, 3)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: dimensions 2x3 do not match directory 3x2")):
+            masks[1]

@@ -364,6 +364,12 @@ class TestDecayAndSequences:
         with pytest.raises(ValueError, match="length mismatch"):
             sequence_scores([g], [g, g])
 
+    @pytest.mark.parametrize("predictions, references", [(1, 2), (3, 2), (0, 1)])
+    def test_length_mismatch_of_generators(self, predictions, references):
+        g = _square(4, 4, slice(1, 3), slice(1, 3))
+        with pytest.raises(ValueError, match="length mismatch"):
+            sequence_scores((g for _ in range(predictions)), (g for _ in range(references)))
+
 
 class TestEvaluateDataset:
     def _write_sequence(self, root, name, masks):
@@ -453,6 +459,27 @@ class TestEvaluateDataset:
         with pytest.raises(ValueError, match=re.escape(f"tolerance {tolerance}")):
             evaluate_dataset(tmp_path / "pred", tmp_path / "gt", tolerance=tolerance)
         assert reads == []
+
+    def _peak(self, root, frames):
+        shape = (240, 320)  # 76.8 KB per decoded mask
+        for side, shift in (("pred", 0), ("gt", 2)):
+            masks = [_square(*shape, slice(20 + i + shift, 120 + i), slice(30, 150 + shift))
+                     for i in range(frames)]
+            self._write_sequence(root / side, "s", masks)
+        tracemalloc.start()
+        try:
+            evaluate_dataset(root / "pred", root / "gt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    def test_peak_does_not_grow_with_frames(self, tmp_path):
+        # one (prediction, reference) pair is decoded at a time; holding every
+        # pair of the 16-frame sequence would add 12 pairs, 1.8 MB
+        pair = 2 * 240 * 320
+        growth = self._peak(tmp_path / "long", 16) - self._peak(tmp_path / "short", 4)
+        assert growth < pair // 4
 
     def test_jobs_do_not_change_rows(self, tmp_path):
         g = _square(4, 4, slice(1, 3), slice(1, 3))

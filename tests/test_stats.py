@@ -152,7 +152,7 @@ class TestQuartilesBitExact:
 
 
 class TestQuartilesOnIntegerKeys:
-    """float32 and non-negative float64 samples select on integer keys of their bits."""
+    """Every sample selects on integer keys of its bits, int32 for float32 and int64 else."""
 
     F32 = np.finfo(np.float32)
 
@@ -181,6 +181,17 @@ class TestQuartilesOnIntegerKeys:
             for _ in range(20):
                 self._assert_matches_widened(rng.choice(values, size=n))
                 self._assert_matches_widened(rng.choice([-0.0, 0.0], size=n))
+
+    def test_signed_float64_with_both_zeros(self, rng):
+        tiny = 5e-324
+        values = np.array([-0.0, 0.0, tiny, -tiny, 1e-300, -1e-300, 0.5, -0.5, 2.0, -2.0,
+                           1e300, -1e300, np.nextafter(-1.0, 0.0), -1.0])
+        for n in range(1, 60):
+            for _ in range(20):
+                self._assert_matches_widened(rng.choice(values, size=n))
+                self._assert_matches_widened(rng.choice([-0.0, 0.0, -tiny], size=n))
+            self._assert_matches_widened(rng.standard_cauchy(size=n))
+            self._assert_matches_widened(np.sort(rng.choice(values, size=n))[::-1])
 
     def test_float32_sample_is_not_widened(self, rng):
         # the int32 keys are 4 B per value, flipped a block at a time; a
