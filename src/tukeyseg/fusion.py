@@ -10,9 +10,10 @@ this weighted vote (``tism``) or one of two baselines, the unweighted vote
 (``mean``) and the lower-median-count mask (``median``).
 
 Masks are validated by :func:`tukeyseg.io.check_levels`, the one {0, 1}
-check in the package. The vote is summed in place on the bounding box of
-the voting masks' foreground, so its cost follows the object, not the
-frame; the result is bit-exact with the whole-frame sum.
+check in the package, and fused into bool masks. The vote is summed in
+place on the bounding box of the voting masks' foreground (the metrics'
+box too), so its cost follows the object, not the frame; the result is
+bit-exact with the whole-frame sum.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tukeyseg import stats
-from tukeyseg.io import check_levels
+from tukeyseg.io import _foreground_box, check_levels
 from tukeyseg.parallel import parallel_map
 
 STRATEGIES = ("tism", "mean", "median")
@@ -42,8 +43,8 @@ class FusionRecord:
 def _validated(masks) -> list[np.ndarray]:
     """The masks as bool arrays of one shape, each checked once.
 
-    A one-byte {0, 1} mask (uint8, int8, bool) is read through a bool view
-    of its own memory; any other dtype is compared with 0 once.
+    A bool mask is used as it is and a one-byte one (uint8, int8) through a
+    bool view of its own memory; any other dtype is compared with 0 once.
     """
     arrays = [np.asarray(m) for m in masks]
     if not arrays:
@@ -62,22 +63,6 @@ def foreground_counts(masks) -> list[int]:
     return [int(np.count_nonzero(m)) for m in masks]
 
 
-def _foreground_box(masks) -> tuple[slice, ...] | None:
-    """The smallest box holding every mask's foreground; ``None`` if there is none.
-
-    Each axis is scanned only within the box found on the axes before it.
-    """
-    box = ()
-    ndim = masks[0].ndim
-    for axis in range(ndim):
-        others = tuple(i for i in range(ndim) if i != axis)
-        hits = np.flatnonzero(np.logical_or.reduce([m[box].any(axis=others) for m in masks]))
-        if hits.size == 0:
-            return None
-        box += (slice(hits[0], hits[-1] + 1),)
-    return box
-
-
 def _vote(masks, weights, total: float) -> np.ndarray:
     """Pixels of the bool ``masks`` whose weighted vote share strictly exceeds 0.5.
 
@@ -87,7 +72,7 @@ def _vote(masks, weights, total: float) -> np.ndarray:
     are finite and non-negative, so every vote outside the box, and every
     vote of an unset pixel, is +0.0.
     """
-    fused = np.zeros(masks[0].shape, dtype=np.uint8)
+    fused = np.zeros(masks[0].shape, dtype=bool)
     voters = [(w, m) for w, m in zip(weights, masks) if w != 0.0]
     box = _foreground_box([m for _, m in voters])
     if box is None:
@@ -112,7 +97,7 @@ def fuse_frame(
     ``tism`` does too when every weight is zero, which happens when no count
     sits on the median and every count lies at or beyond a fence, for
     example counts [0, 10] with ``k_fences=0``. The fused mask is a new
-    uint8 array in every case.
+    bool array in every case.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy '{strategy}' (choose from {STRATEGIES})")
@@ -123,7 +108,7 @@ def fuse_frame(
     total = float(weights.sum())
     if strategy == "median" or total == 0.0:
         median_count = sorted(counts)[(len(counts) - 1) // 2]
-        return ms[counts.index(median_count)].astype(np.uint8), alphas, counts
+        return ms[counts.index(median_count)].copy(), alphas, counts
     return _vote(ms, weights, total), alphas, counts
 
 
@@ -134,7 +119,7 @@ def fuse_sequence(
     k_fences: float = 1.5,
     jobs: int = 1,
 ) -> tuple[list[np.ndarray], list[FusionRecord]]:
-    """Fuse a whole sequence frame by frame.
+    """Fuse a whole sequence frame by frame; returns (bool fused masks, records).
 
     ``frames`` is any iterable over frames, each entry an iterable of
     per-method masks in a fixed method order. It is consumed lazily and in

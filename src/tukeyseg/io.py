@@ -44,10 +44,16 @@ Every netpbm writer stores exactly the integers 0..maxval and raises
 :func:`check_levels` is the one such check, also for the masks that
 :mod:`tukeyseg.fusion` is given, and it follows the dtype so that integer
 and bool arrays need at most a ``min`` and a ``max``.
+
+A mask is a 2-D bool array from :func:`read_mask_pgm` to
+:func:`write_mask_pgm`: every stage returns its masks as bool and reads a
+bool mask as it is, without a copy. Fusion and the metrics cut their work
+to the masks' bounding box from one helper here.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 import struct
@@ -146,6 +152,22 @@ def check_levels(values: np.ndarray, top: int, message: str) -> None:
         raise ValueError(message)
 
 
+def _foreground_box(masks) -> tuple[slice, ...] | None:
+    """The smallest box holding every bool mask's foreground; ``None`` if there is none.
+
+    Each axis is scanned only within the box found on the axes before it.
+    """
+    box = ()
+    ndim = masks[0].ndim
+    for axis in range(ndim):
+        others = tuple(i for i in range(ndim) if i != axis)
+        hits = np.flatnonzero(np.logical_or.reduce([m[box].any(axis=others) for m in masks]))
+        if hits.size == 0:
+            return None
+        box += (slice(hits[0], hits[-1] + 1),)
+    return box
+
+
 def _parse_pnm_header(data: bytes, magic: bytes) -> tuple[int, int, int, int]:
     """Parse a binary netpbm header; returns (width, height, maxval, offset)."""
     if data[:2] != magic:
@@ -170,65 +192,74 @@ def _parse_pnm_header(data: bytes, magic: bytes) -> tuple[int, int, int, int]:
     return width, height, maxval, pos
 
 
-def _check_payload(actual: int, expected: int, what: str) -> None:
-    if actual < expected:
+def _pnm_payload(data: bytes, magic: bytes, dtype=np.uint8) -> np.ndarray:
+    """A read-only (height, width) view of a ``P5`` payload, (height, width, 3) of a ``P6`` one.
+
+    Every netpbm reader starts here. One-byte samples need maxval 255, two-byte
+    ones (``dtype=">u2"``) 256..65535, and the payload the header's length.
+    """
+    width, height, maxval, offset = _parse_pnm_header(data, magic)
+    dtype = np.dtype(dtype)
+    what = "PPM" if magic == b"P6" else "PGM16" if dtype.itemsize == 2 else "PGM"
+    if not (maxval == 255 if dtype.itemsize == 1 else 255 < maxval <= 65535):
+        raise ValueError(f"maxval {maxval} unsupported for {what}")
+    shape = (height, width, 3) if magic == b"P6" else (height, width)
+    expected = math.prod(shape) * dtype.itemsize
+    if len(data) - offset < expected:
         raise ValueError(f"truncated {what} payload")
-    if actual > expected:
+    if len(data) - offset > expected:
         raise ValueError(f"{what} payload longer than header implies")
+    return np.frombuffer(data, dtype=dtype, offset=offset).reshape(shape)
 
 
-def _pgm_pixels(data: bytes) -> np.ndarray:
-    """A read-only (height, width) uint8 view of an 8-bit binary PGM's payload."""
-    width, height, maxval, offset = _parse_pnm_header(data, b"P5")
-    if maxval != 255:
-        raise ValueError(f"maxval {maxval} unsupported: 8-bit PGM must use 255")
-    _check_payload(len(data) - offset, width * height, "PGM")
-    return np.frombuffer(data, dtype=np.uint8, offset=offset).reshape(height, width)
+def _encode_pnm(values, magic: bytes, top: int, message: str, scale: int = 1) -> bytes:
+    """Encode the integers 0..top, each times ``scale``, as binary netpbm: every writer's encoder.
+
+    ``P5`` takes a 2-D array, ``P6`` a (height, width, 3) one. The maxval is
+    ``top * scale``, in one byte per sample up to 255 and two big-endian
+    bytes above. The values are checked by :func:`check_levels` with
+    ``message``, and encoded straight into one header-plus-payload buffer.
+    """
+    a = np.asarray(values)
+    pixel = (3,) if magic == b"P6" else ()
+    if a.ndim < 2 or a.shape[2:] != pixel or a.size == 0:
+        raise ValueError(f"{'PPM' if pixel else 'PGM'} data must be a non-empty "
+                         f"(height, width{', 3' if pixel else ''}) array")
+    check_levels(a, top, message)
+    maxval = top * scale
+    dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
+    header = magic + f"\n{a.shape[1]} {a.shape[0]}\n{maxval}\n".encode()
+    out = bytearray(len(header) + a.size * dtype.itemsize)
+    out[: len(header)] = header
+    payload = np.frombuffer(out, dtype=dtype, offset=len(header)).reshape(a.shape)
+    # a typed scalar: under NEP 50 a Python int 255 overflows an int8 operand
+    np.multiply(a, dtype.type(scale), out=payload, casting="unsafe")
+    return bytes(out)
 
 
 def read_pgm(data: bytes) -> np.ndarray:
     """Decode an 8-bit binary PGM into a (height, width) uint8 array."""
-    return _pgm_pixels(data).copy()
-
-
-def _write_p5(values, top: int, message: str, scale: int = 1) -> bytes:
-    """Encode a 2-D array of the integers 0..top, each times ``scale``, as 8-bit PGM.
-
-    The values are checked by :func:`check_levels` with ``message``, and the
-    payload is computed straight into one header-plus-payload buffer.
-    """
-    a = np.asarray(values)
-    if a.ndim != 2:
-        raise ValueError("PGM data must be 2-D")
-    if a.size == 0:
-        raise ValueError("PGM data must be non-empty")
-    check_levels(a, top, message)
-    header = f"P5\n{a.shape[1]} {a.shape[0]}\n255\n".encode()
-    out = bytearray(len(header) + a.size)
-    out[: len(header)] = header
-    payload = np.frombuffer(out, dtype=np.uint8, offset=len(header)).reshape(a.shape)
-    np.multiply(a, np.uint8(scale), out=payload, casting="unsafe")
-    return bytes(out)
+    return _pnm_payload(data, b"P5").copy()
 
 
 def write_pgm(gray) -> bytes:
     """Encode a (height, width) array of 0..255 values as binary PGM."""
-    return _write_p5(gray, 255, "PGM values must be integers in 0..255")
+    return _encode_pnm(gray, b"P5", 255, "PGM values must be integers in 0..255")
 
 
 def read_mask_pgm(data: bytes) -> np.ndarray:
-    """Decode a PGM mask; bytes above 127 become 1, the rest 0."""
-    return (_pgm_pixels(data) > 127).view(np.uint8)
+    """Decode a PGM mask into a (height, width) bool array: bytes above 127 are set."""
+    return _pnm_payload(data, b"P5") > 127
 
 
 def write_mask_pgm(mask) -> bytes:
-    """Encode a {0,1} mask as a {0,255} PGM."""
-    return _write_p5(mask, 1, "mask values must be 0 or 1", scale=255)
+    """Encode a {0,1} mask, such as a bool array, as a {0,255} PGM."""
+    return _encode_pnm(mask, b"P5", 1, "mask values must be 0 or 1", scale=255)
 
 
 def read_saliency_pgm(data: bytes) -> np.ndarray:
     """Decode a PGM saliency map to float64 values in [0, 1]."""
-    return read_pgm(data).astype(np.float64) / 255.0
+    return _pnm_payload(data, b"P5") / 255.0
 
 
 def write_saliency_pgm(field) -> bytes:
@@ -241,43 +272,22 @@ def write_saliency_pgm(field) -> bytes:
 
 def read_pgm16(data: bytes) -> np.ndarray:
     """Decode a 16-bit big-endian PGM label map into an int32 array."""
-    width, height, maxval, offset = _parse_pnm_header(data, b"P5")
-    if not 255 < maxval <= 65535:
-        raise ValueError(f"maxval {maxval} out of range for 16-bit PGM")
-    _check_payload(len(data) - offset, 2 * width * height, "PGM16")
-    ids = np.frombuffer(data, dtype=">u2", offset=offset).reshape(height, width)
-    return ids.astype(np.int32)
+    return _pnm_payload(data, b"P5", ">u2").astype(np.int32)
 
 
 def write_pgm16(ids) -> bytes:
     """Encode a label map of 0..65535 ids as 16-bit big-endian PGM."""
-    a = np.asarray(ids)
-    if a.ndim != 2 or a.size == 0:
-        raise ValueError("label map must be a non-empty 2-D array")
-    check_levels(a, 65535, "label ids must be integers in 0..65535")
-    header = f"P5\n{a.shape[1]} {a.shape[0]}\n65535\n".encode()
-    return header + a.astype(">u2").tobytes()
+    return _encode_pnm(ids, b"P5", 65535, "label ids must be integers in 0..65535")
 
 
 def read_ppm(data: bytes) -> np.ndarray:
     """Decode a 24-bit binary PPM into a (height, width, 3) uint8 array."""
-    width, height, maxval, offset = _parse_pnm_header(data, b"P6")
-    if maxval != 255:
-        raise ValueError(f"maxval {maxval} unsupported: 24-bit PPM must use 255")
-    _check_payload(len(data) - offset, 3 * width * height, "PPM")
-    rgb = np.frombuffer(data, dtype=np.uint8, offset=offset)
-    return rgb.reshape(height, width, 3).copy()
+    return _pnm_payload(data, b"P6").copy()
 
 
 def write_ppm(rgb) -> bytes:
     """Encode a (height, width, 3) array of 0..255 values as binary PPM."""
-    a = np.asarray(rgb)
-    if a.ndim != 3 or a.shape[2] != 3 or a.size == 0:
-        raise ValueError("PPM data must be a non-empty (height, width, 3) array")
-    check_levels(a, 255, "PPM values must be integers in 0..255")
-    a = a.astype(np.uint8)
-    header = f"P6\n{a.shape[1]} {a.shape[0]}\n255\n".encode()
-    return header + a.tobytes()
+    return _encode_pnm(rgb, b"P6", 255, "PPM values must be integers in 0..255")
 
 
 # --- frame sequences ---

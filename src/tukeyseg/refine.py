@@ -47,6 +47,7 @@ from tukeyseg.segment import (
 log = logging.getLogger(__name__)
 
 NONLOCAL_WEIGHT_TOTAL = 2.0 / 3.0
+NONLOCAL_EPSILON = 1e-3  # floor on LAB distances before squaring
 REFINED_SEGMENTS = 2  # segments each refined frame keeps
 
 # sRGB (D65) to XYZ, IEC 61966-2-1 primaries
@@ -62,17 +63,14 @@ _D65_WHITE = np.array([0.95047, 1.0, 1.08883])
 
 @dataclass(frozen=True)
 class RefineConfig:
-    """Consensus mode and numeric guards for refinement."""
+    """Consensus mode and local-consensus weight for refinement."""
 
     mode: str = "nonlocal"   # "local": supervoxel-internal votes only; "nonlocal" adds neighbors
-    epsilon: float = 1e-3    # floor on LAB distances before squaring
     w0: float | None = None  # local-consensus weight; None derives 1 (local) or 1/3 (nonlocal)
 
     def __post_init__(self):
         if self.mode not in ("local", "nonlocal"):
             raise ValueError("mode must be 'local' or 'nonlocal'")
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError("epsilon must be finite and positive")
         if self.w0 is not None and not math.isfinite(self.w0):
             raise ValueError("w0 must be finite")
 
@@ -219,7 +217,8 @@ def supervoxel_stats(label_frames, lab_frames, mask_frames) -> SupervoxelStats:
         lab = next(lab_frames, None)
         if labels is None or lab is None or mask is None:
             raise ValueError("label, LAB, and mask frame lists must have equal length")
-        labels, lab, mask = np.asarray(labels), np.asarray(lab, dtype=np.float64), np.asarray(mask)
+        labels, lab = np.asarray(labels), np.asarray(lab, dtype=np.float64)
+        mask = np.asarray(mask, dtype=bool)
         if labels.shape != mask.shape or labels.shape != lab.shape[:2]:
             raise ValueError(
                 f"dimension mismatch: labels {labels.shape}, lab {lab.shape}, mask {mask.shape}"
@@ -234,7 +233,7 @@ def supervoxel_stats(label_frames, lab_frames, mask_frames) -> SupervoxelStats:
                 _grown(a, len(frame_counts)) for a in (counts, label_sums, lab_sums)
             )
         counts += frame_counts
-        label_sums += np.bincount(flat[mask.ravel() != 0], minlength=len(counts))
+        label_sums += np.bincount(flat[mask.ravel()], minlength=len(counts))
         for channel in range(3):
             values = lab[..., channel].ravel()  # a view of rgb_to_lab's planes, no copy
             lab_sums[:, channel] += np.bincount(flat, weights=values, minlength=len(counts))
@@ -340,8 +339,9 @@ def build_consensus(stats: SupervoxelStats, cfg: RefineConfig | None = None) -> 
 
     Each supervoxel's neighbors are the k = ceil(n/100) others closest in
     city-block mean-LAB distance; a tie at the k-th distance goes to the
-    smaller id. Raw weights are 1 / max(distance, epsilon)^2, rescaled to
-    sum to 2/3, and the vote adds neighbors in (distance, id) order.
+    smaller id. Raw weights are 1 / max(distance, NONLOCAL_EPSILON)^2,
+    rescaled to sum to 2/3, and the vote adds neighbors in (distance, id)
+    order.
 
     The search is exact but pruned. Supervoxels are put in Z-order of their
     means, and each block of 32 consecutive rows in that order computes
@@ -396,7 +396,8 @@ def build_consensus(stats: SupervoxelStats, cfg: RefineConfig | None = None) -> 
     tied = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)
     rank[tied] = np.lexsort((ids[near[tied]], near_dist[tied]), axis=1)
     near = np.take_along_axis(near, rank, axis=1)
-    weights = 1.0 / np.maximum(np.take_along_axis(near_dist, rank, axis=1), cfg.epsilon) ** 2
+    weights = 1.0 / np.maximum(np.take_along_axis(near_dist, rank, axis=1),
+                               NONLOCAL_EPSILON) ** 2
     weights *= NONLOCAL_WEIGHT_TOTAL / weights.sum(axis=1, keepdims=True)
     f_nonlocal = np.empty(n, dtype=np.float64)
     f_nonlocal[order] = (weights[:, None, :] @ f_local[order][near][:, :, None])[:, 0, 0]
@@ -441,7 +442,7 @@ def refine_mask(
     cfg: RefineConfig | None = None,
     connectivity: int = 8,
 ) -> np.ndarray:
-    """One frame's refined mask from its consensus-adjusted foregroundness.
+    """One frame's refined bool mask from its consensus-adjusted foregroundness.
 
     Pixels with a positive adjusted foregroundness are foreground; the
     frame then keeps its ``REFINED_SEGMENTS`` strongest segments.

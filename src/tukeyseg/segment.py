@@ -23,6 +23,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,9 +60,8 @@ class SegmenterConfig:
             raise ValueError("connectivity must be 4 or 8")
 
 
-@dataclass(frozen=True)
-class FlowMeasures:
-    """The four per-pixel scalar measures derived from one flow field.
+class FlowMeasures(NamedTuple):
+    """The four per-pixel measures of one flow field, in ``COMPONENT_NAMES`` order.
 
     ``x`` and ``y`` are the flow's own arrays, of its dtype (float32 from a
     ``.flo`` file); ``magnitude`` and ``angle`` are float64.
@@ -71,9 +71,6 @@ class FlowMeasures:
     y: np.ndarray
     magnitude: np.ndarray  # sqrt(x^2 + y^2), >= 0
     angle: np.ndarray      # atan2(y, x) in (-pi, pi]; zero vector maps to 0
-
-    def as_tuple(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return (self.x, self.y, self.magnitude, self.angle)
 
 
 def flow_measures(flow: FlowField) -> FlowMeasures:
@@ -91,7 +88,7 @@ def flow_measures(flow: FlowField) -> FlowMeasures:
 
 
 def threshold_mask(fore, previous_mask=None) -> np.ndarray:
-    """Binarize foregroundness at mean + population standard deviation.
+    """Binarize foregroundness at mean + population standard deviation into a bool mask.
 
     Pixels under the previous frame's mask only need to clear half the
     threshold, which favors frame-to-frame continuity. Pass ``None`` for
@@ -100,11 +97,11 @@ def threshold_mask(fore, previous_mask=None) -> np.ndarray:
     f = np.asarray(fore, dtype=np.float64)
     beta = float(f.mean() + f.std())
     if previous_mask is None:
-        return (f > beta).view(np.uint8)
-    prev = np.asarray(previous_mask)
+        return f > beta
+    prev = np.asarray(previous_mask, dtype=bool)
     if prev.shape != f.shape:
         raise ValueError(f"dimension mismatch: field {f.shape} vs previous mask {prev.shape}")
-    return np.where(prev != 0, f > 0.5 * beta, f > beta).view(np.uint8)
+    return np.where(prev, f > 0.5 * beta, f > beta)
 
 
 def _run_components(fg, connectivity):
@@ -160,7 +157,7 @@ def _run_pixels(first_pixel, lengths):
 
 
 def select_top_segments(mask, weight, n_segments: int = 1, connectivity: int = 8) -> np.ndarray:
-    """Keep only the n connected components with the largest weight sums.
+    """Keep only the n connected components with the largest weight sums, as a new bool mask.
 
     Ties go to the larger component, then to the component whose first
     row-major pixel comes first, so the result is fully deterministic. Each
@@ -171,20 +168,19 @@ def select_top_segments(mask, weight, n_segments: int = 1, connectivity: int = 8
     pixels, and only the components weighing at least the n-th largest
     sum are ranked.
     """
-    m = np.asarray(mask)
-    if m.ndim != 2:
-        raise ValueError(f"mask must be 2-D, got shape {m.shape}")
+    fg = np.asarray(mask, dtype=bool)
+    if fg.ndim != 2:
+        raise ValueError(f"mask must be 2-D, got shape {fg.shape}")
     w = np.asarray(weight, dtype=np.float64)
-    if m.shape != w.shape:
-        raise ValueError(f"dimension mismatch: mask {m.shape} vs weight {w.shape}")
+    if fg.shape != w.shape:
+        raise ValueError(f"dimension mismatch: mask {fg.shape} vs weight {w.shape}")
     if connectivity not in (4, 8):
         raise ValueError("connectivity must be 4 or 8")
     if n_segments < 1:
         raise ValueError("n_segments must be at least 1")
-    fg = m != 0
     first_pixel, lengths, component, count = _run_components(fg, connectivity)
     if count <= n_segments:
-        return fg.astype(np.uint8)
+        return fg.copy()
     weight_sums = np.bincount(np.repeat(component, lengths),
                               weights=w.ravel()[_run_pixels(first_pixel, lengths)],
                               minlength=count)
@@ -200,8 +196,8 @@ def select_top_segments(mask, weight, n_segments: int = 1, connectivity: int = 8
     keep = np.zeros(count, dtype=bool)
     keep[ranked[:n_segments]] = True
     kept = keep[component]
-    out = np.zeros(fg.shape, dtype=np.uint8)
-    out.ravel()[_run_pixels(first_pixel[kept], lengths[kept])] = 1
+    out = np.zeros(fg.shape, dtype=bool)
+    out.ravel()[_run_pixels(first_pixel[kept], lengths[kept])] = True
     return out
 
 
@@ -232,11 +228,11 @@ def frame_foregroundness(seq: FrameSequence, index: int, cfg: SegmenterConfig | 
     vs = seq.saliency(index)
     terms = []
     scales = {}
-    for name, component in zip(COMPONENT_NAMES, measures.as_tuple()):
+    for name, component in zip(COMPONENT_NAMES, measures):
         q = stats.quartiles(component)
         outliers = stats.outlier_set(component, stats.fences(q, cfg.k_fences))
         alpha = stats.outlier_scale(component, outliers)
-        gate = outliers.view(bool) if alpha >= cfg.min_flow_scale else None
+        gate = outliers if alpha >= cfg.min_flow_scale else None
         terms.append((component, q.q2, alpha, gate, max(alpha, cfg.min_flow_scale)))
         scales[name] = alpha
     fore = np.zeros(vs.shape)

@@ -1,11 +1,11 @@
 """Robust statistics kernel: quartiles, Tukey fences, and outlier scales.
 
 Everything here is a pure function of its inputs and safe to call from any
-number of threads. Samples may be passed as any array-like; indicator masks
-returned by :func:`outlier_set` match the input's shape. A float32 sample
-is read at its own width and any other as float64; the arithmetic is
-float64 either way, so a float32 sample gives the results of its exact
-float64 widening.
+number of threads. Samples may be passed as any array-like; the bool
+indicator masks returned by :func:`outlier_set` match the input's shape. A
+float32 sample is read at its own width and any other as float64; the
+arithmetic is float64 either way, so a float32 sample gives the results of
+its exact float64 widening.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ def fences(q: Quartiles, k: float = 1.5) -> OutlierFences:
 
 
 def outlier_set(data, f: OutlierFences) -> np.ndarray:
-    """Indicator of values strictly below o1 or strictly above o3.
+    """Bool indicator of values strictly below o1 or strictly above o3.
 
     The comparisons are made in float64: a float32 sample is widened inside
     the ufunc, value by value, never rounding a fence to float32.
@@ -153,18 +153,19 @@ def outlier_set(data, f: OutlierFences) -> np.ndarray:
     if not np.all(np.isfinite(d)):
         raise ValueError("non-finite input")
     # np.float64 fences, since NEP 50 would round a Python float to the array's float32
-    return ((d < np.float64(f.o1)) | (d > np.float64(f.o3))).view(np.uint8)
+    return (d < np.float64(f.o1)) | (d > np.float64(f.o3))
 
 
 def outlier_scale(data, outliers) -> float:
     """Fraction of the data's total absolute magnitude carried by outliers.
 
-    Returns 0 when the outlier set is empty, and also when the data sums to
-    zero magnitude (an all-zero source carries no signal to weight). The
-    magnitudes are float64 whatever the data's width, and summed as such.
+    A bool ``outliers``, as :func:`outlier_set` returns, is read without a
+    copy. Returns 0 when the outlier set is empty, and also when the data
+    sums to zero magnitude (an all-zero source carries no signal to weight).
+    The magnitudes are float64 whatever the data's width, and summed as such.
     """
     d = _sample_array(data)
-    o = np.asarray(outliers)
+    o = np.asarray(outliers, dtype=bool)
     if d.shape != o.shape:
         raise ValueError(f"dimension mismatch: data {d.shape} vs outliers {o.shape}")
     if not np.all(np.isfinite(d)):
@@ -173,7 +174,7 @@ def outlier_scale(data, outliers) -> float:
     total = float(magnitude.sum())
     if total == 0.0:
         return 0.0
-    return float(magnitude[o != 0].sum() / total)
+    return float(magnitude[o].sum() / total)
 
 
 def mask_outlier_scales(counts, k: float = 1.5) -> np.ndarray:

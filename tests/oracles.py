@@ -389,7 +389,7 @@ def frame_foregroundness_full_frame(seq, index, cfg=None):
     fore = np.zeros(vs.shape)
     deviations = 0.0
     scales = {}
-    for name, component in zip(COMPONENT_NAMES, measures.as_tuple()):
+    for name, component in zip(COMPONENT_NAMES, measures):
         q = stats.quartiles(component)
         outliers = stats.outlier_set(component, stats.fences(q, cfg.k_fences))
         alpha = stats.outlier_scale(component, outliers)

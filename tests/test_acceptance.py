@@ -24,6 +24,7 @@ from tukeyseg.io import (
     open_sequence,
     read_flo,
     read_mask_dir,
+    read_mask_pgm,
     read_pgm,
     read_pgm16,
     read_ppm,
@@ -35,12 +36,15 @@ from tukeyseg.io import (
 )
 from tukeyseg.metrics import contour_f, evaluate_dataset, jaccard
 from tukeyseg.refine import (
+    ConsensusTable,
     RefineConfig,
     adjusted_foregroundness,
     build_consensus,
+    refine_mask,
+    refine_sequence,
     supervoxel_stats,
 )
-from tukeyseg.segment import segment_sequence
+from tukeyseg.segment import segment_sequence, select_top_segments, threshold_mask
 from tukeyseg.stats import (
     fences,
     mask_outlier_scales,
@@ -194,6 +198,50 @@ def test_block_segmentation_end_to_end(tmp_path):
     assert mask.tolist() == script[0]
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0, f"block fixture took {elapsed:.1f}s"
+
+
+def _mask_video(root):
+    """The 3-frame moving-block video with 5x5 supervoxels and one mask method."""
+    scene = moving_block_arrays(num_frames=3)  # 30 x 40, the block at rows 10..19
+    rows, cols = np.indices(scene["truth"].shape)
+    write_video_dir(root, frames=scene["frames"], flows=scene["flows"],
+                    saliencies=scene["saliencies"], labels=[(rows // 5) * 8 + cols // 5] * 3,
+                    masks={"truth": [scene["truth"]] * 3})
+    return open_sequence(root), scene["truth"]
+
+
+# Every public function that returns a mask: (video, uint8 truth) -> list of masks.
+_MASK_MAKERS = {
+    "read_mask_pgm": lambda seq, truth: [read_mask_pgm(write_mask_pgm(truth))],
+    "MaskSequence[i]": lambda seq, truth: list(read_mask_dir(seq.root / "masks" / "truth")),
+    "outlier_set": lambda seq, truth: [
+        outlier_set(truth * 9.0, fences(quartiles(truth * 9.0), 0.0))],
+    "threshold_mask": lambda seq, truth: [threshold_mask(truth * 2.0),
+                                          threshold_mask(truth * 2.0, truth)],
+    "select_top_segments": lambda seq, truth: [
+        select_top_segments(truth, truth * 1.0),
+        select_top_segments(np.vstack([truth[:15]] * 2), truth * 1.0)],  # two blocks, one kept
+    "refine_mask": lambda seq, truth: [refine_mask(
+        truth * 1.0, np.zeros_like(truth), ConsensusTable(np.array([0]), np.array([-0.5]),
+                                                         np.array([0.0])), 1.0)],
+    "segment_sequence": lambda seq, truth: segment_sequence(seq).masks,
+    "refine_sequence": lambda seq, truth: refine_sequence(seq).masks,
+    **{f"fuse_frame {strategy}": functools.partial(
+        lambda strategy, seq, truth: [fuse_frame([truth, truth, 1 - truth], 1.5, strategy)[0]],
+        strategy) for strategy in ("tism", "mean", "median")},
+    # counts [0, n] with no fence spread weigh zero: tism falls back to the median mask
+    "fuse_frame tism, zero weights": lambda seq, truth: [
+        fuse_frame([np.zeros_like(truth), truth], 0.0)[0]],
+    "fuse_sequence": lambda seq, truth: fuse_sequence([[truth, truth, 1 - truth]] * 2)[0],
+}
+
+
+@criterion("every public function that returns a mask returns a 2-D bool array")
+@pytest.mark.parametrize("maker", sorted(_MASK_MAKERS))
+def test_masks_are_bool(tmp_path, maker):
+    seq, truth = _mask_video(tmp_path / "vid")
+    masks = _MASK_MAKERS[maker](seq, truth)
+    assert masks and all(m.dtype == bool and m.shape == truth.shape for m in masks)
 
 
 @criterion("3x3 refinement fixtures reproduce hand-computed values to 1e-9")

@@ -141,7 +141,7 @@ class TestZeroWeightFallback:
     def test_fuse_frame_returns_lower_median_mask(self):
         fused, alphas, _ = fuse_frame([self.FULL, self.EMPTY], k_fences=0.0)
         assert alphas.tolist() == [0.0, 0.0]
-        assert fused.dtype == np.uint8
+        assert fused.dtype == bool
         assert np.array_equal(fused, self.EMPTY)
         assert np.array_equal(fused, fuse_frame([self.FULL, self.EMPTY], strategy="median")[0])
 
@@ -397,7 +397,7 @@ class TestAgainstFullFrameOracle:
         fused, alphas, counts = fuse_frame(masks, strategy=strategy)
         expected, expected_alphas, expected_counts = oracles.fuse_frame_full_frame(
             masks, mask_outlier_scales, strategy)
-        assert fused.dtype == np.uint8 and fused.shape == mask.shape
+        assert fused.dtype == bool and fused.shape == mask.shape
         assert np.array_equal(fused, expected)
         assert counts == expected_counts
         assert np.array_equal(alphas, expected_alphas)

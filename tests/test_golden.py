@@ -4,8 +4,9 @@ Two seeded synthetic videos are built here: ``wide`` is 70x1024, so that its
 foregroundness bands (64 rows) and LAB bands (21 rows) both end in a partial
 band, and ``small`` is 33x47 with more frames. Each case runs one subcommand
 in-process and hashes its outputs; the test fails on any difference from
-``golden_digests.json`` and names the Python and numpy versions the table was
-made with and the ones running now. A change that is meant to move output
+``golden_digests.json`` and names what the table was made with and what runs
+now: the Python and numpy versions, the SIMD targets numpy dispatches to on
+the CPU, and the C library. A change that is meant to move output
 bits regenerates the table with
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -25,6 +26,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+from numpy._core import _multiarray_umath
 
 from conftest import write_video_dir
 from tukeyseg.cli import main
@@ -146,7 +148,19 @@ def compute_digests(base: Path) -> dict[str, str]:
 
 
 def _versions() -> dict[str, str]:
-    return {"python": platform.python_version(), "numpy": np.__version__}
+    """What the digests may depend on besides the code: versions, SIMD dispatch and libc."""
+    features = _multiarray_umath.__cpu_features__
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "simd": " ".join(t for t in _multiarray_umath.__cpu_dispatch__ if features.get(t)),
+        "libc": " ".join(platform.libc_ver()),
+    }
+
+
+def _described(versions) -> str:
+    return (f"Python {versions['python']}, numpy {versions['numpy']}, "
+            f"SIMD targets {versions['simd'] or 'none'}, libc {versions['libc']}")
 
 
 def test_outputs_match_golden_table(tmp_path):
@@ -156,11 +170,9 @@ def test_outputs_match_golden_table(tmp_path):
         expected = table["digests"]
         changed = sorted(k for k in digests.keys() | expected.keys()
                          if digests.get(k) != expected.get(k))
-        now = _versions()
         raise AssertionError(
             f"{len(changed)} output digests differ from {TABLE.name} "
-            f"(made with Python {table['python']}, numpy {table['numpy']}; "
-            f"this run: Python {now['python']}, numpy {now['numpy']}): "
+            f"(made with {_described(table)}; this run: {_described(_versions())}): "
             + ", ".join(changed[:20]))
 
 

@@ -123,7 +123,7 @@ class TestPgm:
     def test_mask_of_every_level_is_a_writable_uint8_array(self):
         levels = np.arange(256, dtype=np.uint8).reshape(16, 16)
         mask = read_mask_pgm(write_pgm(levels))
-        assert mask.dtype == np.uint8 and mask.shape == (16, 16)
+        assert mask.dtype == bool and mask.shape == (16, 16)
         assert mask.tobytes() == (levels > 127).astype(np.uint8).tobytes()
         mask[0, 0] = 1  # a fresh array, not a view of the file's bytes
 
@@ -249,6 +249,19 @@ class TestWriterValues:
         encoded = writer(data)
         assert encoded.endswith(expected.astype(stored).tobytes())
         assert encoded == writer(expected)
+
+
+    @pytest.mark.parametrize("kind", _WRITERS)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.int16, np.int8,
+                                       np.uint8, np.uint16, np.uint64, bool])
+    def test_bytes_are_the_header_then_the_stored_values(self, kind, rng, dtype):
+        writer, shape, top, stored = _WRITERS[kind]
+        if np.dtype(dtype).kind in "iu":
+            top = min(top, np.iinfo(dtype).max)
+        data = rng.integers(0, top + 1, size=shape).astype(dtype)
+        magic = "P6" if len(shape) == 3 else "P5"
+        header = f"{magic}\n{shape[1]} {shape[0]}\n{np.iinfo(stored).max}\n".encode()
+        assert writer(data) == header + data.astype(stored).tobytes()
 
 
 class TestOpenSequence:

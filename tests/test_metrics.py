@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 import oracles
 from conftest import adversarial_masks
 from tukeyseg import metrics
-from tukeyseg.io import write_mask_pgm
+from tukeyseg.io import read_mask_pgm, write_mask_pgm
 from tukeyseg.metrics import (
     contour_f,
     default_tolerance,
@@ -97,6 +97,19 @@ class TestJaccard:
             improved = m.copy()
             improved[r, c] = 1
             assert jaccard(improved, g) >= jaccard(m, g)
+
+
+@pytest.mark.parametrize("score", [jaccard, contour_f])
+def test_decoded_pair_is_scored_without_a_full_frame_copy(score):
+    m, g = (read_mask_pgm(write_mask_pgm(_square(480, 854, slice(r, r + 30), slice(r, r + 40))))
+            for r in (200, 205))
+    tracemalloc.start()
+    try:
+        score(m, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < m.size  # one full-frame bool array is 409,920 B
 
 
 class TestBoundary:

@@ -558,9 +558,6 @@ class TestConsensusExactness:
         n = 300
         assert _equals_reference(_random_table(rng, n, levels=2, ids=np.arange(n)[::-1] * 3))
 
-    def test_epsilon(self, rng):
-        assert _equals_reference(_random_table(rng, 400, levels=3), epsilon=0.25)
-
 
 class TestRefineMasks:
     def test_local_consensus_forces_full_mask(self):
@@ -896,7 +893,6 @@ class _RelabelledOnSecondRead:
 
 class TestRefineConfig:
     @pytest.mark.parametrize("field, value", [
-        ("epsilon", float("nan")), ("epsilon", float("inf")), ("epsilon", -1.0),
         ("w0", float("nan")), ("w0", float("inf")), ("w0", -float("inf")),
     ])
     def test_rejects_non_finite_values_by_name(self, field, value):
@@ -906,8 +902,6 @@ class TestRefineConfig:
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             RefineConfig(mode="global")
-        with pytest.raises(ValueError):
-            RefineConfig(epsilon=0.0)
 
     def test_derived_local_weight(self):
         assert RefineConfig(mode="local").local_weight == 1.0

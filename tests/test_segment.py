@@ -63,7 +63,7 @@ def _measure_stats(component, k=1.5):
 def _deviation_sum(u, v, min_scale=0.5):
     """Sum over flow measures of max(alpha, min_scale) * |d - median|."""
     total = 0.0
-    for component in flow_measures(_flow(u, v)).as_tuple():
+    for component in flow_measures(_flow(u, v)):
         median, _, alpha = _measure_stats(component)
         total = total + max(alpha, min_scale) * np.abs(component.astype(np.float64) - median)
     return total
@@ -156,7 +156,7 @@ class TestMotionSaliency:
             out = _fore(u, v, np.zeros((12, 12)))
             expected = np.zeros((12, 12))
             quiet = np.ones((12, 12), dtype=bool)
-            for component in flow_measures(_flow(u, v)).as_tuple():
+            for component in flow_measures(_flow(u, v)):
                 median, flags, alpha = _measure_stats(component)
                 if alpha >= 0.5:
                     absdev = np.abs(component.astype(np.float64) - median)
@@ -181,7 +181,7 @@ class TestVisualSaliency:
         # 0.5 floor keeps the deviation sum alive
         u = np.tile(np.array([0.0, 1.0, 2.0, 3.0, 4.0]), (1, 1))
         v = np.zeros_like(u)
-        for comp in flow_measures(_flow(u, v)).as_tuple():
+        for comp in flow_measures(_flow(u, v)):
             assert _measure_stats(comp)[2] == 0.0
         out = _fore(u, v, np.ones_like(u), vs_exponents=(1.0,))
         # at u=3: x and magnitude contribute 0.5 * |3 - 2| each; y and angle
@@ -392,7 +392,7 @@ class TestThresholdMask:
             prev = rng.integers(0, 3, size=(7, 9)).astype(rng.choice([np.uint8, np.float64]))
             for previous in (None, prev):
                 mask = threshold_mask(f, previous)
-                assert mask.dtype == np.uint8
+                assert mask.dtype == bool
                 assert mask.tobytes() == oracles.threshold_mask_field(f, previous).tobytes()
 
 
@@ -513,7 +513,7 @@ class TestSelectTopSegments:
         for n_segments in (1, 2):
             got = select_top_segments(mask, weight, n_segments, connectivity)
             expected = oracles.top_segments_ndimage(mask, weight, n_segments, connectivity)
-            assert got.dtype == np.uint8
+            assert got.dtype == bool
             assert np.array_equal(got, expected)
 
 
@@ -690,7 +690,7 @@ class TestSegmentSequence:
         measures = flow_measures(_flow(*scene["flows"][0]))
         assert scales == {
             name: _measure_stats(component)[2]
-            for name, component in zip(COMPONENT_NAMES, measures.as_tuple())
+            for name, component in zip(COMPONENT_NAMES, measures)
         }
 
     def test_saliency_resized_after_open_raises(self, tmp_path):
