@@ -7,10 +7,10 @@ All outputs are computed before anything is written. An output directory
 ends up holding exactly the files of one run: they are written to a hidden
 staging directory inside it and renamed into place once all are written,
 and the earlier outputs are removed. A directory that holds anything these
-subcommands do not write is refused before any input is read, and never
-written to. ``eval --output`` replaces its one table file the same way. A
-non-zero exit leaves the previous outputs as they were and removes any
-directory the run created.
+subcommands do not write, or that the run reads rasters from, is refused
+before any input is read, and never written to. ``eval --output`` replaces
+its one table file the same way. A non-zero exit leaves the previous
+outputs as they were and removes any directory the run created.
 
 Importing this module loads ``tukeyseg.io``, numpy and the standard
 library only. Each subcommand imports its own stage when it runs: ``tis0``
@@ -31,7 +31,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from tukeyseg.io import open_sequence, read_mask_dir, write_mask_pgm
+from tukeyseg.io import _check_same_extent, open_sequence, read_mask_dir, write_mask_pgm
 
 log = logging.getLogger(__name__)
 
@@ -141,6 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the raster directories of a video that tis0 and refine read
+_VIDEO_RASTERS = ("frames", "flow", "saliency", "svx")
 _OUTPUT_NAME = re.compile(r"[0-9]{5,}\.pgm|flow_alphas\.csv|mask_alphas\.csv")
 _STAGING_PREFIX = ".tukeyseg-"
 _STAGING_NAME = re.compile(r"\.tukeyseg-[a-z0-9_]+")
@@ -164,6 +166,15 @@ def _output_names(directory: Path) -> list[str]:
                                  f"so {directory} is not written to")
             names.append(entry.name)
     return names
+
+
+def _check_output(directory: Path, inputs) -> None:
+    """Refuse an output ``directory`` that resolves to one of the run's ``inputs``, or is foreign."""
+    target = directory.resolve()
+    if any(d.resolve() == target for d in inputs):
+        raise ValueError(f"{directory}: the run reads input rasters from it, "
+                         "so it is not written to")
+    _output_names(directory)
 
 
 def _write_outputs(directory: Path, files: dict[str, bytes], replaced=None) -> None:
@@ -240,7 +251,7 @@ def _segmenter_config(args):
 def _cmd_tis0(args) -> int:
     from tukeyseg.segment import segment_sequence
 
-    _output_names(Path(args.output))
+    _check_output(Path(args.output), [Path(args.input) / d for d in _VIDEO_RASTERS])
     seq = open_sequence(args.input)
     result = segment_sequence(seq, _segmenter_config(args), jobs=args.jobs)
     files = _mask_files(result.masks)
@@ -253,7 +264,7 @@ def _cmd_tis0(args) -> int:
 def _cmd_refine(args) -> int:
     from tukeyseg.refine import RefineConfig, refine_sequence
 
-    _output_names(Path(args.output))
+    _check_output(Path(args.output), [Path(args.input) / d for d in _VIDEO_RASTERS])
     seq = open_sequence(args.input)
     ref_cfg = RefineConfig(mode=args.mode, w0=args.w0)
     result = refine_sequence(seq, _segmenter_config(args), ref_cfg, jobs=args.jobs)
@@ -265,26 +276,15 @@ def _cmd_refine(args) -> int:
 def _cmd_combine(args) -> int:
     from tukeyseg.fusion import fuse_sequence
 
-    _output_names(Path(args.output))
     root = Path(args.input)
     if not root.is_dir():
         raise ValueError(f"not a directory: {root}")
     method_dirs = sorted(d for d in root.iterdir() if d.is_dir())
     if not method_dirs:
         raise ValueError(f"{root}: no method directories")
+    _check_output(Path(args.output), method_dirs)
     per_method = [read_mask_dir(d) for d in method_dirs]
-    lengths = {len(masks) for masks in per_method}
-    if len(lengths) != 1:
-        raise ValueError(
-            f"{root}: method directories disagree on frame count: "
-            + ", ".join(f"{d.name}={len(m)}" for d, m in zip(method_dirs, per_method))
-        )
-    num_frames = lengths.pop()
-    height, width = per_method[0].shape
-    for d, masks in zip(method_dirs, per_method):
-        if masks.shape != (height, width):
-            raise ValueError(f"{d}: masks are {masks.shape[1]}x{masks.shape[0]}, "
-                             f"but those of '{method_dirs[0].name}' are {width}x{height}")
+    _check_same_extent(per_method)
     # one frame's masks are decoded when the pool is ready for that frame
     frames = zip(*per_method)
     fused, records = fuse_sequence(
@@ -297,7 +297,7 @@ def _cmd_combine(args) -> int:
     files = _mask_files(fused)
     files["mask_alphas.csv"] = _fusion_report_csv(records)
     _write_outputs(Path(args.output), files)
-    log.info("fused %d methods over %d frames", len(method_dirs), num_frames)
+    log.info("fused %d methods over %d frames", len(method_dirs), len(per_method[0]))
     return 0
 
 

@@ -29,13 +29,11 @@ A video directory binds per-frame rasters by a zero-based index::
 The flow directory may hold T-1 files; the last frame then reuses the
 final flow file. All rasters of a video must share one (width, height).
 
-A directory of %05d.pgm masks on its own, such as one method's masks or
-one sequence's ground truth, is read by :func:`read_mask_dir`. It scans
-the names and reads the first file's header only, and returns a lazy
-sequence that decodes each mask when it is accessed, so a caller that
-walks the masks in order holds one at a time. Every such reader, like the
-:class:`FrameSequence` accessors, checks each raster's size when it is
-decoded and names the file that fails.
+Every directory of %05d.pgm masks, a method's under ``<video>/masks`` or
+a sequence's ground truth, is read by :func:`read_mask_dir`. It reads the
+names and the first file's header only; each mask is decoded, and its size
+checked, when it is accessed. One check here decides from these indexes
+whether a set of mask directories agrees on mask count and size.
 
 Values
 ------
@@ -400,18 +398,13 @@ class FrameSequence:
             raise ValueError(f"sequence '{self.name}' has no supervoxel label rasters")
         return self._read(read_pgm16, f"svx/{index:05d}.pgm16")
 
-    def mask(self, method: str, index: int) -> np.ndarray:
-        self._check_index(index)
-        if method not in self.mask_methods:
-            raise ValueError(f"sequence '{self.name}' has no mask method '{method}'")
-        return self._read(read_mask_pgm, f"masks/{method}/{index:05d}.pgm")
-
 
 def open_sequence(root) -> FrameSequence:
     """Validate a video directory and return its sequence index.
 
     Checks contiguous frame indices in every raster directory, consistent
-    per-directory frame counts, and uniform raster dimensions.
+    per-directory frame counts, and uniform raster dimensions; the mask
+    methods must agree with each other, then with the video.
     """
     root = Path(root)
     if not root.is_dir():
@@ -454,19 +447,14 @@ def open_sequence(root) -> FrameSequence:
     check_count(label_files, "svx")
     check_dims(label_files)
 
-    methods = []
-    masks_root = root / "masks"
-    if masks_root.is_dir():
-        for method_dir in sorted(masks_root.iterdir()):
-            if not method_dir.is_dir():
-                continue
-            mask_files = _scan_indexed(method_dir, "pgm")
-            if len(mask_files) != num_frames:
-                raise ValueError(
-                    f"{method_dir}: holds {len(mask_files)} masks for {num_frames} frames"
-                )
-            check_dims(mask_files)
-            methods.append(method_dir.name)
+    method_dirs = []
+    if (root / "masks").is_dir():
+        method_dirs = sorted(d for d in (root / "masks").iterdir() if d.is_dir())
+    if method_dirs:
+        per_method = [read_mask_dir(d) for d in method_dirs]
+        _check_same_extent(per_method)
+        check_count(per_method[0].paths, f"masks/{method_dirs[0].name}")
+        check_dims(per_method[0].paths[:1])
 
     return FrameSequence(
         root=root,
@@ -477,7 +465,7 @@ def open_sequence(root) -> FrameSequence:
         flow_count=len(flow_files),
         has_saliency=bool(saliency_files),
         has_labels=bool(label_files),
-        mask_methods=tuple(methods),
+        mask_methods=tuple(d.name for d in method_dirs),
     )
 
 
@@ -516,3 +504,13 @@ def read_mask_dir(directory) -> MaskSequence:
         raise ValueError(f"{directory}: no masks found")
     width, height = _peek_dims(paths[0])
     return MaskSequence(tuple(paths), (height, width))
+
+
+def _check_same_extent(sequences) -> None:
+    """Refuse the first mask sequence whose length or size differs from the first's, naming both."""
+    first = sequences[0]
+    for masks in sequences[1:]:
+        if (len(masks), masks.shape) != (len(first), first.shape):
+            (h, w), (fh, fw) = masks.shape, first.shape
+            raise ValueError(f"{masks.paths[0].parent}: {len(masks)} masks of {w}x{h}, "
+                             f"but {first.paths[0].parent} holds {len(first)} of {fw}x{fh}")

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tukeyseg.io import _foreground_box, read_mask_dir
+from tukeyseg.io import _check_same_extent, _foreground_box, read_mask_dir
 from tukeyseg.parallel import parallel_map
 
 RECALL_THRESHOLD = 0.5
@@ -234,8 +234,8 @@ def evaluate_dataset(
 
     Both roots hold one directory per sequence with %05d.pgm masks. Every
     ground-truth sequence must have a matching prediction directory with
-    the same frame count. An invalid ``tolerance`` is refused before any
-    mask is read.
+    the same mask count and size. An invalid ``tolerance`` is refused
+    before any mask is read.
     """
     _check_tolerance(tolerance)
     prediction_root = Path(prediction_root)
@@ -252,15 +252,7 @@ def evaluate_dataset(
     def score_one(name: str) -> DatasetRow:
         references = read_mask_dir(ground_truth_root / name)
         predictions = read_mask_dir(prediction_root / name)
-        if len(predictions) != len(references):
-            raise ValueError(
-                f"sequence '{name}': {len(predictions)} predictions for "
-                f"{len(references)} ground-truth frames"
-            )
-        if predictions.shape != references.shape:
-            (ph, pw), (gh, gw) = predictions.shape, references.shape
-            raise ValueError(f"sequence '{name}', frame 0: prediction is {pw}x{ph}, "
-                             f"ground truth {gw}x{gh}")
+        _check_same_extent([references, predictions])
         score = sequence_scores(predictions, references, tolerance)
         return DatasetRow(
             sequence=name,

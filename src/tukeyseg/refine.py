@@ -150,8 +150,8 @@ def normalize_lab(lab, low, high) -> np.ndarray:
     extremes over every pixel of the video (``SupervoxelStats.lab_min`` and
     ``lab_max``). The map is affine, so normalizing the means equals taking
     the mean of the normalized pixels, up to rounding. A channel that is
-    constant across the video maps to 0. Missing (``None``) or non-finite
-    bounds raise ``ValueError``.
+    constant across the video maps to 0. Non-finite bounds, or ``None``,
+    raise ``ValueError``.
     """
     lab = np.asarray(lab, dtype=np.float64)
     low = np.asarray(low, dtype=np.float64)
@@ -171,8 +171,8 @@ class SupervoxelStats:
     pixel_counts: np.ndarray  # (n,) pixels carrying each id, all frames
     label_sums: np.ndarray    # (n,) of those, pixels labeled foreground
     mean_lab: np.ndarray      # (n, 3) mean LAB color of the frames tallied
-    lab_min: np.ndarray | None = None  # (3,) per-channel minimum over every pixel tallied
-    lab_max: np.ndarray | None = None  # (3,) per-channel maximum over every pixel tallied
+    lab_min: np.ndarray       # (3,) per-channel minimum over every pixel tallied
+    lab_max: np.ndarray       # (3,) per-channel maximum over every pixel tallied
 
     @property
     def local_consensus(self) -> np.ndarray:

@@ -301,6 +301,8 @@ def test_refinement_fixtures():
         pixel_counts=np.ones(n, np.int64),
         label_sums=np.array(fg, np.int64),
         mean_lab=np.array(mean_lab),
+        lab_min=np.zeros(3),
+        lab_max=np.ones(3),
     )
     assert build_consensus(wide).f_nonlocal[0] == pytest.approx(0.4, abs=1e-9)
 

@@ -354,6 +354,37 @@ class TestOutputDirectory:
         assert "notes.txt" in capsys.readouterr().err
         assert [p.name for p in out.iterdir()] == ["notes.txt"]
 
+    @pytest.mark.parametrize("command, output", [
+        ("tis0", "saliency"),
+        ("refine", "saliency"),
+        ("combine", "masks/gamma"),
+        ("combine", "masks/../masks/gamma"),
+    ])
+    def test_input_directory_refused_as_output(self, block_video, monkeypatch, capsys,
+                                               command, output):
+        video, _ = block_video
+        before = _tree_bytes(video)
+        decoded = []
+        for name in ("read_ppm", "read_flo", "read_saliency_pgm", "read_pgm16", "read_mask_pgm"):
+            real = getattr(tukeyseg.io, name)
+            monkeypatch.setattr(tukeyseg.io, name,
+                                lambda data, real=real: decoded.append(len(data)) or real(data))
+        source = video / "masks" if command == "combine" else video
+        argv = [command, "--input", str(source), "--output", str(video / output)]
+        assert main(argv) == 1
+        assert _tree_bytes(video) == before
+        assert capsys.readouterr().err == (
+            f"error: {video / output}: the run reads input rasters from it, "
+            "so it is not written to\n")
+        assert decoded == []
+
+    @pytest.mark.parametrize("command", ["tis0", "refine"])
+    def test_method_masks_of_the_video_are_a_valid_output(self, block_video, command):
+        video, _ = block_video
+        out = video / "masks" / "gamma"
+        assert main([command, "--input", str(video), "--output", str(out)]) == 0
+        assert len(read_mask_dir(out)) == 3
+
     def test_staging_left_by_killed_run_is_removed(self, block_video, tmp_path):
         video, _ = block_video
         out = tmp_path / "out"
@@ -447,7 +478,9 @@ class TestCombineCommand:
             ["combine", "--input", str(tmp_path / "methods"), "--output", str(tmp_path / "o")]
         )
         assert code != 0
-        assert "frame count" in capsys.readouterr().err
+        methods = tmp_path / "methods"
+        assert capsys.readouterr().err == (
+            f"error: {methods / 'b'}: 3 masks of 2x2, but {methods / 'a'} holds 2 of 2x2\n")
 
     def test_strategies(self, block_video, tmp_path):
         video, _ = block_video
@@ -510,9 +543,9 @@ def test_combine_names_the_directory_of_another_size(tmp_path, capsys, counted_m
     _write_mask_tree(tmp_path / "methods", {"a": (4, 4), "b": (4, 5)})
     argv = ["combine", "--input", str(tmp_path / "methods"), "--output", str(tmp_path / "o")]
     assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert f"error: {tmp_path / 'methods' / 'b'}: masks are 5x4" in err
-    assert "'a' are 4x4" in err
+    methods = tmp_path / "methods"
+    assert capsys.readouterr().err == (
+        f"error: {methods / 'b'}: 2 masks of 5x4, but {methods / 'a'} holds 2 of 4x4\n")
     assert counted_mask_decodes == []
     assert not (tmp_path / "o").exists()
 
@@ -524,7 +557,8 @@ def test_eval_names_the_sequence_and_frame_of_another_size(tmp_path, capsys,
     argv = ["eval", "--input", str(tmp_path / "pred"), "--ground-truth", str(tmp_path / "gt")]
     assert main(argv) == 1
     assert capsys.readouterr().err == (
-        "error: sequence 'seq', frame 0: prediction is 5x4, ground truth 4x4\n")
+        f"error: {tmp_path / 'pred' / 'seq'}: 2 masks of 5x4, "
+        f"but {tmp_path / 'gt' / 'seq'} holds 2 of 4x4\n")
     assert counted_mask_decodes == []
 
 

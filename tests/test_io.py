@@ -316,7 +316,38 @@ class TestOpenSequence:
         )
         seq = open_sequence(root)
         assert seq.mask_methods == ("alpha", "beta")
-        assert seq.mask("alpha", 1).tolist() == scene["truth"].tolist()
+        assert read_mask_dir(root / "masks" / "alpha")[1].tolist() == scene["truth"].tolist()
+
+    def _refused(self, tmp_path, alpha, beta):
+        """The error of opening a 3-frame 9x8 video whose methods hold (count, shape) masks."""
+        root = self._basic_video(tmp_path, num_frames=3, flow_count=2)
+        for name, (count, shape) in (("alpha", alpha), ("beta", beta)):
+            d = root / "masks" / name
+            d.mkdir(parents=True)
+            for i in range(count):
+                (d / f"{i:05d}.pgm").write_bytes(write_mask_pgm(np.zeros(shape, dtype=bool)))
+        with pytest.raises(ValueError) as info:
+            open_sequence(root)
+        return root, str(info.value)
+
+    def test_methods_of_another_count_refused(self, tmp_path):
+        root, error = self._refused(tmp_path, (3, (8, 9)), (2, (8, 9)))
+        masks = root / "masks"
+        assert error == f"{masks / 'beta'}: 2 masks of 9x8, but {masks / 'alpha'} holds 3 of 9x8"
+
+    def test_methods_of_another_size_refused(self, tmp_path):
+        root, error = self._refused(tmp_path, (3, (8, 9)), (3, (8, 8)))
+        masks = root / "masks"
+        assert error == f"{masks / 'beta'}: 3 masks of 8x8, but {masks / 'alpha'} holds 3 of 9x8"
+
+    def test_methods_agreeing_on_another_count_than_the_video_refused(self, tmp_path):
+        root, error = self._refused(tmp_path, (2, (8, 9)), (2, (8, 9)))
+        assert error == f"{root}: masks/alpha holds 2 files for 3 frames"
+
+    def test_methods_agreeing_on_another_size_than_the_video_refused(self, tmp_path):
+        root, error = self._refused(tmp_path, (3, (8, 8)), (3, (8, 8)))
+        assert error == (f"{root / 'masks' / 'alpha' / '00000.pgm'}: "
+                         "dimensions 8x8 do not match sequence 9x8")
 
     def test_accessors_validate_index_and_presence(self, tmp_path):
         root = self._basic_video(tmp_path, num_frames=3, flow_count=2)
@@ -339,7 +370,6 @@ def _resized(kind, shape):
         "flow": lambda: write_flo(FlowField(zeros.astype(np.float32), zeros.astype(np.float32))),
         "saliency": lambda: write_saliency_pgm(zeros),
         "labels": lambda: write_pgm16(zeros.astype(np.int64)),
-        "mask": lambda: write_mask_pgm(zeros.astype(np.uint8)),
     }[kind]()
 
 
@@ -351,7 +381,6 @@ class TestAccessorsRecheckFiles:
         "flow": ("flow/00001.flo", lambda seq: seq.flow(1)),
         "saliency": ("saliency/00001.pgm", lambda seq: seq.saliency(1)),
         "labels": ("svx/00001.pgm16", lambda seq: seq.labels(1)),
-        "mask": ("masks/alpha/00001.pgm", lambda seq: seq.mask("alpha", 1)),
     }
 
     def _open(self, tmp_path):

@@ -149,7 +149,6 @@ class TestNormalizeLab:
         out = normalize_lab(means, low=[7.0, 0.0, 0.0], high=[7.0, 0.0, 0.0])
         assert np.all(out == 0.0)
 
-    # (None, None) is what a SupervoxelStats built without lab_min/lab_max holds
     @pytest.mark.parametrize("low, high", [
         (None, None),
         ([0.0, 0.0, 0.0], None),
@@ -327,6 +326,8 @@ def _stats(ids, counts, fg, mean_lab):
         pixel_counts=np.asarray(counts, np.int64),
         label_sums=np.asarray(fg, np.int64),
         mean_lab=np.asarray(mean_lab, float),
+        lab_min=np.zeros(3),  # build_consensus reads only the means
+        lab_max=np.ones(3),
     )
 
 
