@@ -9,7 +9,8 @@ staging directory inside it and renamed into place once all are written,
 and the earlier outputs are removed. A directory that holds anything these
 subcommands do not write, or that the run reads rasters from, is refused
 before any input is read, and never written to. ``eval --output`` replaces
-its one table file the same way. A non-zero exit leaves the previous
+its one table file the same way, in any directory but a sequence directory
+that the run reads masks from. A non-zero exit leaves the previous
 outputs as they were and removes any directory the run created.
 
 Importing this module loads ``tukeyseg.io``, numpy and the standard
@@ -168,13 +169,18 @@ def _output_names(directory: Path) -> list[str]:
     return names
 
 
-def _check_output(directory: Path, inputs) -> None:
-    """Refuse an output ``directory`` that resolves to one of the run's ``inputs``, or is foreign."""
+def _check_output(directory: Path, inputs, replaced=None) -> None:
+    """Refuse an output ``directory`` that resolves to one of the run's ``inputs``, or is foreign.
+
+    ``replaced`` is as for :func:`_write_outputs`: given, it names what the run
+    replaces, and the directory's other entries are not looked at.
+    """
     target = directory.resolve()
     if any(d.resolve() == target for d in inputs):
         raise ValueError(f"{directory}: the run reads input rasters from it, "
                          "so it is not written to")
-    _output_names(directory)
+    if replaced is None:
+        _output_names(directory)
 
 
 def _write_outputs(directory: Path, files: dict[str, bytes], replaced=None) -> None:
@@ -304,11 +310,15 @@ def _cmd_combine(args) -> int:
 def _cmd_eval(args) -> int:
     from tukeyseg.metrics import evaluate_dataset, rows_to_csv
 
+    if args.output:
+        out, truth = Path(args.output), Path(args.ground_truth)
+        names = [d.name for d in truth.iterdir() if d.is_dir()] if truth.is_dir() else []
+        read = [root / name for root in (Path(args.input), truth) for name in names]
+        _check_output(out.parent, read, replaced=())
     rows = evaluate_dataset(args.input, args.ground_truth, tolerance=args.tolerance, jobs=args.jobs)
     csv = rows_to_csv(rows)
     sys.stdout.write(csv)
     if args.output:
-        out = Path(args.output)
         _write_outputs(out.parent, {out.name: csv.encode()}, replaced=())
     return 0
 

@@ -29,11 +29,15 @@ A video directory binds per-frame rasters by a zero-based index::
 The flow directory may hold T-1 files; the last frame then reuses the
 final flow file. All rasters of a video must share one (width, height).
 
-Every directory of %05d.pgm masks, a method's under ``<video>/masks`` or
-a sequence's ground truth, is read by :func:`read_mask_dir`. It reads the
-names and the first file's header only; each mask is decoded, and its size
-checked, when it is accessed. One check here decides from these indexes
-whether a set of mask directories agrees on mask count and size.
+Every directory of indexed rasters is one :class:`RasterSequence`, built
+from the file names and the first file's header only; each file is
+decoded, and its size checked, when it is accessed. A :class:`FrameSequence`
+holds one per raster directory of a video, and :func:`read_mask_dir`
+returns one for a directory of masks, a method's or a sequence's ground
+truth. One check here decides from these indexes whether a set of
+directories agrees on file count and size. ``<video>/masks`` contributes
+the names of its method directories only: nothing under them is read
+until a mask directory is itself read.
 
 Values
 ------
@@ -55,7 +59,7 @@ import math
 import operator
 import re
 import struct
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,7 +67,7 @@ import numpy as np
 
 FLO_SENTINEL = 202021.25  # float32 spelling of the ASCII tag "PIEH"
 
-_INDEXED_NAME = re.compile(r"^(\d{5})\.([a-z0-9]+)$")
+_INDEXED_NAME = re.compile(r"^([0-9]{5})\.([a-z0-9]+)$")
 
 
 # --- optical flow (.flo) ---
@@ -291,226 +295,183 @@ def write_ppm(rgb) -> bytes:
 # --- frame sequences ---
 
 
-def _scan_indexed(directory: Path, extension: str) -> list[Path]:
-    """Collect %05d.<extension> files, enforcing a contiguous 0-based range."""
-    if not directory.is_dir():
-        return []
-    found: dict[int, Path] = {}
-    for path in directory.iterdir():
-        match = _INDEXED_NAME.match(path.name)
-        if match and match.group(2) == extension:
-            found[int(match.group(1))] = path
-    if not found:
-        return []
-    top = max(found)
-    for i in range(top + 1):
-        if i not in found:
-            raise ValueError(f"{directory}: gap at index {i}")
-    return [found[i] for i in range(top + 1)]
-
-
-def _peek_dims(path: Path) -> tuple[int, int]:
-    """Read just enough of a raster file to learn its (width, height)."""
-    with path.open("rb") as fh:
-        head = fh.read(128)
-    try:
-        if path.suffix == ".flo":
-            return _parse_flo_header(head)
-        magic = b"P6" if path.suffix == ".ppm" else b"P5"
-        width, height, _, _ = _parse_pnm_header(head, magic)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    return width, height
-
-
-def _read_raster(path: Path, decode, shape: tuple[int, int], owner: str):
-    """Decode one raster file and check that it is ``shape`` (height, width).
-
-    A file that fails to decode or has another size raises ``ValueError``
-    naming it; ``owner`` names what the size belongs to.
-    """
-    try:
-        raster = decode(path.read_bytes())
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    found = raster.u.shape if isinstance(raster, FlowField) else raster.shape[:2]
-    if found != shape:
-        raise ValueError(
-            f"{path}: dimensions {found[1]}x{found[0]} do not match "
-            f"{owner} {shape[1]}x{shape[0]}"
-        )
-    return raster
-
-
 @dataclass(frozen=True)
-class FrameSequence:
-    """Immutable index of one video's on-disk rasters.
-
-    Raster accessors read and decode files on demand. :func:`open_sequence`
-    checks contiguous indices and uniform dimensions once; a file that was
-    rewritten after that still fails its accessor with a ``ValueError``
-    naming the file, when it no longer decodes or no longer has the
-    sequence's (height, width). Callers can therefore rely on every raster
-    an accessor returns having that shape.
-    """
-
-    root: Path
-    name: str
-    num_frames: int
-    width: int
-    height: int
-    flow_count: int
-    has_saliency: bool
-    has_labels: bool
-    mask_methods: tuple[str, ...]
-
-    @property
-    def has_flow(self) -> bool:
-        return self.flow_count > 0
-
-    def _check_index(self, index: int) -> None:
-        if not 0 <= index < self.num_frames:
-            raise IndexError(f"frame index {index} out of range 0..{self.num_frames - 1}")
-
-    def _read(self, decode, relative: str):
-        return _read_raster(self.root / relative, decode, (self.height, self.width), "sequence")
-
-    def frame(self, index: int) -> np.ndarray:
-        self._check_index(index)
-        return self._read(read_ppm, f"frames/{index:05d}.ppm")
-
-    def flow(self, index: int) -> FlowField:
-        self._check_index(index)
-        if not self.has_flow:
-            raise ValueError(f"sequence '{self.name}' has no flow rasters")
-        use = min(index, self.flow_count - 1)  # last frame reuses the final forward flow
-        return self._read(read_flo, f"flow/{use:05d}.flo")
-
-    def saliency(self, index: int) -> np.ndarray:
-        self._check_index(index)
-        if not self.has_saliency:
-            raise ValueError(f"sequence '{self.name}' has no saliency rasters")
-        return self._read(read_saliency_pgm, f"saliency/{index:05d}.pgm")
-
-    def labels(self, index: int) -> np.ndarray:
-        self._check_index(index)
-        if not self.has_labels:
-            raise ValueError(f"sequence '{self.name}' has no supervoxel label rasters")
-        return self._read(read_pgm16, f"svx/{index:05d}.pgm16")
-
-
-def open_sequence(root) -> FrameSequence:
-    """Validate a video directory and return its sequence index.
-
-    Checks contiguous frame indices in every raster directory, consistent
-    per-directory frame counts, and uniform raster dimensions; the mask
-    methods must agree with each other, then with the video.
-    """
-    root = Path(root)
-    if not root.is_dir():
-        raise ValueError(f"not a directory: {root}")
-    frames = _scan_indexed(root / "frames", "ppm")
-    if not frames:
-        raise ValueError(f"{root}: no frames found under frames/")
-    num_frames = len(frames)
-    width, height = _peek_dims(frames[0])
-
-    def check_dims(paths) -> None:
-        for path in paths:
-            w, h = _peek_dims(path)
-            if (w, h) != (width, height):
-                raise ValueError(
-                    f"{path}: dimensions {w}x{h} do not match sequence {width}x{height}"
-                )
-
-    check_dims(frames[1:])
-
-    flow_files = _scan_indexed(root / "flow", "flo")
-    if flow_files and len(flow_files) not in (num_frames, num_frames - 1):
-        raise ValueError(
-            f"{root}: flow holds {len(flow_files)} files for {num_frames} frames "
-            f"(expected {num_frames} or {num_frames - 1})"
-        )
-    check_dims(flow_files)
-
-    def check_count(paths, subdir: str) -> None:
-        if paths and len(paths) != num_frames:
-            raise ValueError(
-                f"{root}: {subdir} holds {len(paths)} files for {num_frames} frames"
-            )
-
-    saliency_files = _scan_indexed(root / "saliency", "pgm")
-    check_count(saliency_files, "saliency")
-    check_dims(saliency_files)
-
-    label_files = _scan_indexed(root / "svx", "pgm16")
-    check_count(label_files, "svx")
-    check_dims(label_files)
-
-    method_dirs = []
-    if (root / "masks").is_dir():
-        method_dirs = sorted(d for d in (root / "masks").iterdir() if d.is_dir())
-    if method_dirs:
-        per_method = [read_mask_dir(d) for d in method_dirs]
-        _check_same_extent(per_method)
-        check_count(per_method[0].paths, f"masks/{method_dirs[0].name}")
-        check_dims(per_method[0].paths[:1])
-
-    return FrameSequence(
-        root=root,
-        name=root.name,
-        num_frames=num_frames,
-        width=width,
-        height=height,
-        flow_count=len(flow_files),
-        has_saliency=bool(saliency_files),
-        has_labels=bool(label_files),
-        mask_methods=tuple(d.name for d in method_dirs),
-    )
-
-
-@dataclass(frozen=True)
-class MaskSequence(Sequence):
-    """The %05d.pgm masks of one directory: a read-only sequence decoded on access.
+class RasterSequence(Sequence):
+    """The %05d rasters of one directory: a read-only sequence decoded on access.
 
     ``len``, indexing and iteration follow the file indices. Nothing is kept:
-    each access reads and decodes its file, so iterating once holds one mask
-    at a time. Every mask returned has ``shape``, the (height, width) in the
-    first file's header; a file that fails to decode or has another size
-    raises ``ValueError`` on access, naming the file.
+    each access reads its file and decodes it with ``decode``, so iterating
+    once holds one raster at a time. Every raster returned has ``shape``, the
+    (height, width) in the first file's header; a file that fails to decode
+    or has another size raises ``ValueError`` on access, naming the file.
     """
 
     paths: tuple[Path, ...]
     shape: tuple[int, int]
+    decode: Callable[[bytes], object]
 
     def __len__(self) -> int:
         return len(self.paths)
 
-    def __getitem__(self, index) -> np.ndarray:
+    def __getitem__(self, index):
         path = self.paths[operator.index(index)]
-        return _read_raster(path, read_mask_pgm, self.shape, "directory")
+        try:
+            raster = self.decode(path.read_bytes())
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+        found = raster.u.shape if isinstance(raster, FlowField) else raster.shape[:2]
+        if found != self.shape:
+            raise ValueError(f"{path}: dimensions {found[1]}x{found[0]} do not match "
+                             f"sequence {self.shape[1]}x{self.shape[0]}")
+        return raster
 
 
-def read_mask_dir(directory) -> MaskSequence:
+def _index(directory: Path, extension: str, decode) -> RasterSequence:
+    """Index the %05d.<extension> files of ``directory`` from their names and the first header.
+
+    The indices must run from 0 without a gap. An absent directory, or one
+    holding no such file, is an empty sequence of shape (0, 0).
+    """
+    found: dict[int, Path] = {}
+    if directory.is_dir():
+        for path in directory.iterdir():
+            match = _INDEXED_NAME.match(path.name)
+            if match and match.group(2) == extension:
+                found[int(match.group(1))] = path
+    for i in range(len(found)):
+        if i not in found:
+            raise ValueError(f"{directory}: gap at index {i}")
+    paths = tuple(found[i] for i in range(len(found)))
+    if not paths:
+        return RasterSequence(paths, (0, 0), decode)
+    with paths[0].open("rb") as fh:
+        head = fh.read(128)
+    try:
+        if extension == "flo":
+            width, height = _parse_flo_header(head)
+        else:
+            width, height, _, _ = _parse_pnm_header(head, b"P6" if extension == "ppm" else b"P5")
+    except ValueError as exc:
+        raise ValueError(f"{paths[0]}: {exc}") from exc
+    return RasterSequence(paths, (height, width), decode)
+
+
+def read_mask_dir(directory) -> RasterSequence:
     """Index a directory of %05d.pgm masks, decoding none of them.
 
     The contiguous file names and their count come from a scan of the
     directory, the size from the first file's header; each mask is decoded
-    when it is accessed (see :class:`MaskSequence`).
+    by :func:`read_mask_pgm`, and its size checked, when it is accessed.
     """
-    directory = Path(directory)
-    paths = _scan_indexed(directory, "pgm")
-    if not paths:
+    masks = _index(Path(directory), "pgm", read_mask_pgm)
+    if not masks:
         raise ValueError(f"{directory}: no masks found")
-    width, height = _peek_dims(paths[0])
-    return MaskSequence(tuple(paths), (height, width))
+    return masks
 
 
-def _check_same_extent(sequences) -> None:
-    """Refuse the first mask sequence whose length or size differs from the first's, naming both."""
+def _check_same_extent(sequences, spare: int = 0) -> None:
+    """Refuse the first non-empty sequence that differs from the first one in size or length.
+
+    A sequence may hold up to ``spare`` files fewer than the first one. The
+    error names both directories and counts their files; nothing is decoded.
+    """
     first = sequences[0]
-    for masks in sequences[1:]:
-        if (len(masks), masks.shape) != (len(first), first.shape):
-            (h, w), (fh, fw) = masks.shape, first.shape
-            raise ValueError(f"{masks.paths[0].parent}: {len(masks)} masks of {w}x{h}, "
+    for rasters in sequences[1:]:
+        if rasters and (rasters.shape != first.shape
+                        or not len(first) - spare <= len(rasters) <= len(first)):
+            (h, w), (fh, fw) = rasters.shape, first.shape
+            raise ValueError(f"{rasters.paths[0].parent}: {len(rasters)} files of {w}x{h}, "
                              f"but {first.paths[0].parent} holds {len(first)} of {fw}x{fh}")
+
+
+@dataclass(frozen=True)
+class FrameSequence:
+    """One video's rasters: a :class:`RasterSequence` per kind, empty where it is absent.
+
+    Accessors take a frame index, check it and the kind's presence, and
+    decode that frame's file, which checks the file's size against the
+    sequence's (height, width). Callers can therefore rely on every raster
+    an accessor returns having that shape, also when a file was rewritten
+    after :func:`open_sequence`.
+    """
+
+    root: Path
+    frames: RasterSequence
+    flows: RasterSequence
+    saliencies: RasterSequence
+    label_maps: RasterSequence
+    mask_methods: tuple[str, ...]
+
+    @property
+    def name(self) -> str:
+        return self.root.name
+
+    @property
+    def num_frames(self) -> int:
+        return len(self.frames)
+
+    @property
+    def height(self) -> int:
+        return self.frames.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.frames.shape[1]
+
+    @property
+    def flow_count(self) -> int:
+        return len(self.flows)
+
+    @property
+    def has_flow(self) -> bool:
+        return bool(self.flows)
+
+    @property
+    def has_saliency(self) -> bool:
+        return bool(self.saliencies)
+
+    @property
+    def has_labels(self) -> bool:
+        return bool(self.label_maps)
+
+    def _read(self, rasters: RasterSequence, index: int, what: str):
+        if not 0 <= index < self.num_frames:
+            raise IndexError(f"frame index {index} out of range 0..{self.num_frames - 1}")
+        if not rasters:
+            raise ValueError(f"sequence '{self.name}' has no {what} rasters")
+        return rasters[min(index, len(rasters) - 1)]  # the last frame may reuse the final flow
+
+    def frame(self, index: int) -> np.ndarray:
+        return self._read(self.frames, index, "frame")
+
+    def flow(self, index: int) -> FlowField:
+        return self._read(self.flows, index, "flow")
+
+    def saliency(self, index: int) -> np.ndarray:
+        return self._read(self.saliencies, index, "saliency")
+
+    def labels(self, index: int) -> np.ndarray:
+        return self._read(self.label_maps, index, "supervoxel label")
+
+
+def open_sequence(root) -> FrameSequence:
+    """Index a video directory from its file names and one header per raster directory.
+
+    Each raster directory must hold contiguous indices, and agree with
+    ``frames/`` on size and file count; ``flow/`` may hold one file fewer.
+    ``masks/`` contributes the names of its subdirectories only.
+    """
+    root = Path(root)
+    if not root.is_dir():
+        raise ValueError(f"not a directory: {root}")
+    frames = _index(root / "frames", "ppm", read_ppm)
+    if not frames:
+        raise ValueError(f"{root}: no frames found under frames/")
+    flows = _index(root / "flow", "flo", read_flo)
+    saliencies = _index(root / "saliency", "pgm", read_saliency_pgm)
+    label_maps = _index(root / "svx", "pgm16", read_pgm16)
+    _check_same_extent([frames, flows], spare=1)
+    _check_same_extent([frames, saliencies, label_maps])
+    masks = root / "masks"
+    methods = sorted(d.name for d in masks.iterdir() if d.is_dir()) if masks.is_dir() else []
+    return FrameSequence(root, frames, flows, saliencies, label_maps, tuple(methods))

@@ -80,6 +80,17 @@ def write_video_dir(
     return root
 
 
+def zero_raster(subdir, shape):
+    """An encoded all-zero raster of the kind a video's ``subdir`` holds, at (height, width) ``shape``."""
+    zeros = np.zeros(shape)
+    return {
+        "frames": lambda: write_ppm(np.zeros((*shape, 3), np.uint8)),
+        "flow": lambda: write_flo(FlowField(zeros.astype(np.float32), zeros.astype(np.float32))),
+        "saliency": lambda: write_saliency_pgm(zeros),
+        "svx": lambda: write_pgm16(zeros.astype(np.int64)),
+    }[subdir]()
+
+
 def moving_block_arrays(
     height=30,
     width=40,

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tukeyseg
-from conftest import moving_block_arrays, write_video_dir
+from conftest import moving_block_arrays, write_video_dir, zero_raster
 from tukeyseg import fusion
 from tukeyseg.cli import _STRATEGIES, build_parser, main
 from tukeyseg.io import read_mask_dir, write_mask_pgm
@@ -422,6 +422,54 @@ class TestRefineCommand:
         assert "label" in capsys.readouterr().err
 
 
+class TestRastersOfTheVideo:
+    """Each raster's size is checked when a subcommand decodes it; ``masks/`` is not read."""
+
+    FILES = {"frames": "00002.ppm", "flow": "00002.flo", "saliency": "00002.pgm",
+             "svx": "00002.pgm16"}
+
+    @staticmethod
+    def _video(tmp_path, masks=None):
+        """A 3-frame 30x40 video with one flow file per frame, so that each kind has a 00002."""
+        scene = moving_block_arrays(num_frames=3)
+        return write_video_dir(tmp_path / "video", frames=scene["frames"],
+                               flows=scene["flows"] + scene["flows"][-1:],
+                               saliencies=scene["saliencies"], labels=[scene["truth"]] * 3,
+                               masks=masks)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("command, kind", [
+        ("tis0", "flow"), ("tis0", "saliency"),
+        ("refine", "frames"), ("refine", "flow"), ("refine", "saliency"), ("refine", "svx"),
+    ])
+    @pytest.mark.parametrize("shape", [(29, 40), (30, 41)])
+    def test_resized_file_named(self, tmp_path, capsys, no_thread_left, command, kind, jobs,
+                                shape):
+        video = self._video(tmp_path)
+        path = video / kind / self.FILES[kind]
+        path.write_bytes(zero_raster(kind, shape))
+        out = tmp_path / "out"
+        assert main([command, "--input", str(video), "--output", str(out), "--jobs", jobs]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["frames", "svx"])
+    def test_tis0_does_not_read_frames_or_labels(self, tmp_path, kind):
+        video = self._video(tmp_path)
+        (video / kind / self.FILES[kind]).write_bytes(zero_raster(kind, (29, 40)))
+        assert main(["tis0", "--input", str(video), "--output", str(tmp_path / "out")]) == 0
+        assert len(read_mask_dir(tmp_path / "out")) == 3
+
+    @pytest.mark.parametrize("command", ["tis0", "refine"])
+    @pytest.mark.parametrize("gt", [[np.ones((30, 40), np.uint8)] * 2,
+                                    [np.ones((4, 4), np.uint8)] * 3], ids=["fewer", "resized"])
+    def test_masks_of_the_video_are_not_checked(self, tmp_path, command, gt):
+        video = self._video(tmp_path, masks={"gt": gt})
+        assert main([command, "--input", str(video), "--output", str(tmp_path / "out")]) == 0
+        assert len(read_mask_dir(tmp_path / "out")) == 3
+
+
 class TestCombineCommand:
     def test_three_methods(self, block_video, tmp_path):
         video, truth = block_video
@@ -480,7 +528,7 @@ class TestCombineCommand:
         assert code != 0
         methods = tmp_path / "methods"
         assert capsys.readouterr().err == (
-            f"error: {methods / 'b'}: 3 masks of 2x2, but {methods / 'a'} holds 2 of 2x2\n")
+            f"error: {methods / 'b'}: 3 files of 2x2, but {methods / 'a'} holds 2 of 2x2\n")
 
     def test_strategies(self, block_video, tmp_path):
         video, _ = block_video
@@ -545,7 +593,7 @@ def test_combine_names_the_directory_of_another_size(tmp_path, capsys, counted_m
     assert main(argv) == 1
     methods = tmp_path / "methods"
     assert capsys.readouterr().err == (
-        f"error: {methods / 'b'}: 2 masks of 5x4, but {methods / 'a'} holds 2 of 4x4\n")
+        f"error: {methods / 'b'}: 2 files of 5x4, but {methods / 'a'} holds 2 of 4x4\n")
     assert counted_mask_decodes == []
     assert not (tmp_path / "o").exists()
 
@@ -557,7 +605,7 @@ def test_eval_names_the_sequence_and_frame_of_another_size(tmp_path, capsys,
     argv = ["eval", "--input", str(tmp_path / "pred"), "--ground-truth", str(tmp_path / "gt")]
     assert main(argv) == 1
     assert capsys.readouterr().err == (
-        f"error: {tmp_path / 'pred' / 'seq'}: 2 masks of 5x4, "
+        f"error: {tmp_path / 'pred' / 'seq'}: 2 files of 5x4, "
         f"but {tmp_path / 'gt' / 'seq'} holds 2 of 4x4\n")
     assert counted_mask_decodes == []
 
@@ -632,6 +680,23 @@ class TestEvalCommand:
         assert "No space left" in capsys.readouterr().err
         assert [p.name for p in table.parent.iterdir()] == ["t.csv"]
         assert table.read_text() == "previous table"
+
+    @pytest.mark.parametrize("root", ["gt", "pred"])
+    @pytest.mark.parametrize("name", ["00002.pgm", "t.csv"])
+    def test_output_in_a_sequence_it_reads_refused(self, tmp_path, capsys, counted_mask_decodes,
+                                                   root, name):
+        mask = np.zeros((5, 5), dtype=np.uint8)
+        mask[1:4, 1:4] = 1
+        self._write_masks(tmp_path / "gt", "seq", [mask] * 3)
+        self._write_masks(tmp_path / "pred", "seq", [mask] * 3)
+        before = _tree_bytes(tmp_path)
+        argv = ["eval", "--input", str(tmp_path / "pred"), "--ground-truth", str(tmp_path / "gt"),
+                "--output", str(tmp_path / root / "seq" / name)]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {tmp_path / root / 'seq'}: the run reads "
+                                           "input rasters from it, so it is not written to\n")
+        assert counted_mask_decodes == []
+        assert _tree_bytes(tmp_path) == before
 
     def test_empty_ground_truth_fails(self, tmp_path, capsys):
         (tmp_path / "gt").mkdir()

@@ -25,7 +25,7 @@ from tukeyseg.io import (
     write_ppm,
     write_saliency_pgm,
 )
-from conftest import mask_dtype_matrix, moving_block_arrays, write_video_dir
+from conftest import mask_dtype_matrix, moving_block_arrays, write_video_dir, zero_raster
 
 
 class TestFlo:
@@ -297,13 +297,52 @@ class TestOpenSequence:
     def test_dimension_mismatch_names_file(self, tmp_path):
         root = self._basic_video(tmp_path, num_frames=3, flow_count=2)
         odd = np.zeros((4, 4, 3), dtype=np.uint8)
-        (root / "frames" / "00001.ppm").write_bytes(write_ppm(odd))
-        with pytest.raises(ValueError, match="00001.ppm"):
+        path = root / "frames" / "00001.ppm"
+        path.write_bytes(write_ppm(odd))
+        seq = open_sequence(root)  # only the first header of each directory is read
+        with pytest.raises(ValueError, match=re.escape(f"{path}: dimensions 4x4")):
+            seq.frame(1)
+
+    def test_corrupt_header_named_when_decoded(self, tmp_path):
+        root = self._basic_video(tmp_path, num_frames=3, flow_count=2)
+        path = root / "frames" / "00002.ppm"
+        path.write_bytes(b"P3" + path.read_bytes()[2:])
+        seq = open_sequence(root)
+        seq.frame(1)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: bad magic")):
+            seq.frame(2)
+
+    @pytest.mark.parametrize("subdir, name, count", [("saliency", "00000.pgm", 3),
+                                                     ("flow", "00000.flo", 2)])
+    def test_first_file_of_another_size_refused(self, tmp_path, subdir, name, count):
+        root = self._basic_video(tmp_path, num_frames=3, flow_count=2)
+        (root / subdir / name).write_bytes(zero_raster(subdir, (8, 4)))
+        with pytest.raises(ValueError) as info:
             open_sequence(root)
+        assert str(info.value) == (f"{root / subdir}: {count} files of 4x8, "
+                                   f"but {root / 'frames'} holds 3 of 9x8")
+
+    def test_masks_contribute_their_names_only(self, tmp_path):
+        root = self._basic_video(tmp_path, num_frames=3, flow_count=2)
+        for name, count, shape in (("alpha", 3, (8, 9)), ("beta", 2, (4, 4))):
+            d = root / "masks" / name
+            d.mkdir(parents=True)
+            for i in range(count):
+                (d / f"{i:05d}.pgm").write_bytes(write_mask_pgm(np.zeros(shape, dtype=bool)))
+        (root / "masks" / "empty").mkdir()
+        (root / "masks" / "notes.txt").write_text("not a method")
+        assert open_sequence(root).mask_methods == ("alpha", "beta", "empty")
 
     def test_bad_flow_count(self, tmp_path):
         root = self._basic_video(tmp_path, num_frames=5, flow_count=2)
         with pytest.raises(ValueError, match="flow"):
+            open_sequence(root)
+
+    def test_count_in_the_error_is_the_files_on_disk(self, tmp_path):
+        root = self._basic_video(tmp_path, num_frames=3, flow_count=2)
+        (root / "saliency" / "00002.pgm").unlink()
+        with pytest.raises(ValueError, match=re.escape(
+                f"{root / 'saliency'}: 2 files of 9x8, but {root / 'frames'} holds 3 of 9x8")):
             open_sequence(root)
 
     def test_mask_methods_discovered(self, tmp_path):
@@ -318,37 +357,6 @@ class TestOpenSequence:
         assert seq.mask_methods == ("alpha", "beta")
         assert read_mask_dir(root / "masks" / "alpha")[1].tolist() == scene["truth"].tolist()
 
-    def _refused(self, tmp_path, alpha, beta):
-        """The error of opening a 3-frame 9x8 video whose methods hold (count, shape) masks."""
-        root = self._basic_video(tmp_path, num_frames=3, flow_count=2)
-        for name, (count, shape) in (("alpha", alpha), ("beta", beta)):
-            d = root / "masks" / name
-            d.mkdir(parents=True)
-            for i in range(count):
-                (d / f"{i:05d}.pgm").write_bytes(write_mask_pgm(np.zeros(shape, dtype=bool)))
-        with pytest.raises(ValueError) as info:
-            open_sequence(root)
-        return root, str(info.value)
-
-    def test_methods_of_another_count_refused(self, tmp_path):
-        root, error = self._refused(tmp_path, (3, (8, 9)), (2, (8, 9)))
-        masks = root / "masks"
-        assert error == f"{masks / 'beta'}: 2 masks of 9x8, but {masks / 'alpha'} holds 3 of 9x8"
-
-    def test_methods_of_another_size_refused(self, tmp_path):
-        root, error = self._refused(tmp_path, (3, (8, 9)), (3, (8, 8)))
-        masks = root / "masks"
-        assert error == f"{masks / 'beta'}: 3 masks of 8x8, but {masks / 'alpha'} holds 3 of 9x8"
-
-    def test_methods_agreeing_on_another_count_than_the_video_refused(self, tmp_path):
-        root, error = self._refused(tmp_path, (2, (8, 9)), (2, (8, 9)))
-        assert error == f"{root}: masks/alpha holds 2 files for 3 frames"
-
-    def test_methods_agreeing_on_another_size_than_the_video_refused(self, tmp_path):
-        root, error = self._refused(tmp_path, (3, (8, 8)), (3, (8, 8)))
-        assert error == (f"{root / 'masks' / 'alpha' / '00000.pgm'}: "
-                         "dimensions 8x8 do not match sequence 9x8")
-
     def test_accessors_validate_index_and_presence(self, tmp_path):
         root = self._basic_video(tmp_path, num_frames=3, flow_count=2)
         seq = open_sequence(root)
@@ -360,17 +368,6 @@ class TestOpenSequence:
     def test_not_a_directory(self, tmp_path):
         with pytest.raises(ValueError, match="not a directory"):
             open_sequence(tmp_path / "missing")
-
-
-def _resized(kind, shape):
-    """Encoded raster of one accessor's kind at another (height, width)."""
-    zeros = np.zeros(shape)
-    return {
-        "frame": lambda: write_ppm(np.zeros((*shape, 3), np.uint8)),
-        "flow": lambda: write_flo(FlowField(zeros.astype(np.float32), zeros.astype(np.float32))),
-        "saliency": lambda: write_saliency_pgm(zeros),
-        "labels": lambda: write_pgm16(zeros.astype(np.int64)),
-    }[kind]()
 
 
 class TestAccessorsRecheckFiles:
@@ -402,10 +399,18 @@ class TestAccessorsRecheckFiles:
         relative, read = self.FILES[kind]
         path = root / relative
         read(seq)  # the untouched file reads fine
-        path.write_bytes(_resized(kind, shape))
+        path.write_bytes(zero_raster(path.parent.name, shape))
         expected = f"{path}: dimensions {shape[1]}x{shape[0]} do not match sequence 40x30"
         with pytest.raises(ValueError, match=re.escape(expected)):
             read(seq)
+
+    @pytest.mark.parametrize("kind", sorted(FILES))
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_index_out_of_range(self, tmp_path, kind, index):
+        _, seq = self._open(tmp_path)
+        read = getattr(seq, kind)
+        with pytest.raises(IndexError, match=f"frame index {index} out of range 0..2"):
+            read(index)
 
     @pytest.mark.parametrize("kind", sorted(FILES))
     def test_undecodable_file_named(self, tmp_path, kind):
@@ -464,6 +469,11 @@ class TestReadMaskDir:
             pass
         assert decoded == [1] * 4
 
+    def test_index_names_are_ascii_digits(self, tmp_path):
+        self._write(tmp_path / "m", 2)
+        (tmp_path / "m" / "00001.pgm").rename(tmp_path / "m" / "\u0660\u0660\u0660\u0660\u0661.pgm")
+        assert len(read_mask_dir(tmp_path / "m")) == 1
+
     def test_file_rewritten_with_another_size_named_on_access(self, tmp_path):
         self._write(tmp_path / "m", 3)
         masks = read_mask_dir(tmp_path / "m")
@@ -471,5 +481,5 @@ class TestReadMaskDir:
         path.write_bytes(write_mask_pgm(np.zeros((3, 2), dtype=np.uint8)))
         assert masks[0].shape == masks[2].shape == (2, 3)
         with pytest.raises(ValueError, match=re.escape(
-                f"{path}: dimensions 2x3 do not match directory 3x2")):
+                f"{path}: dimensions 2x3 do not match sequence 3x2")):
             masks[1]
