@@ -10,7 +10,7 @@ and the earlier outputs are removed. A directory that holds anything these
 subcommands do not write, or that the run reads rasters from, is refused
 before any input is read, and never written to. ``eval --output`` replaces
 its one table file the same way, in any directory but a sequence directory
-that the run reads masks from. A non-zero exit leaves the previous
+that the run reads masks from, and refuses a path that is a directory. A non-zero exit leaves the previous
 outputs as they were and removes any directory the run created.
 
 Importing this module loads ``tukeyseg.io``, numpy and the standard
@@ -312,6 +312,8 @@ def _cmd_eval(args) -> int:
 
     if args.output:
         out, truth = Path(args.output), Path(args.ground_truth)
+        if out.is_dir():
+            raise ValueError(f"{out}: is a directory, so it is not written to")
         names = [d.name for d in truth.iterdir() if d.is_dir()] if truth.is_dir() else []
         read = [root / name for root in (Path(args.input), truth) for name in names]
         _check_output(out.parent, read, replaced=())

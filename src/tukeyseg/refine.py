@@ -11,14 +11,14 @@ nearest neighbors in mean-LAB color. Both are added to the (rescaled)
 foregroundness field and the sign of the result decides each pixel, keeping
 the two strongest segments per frame.
 
-Memory does not grow with LAB frames: each frame is converted, a band of
-rows at a time in cache-sized scratch, into three channel planes, summed
-per supervoxel a contiguous plane at a time and dropped,
-and the video-wide per-channel LAB bounds are tracked on the way. With
-``jobs`` workers, they convert the next frames while the calling thread
-tallies one, so at most ``jobs + 1`` LAB frames are held at once; pass two
-refines one frame per worker. Min-max normalization is affine, so it is
-applied to the per-supervoxel means at the end rather than to every pixel.
+No LAB frame is ever held. The ``jobs`` worker that decodes a frame and
+its labels also tallies it, a band of rows at a time: each band is
+converted to LAB in cache-sized scratch and summed per supervoxel into
+the frame's partial, and the per-channel LAB bounds are tracked on the
+way. The calling thread merges the partials in frame order, so a worker
+holds one frame's RGB, labels and partial sums; pass two refines one
+frame per worker. Min-max normalization is affine, so it is applied to
+the per-supervoxel means at the end rather than to every pixel.
 The neighbor search is exact but pruned: blocks of rows close in color look
 only at the columns within a growing radius of their bounding box, and
 select each row's k nearest with a partial sort; ties at the k-th distance
@@ -28,7 +28,6 @@ go to the smaller id.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -196,56 +195,81 @@ def _grown(a: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def supervoxel_stats(label_frames, lab_frames, mask_frames) -> SupervoxelStats:
-    """Accumulate per-supervoxel tallies across all frames in one pass.
+def _frame_tally(rgb, labels, mask):
+    """One frame's per-supervoxel partial: (counts, foreground counts, LAB sums, low, high).
 
-    The three arguments are equal-length iterables of per-frame arrays and
-    may be lazy (generators), so no more than one LAB frame need be held at
-    a time: each is dropped before the next is asked for. ``mean_lab`` is
-    the mean of the LAB values given; ``lab_min`` and ``lab_max`` are the
-    per-channel extremes over every pixel, the bounds ``normalize_lab``
-    needs. Per-frame partial sums are merged in frame order, so the result
-    does not depend on how the frames were scheduled.
+    The counts run over ids 0 to the frame's largest; the LAB sums are
+    ``(3, n)`` channel planes, and ``low`` and ``high`` the per-channel LAB
+    extremes. The frame is taken a band of rows at a time, converted to LAB
+    by :func:`rgb_to_lab` and added into the sums with ``np.add.at`` in pixel
+    order: the float additions of one ``np.bincount(weights=)`` per channel
+    over the whole frame, so the bits do not depend on the band.
     """
+    rgb, labels, mask = np.asarray(rgb), np.asarray(labels), np.asarray(mask, dtype=bool)
+    if labels.shape != mask.shape or rgb.shape != (*labels.shape, 3):
+        raise ValueError(
+            f"dimension mismatch: labels {labels.shape}, rgb {rgb.shape}, mask {mask.shape}"
+        )
+    if labels.min() < 0:
+        raise ValueError("supervoxel ids must be non-negative")
+    # refuse float ids as bincount does, before a float maximum sizes the partial
+    if not np.can_cast(labels.dtype, np.intp, casting="same_kind"):
+        raise TypeError(f"Cannot cast supervoxel ids of dtype {labels.dtype} to integers")
+    size = int(labels.max()) + 1
+    counts = np.zeros(size, dtype=np.int64)
+    label_sums = np.zeros(size, dtype=np.int64)
+    lab_sums = np.zeros((3, size))
+    low, high = np.full(3, np.inf), np.full(3, -np.inf)
+    band = max(1, _CACHE_ELEMENTS // (3 * labels.shape[1]))
+    for start in range(0, len(labels), band):
+        rows = slice(start, start + band)
+        ids = labels[rows].ravel().astype(np.intp)
+        counts += np.bincount(ids, minlength=size)
+        label_sums += np.bincount(ids[mask[rows].ravel()], minlength=size)
+        lab = rgb_to_lab(rgb[rows])
+        for channel in range(3):
+            values = lab[..., channel].ravel()  # a view of rgb_to_lab's planes, no copy
+            np.add.at(lab_sums[channel], ids, values)
+            low[channel] = min(low[channel], values.min())
+            high[channel] = max(high[channel], values.max())
+    return counts, label_sums, lab_sums, low, high
+
+
+def supervoxel_stats(seq, masks, jobs: int = 1) -> SupervoxelStats:
+    """Accumulate per-supervoxel tallies over every frame of ``seq``.
+
+    ``seq`` gives each frame's uint8 RGB and supervoxel labels through
+    ``seq.frame(i)`` and ``seq.labels(i)``; ``masks`` holds one bool mask per
+    frame. Each frame is read and tallied by one of ``jobs`` workers, a band
+    of rows at a time, so no LAB frame is built: a worker holds its frame's
+    RGB and labels, one band's LAB and the frame's partial sums. The
+    partials are merged in frame order, so the result does not depend on
+    ``jobs``. ``mean_lab`` is the mean LAB color per supervoxel; ``lab_min``
+    and ``lab_max`` are the per-channel extremes over every pixel, the
+    bounds ``normalize_lab`` needs.
+    """
+    if len(masks) != seq.num_frames:
+        raise ValueError(f"{len(masks)} masks for {seq.num_frames} frames: "
+                         "mask and frame lists must have equal length")
+    if not seq.num_frames:
+        raise ValueError("no frames")
     counts = np.zeros(0, dtype=np.int64)
     label_sums = np.zeros(0, dtype=np.int64)
     lab_sums = np.zeros((0, 3), dtype=np.float64)
     lab_min = np.full(3, np.inf)
     lab_max = np.full(3, -np.inf)
-    lab_frames = iter(lab_frames)
-    for labels, mask in itertools.zip_longest(label_frames, mask_frames):
-        lab = next(lab_frames, None)
-        if labels is None or lab is None or mask is None:
-            raise ValueError("label, LAB, and mask frame lists must have equal length")
-        labels, lab = np.asarray(labels), np.asarray(lab, dtype=np.float64)
-        mask = np.asarray(mask, dtype=bool)
-        if labels.shape != mask.shape or labels.shape != lab.shape[:2]:
-            raise ValueError(
-                f"dimension mismatch: labels {labels.shape}, lab {lab.shape}, mask {mask.shape}"
-            )
-        if labels.min() < 0:
-            raise ValueError("supervoxel ids must be non-negative")
-        # cast once, not in every bincount, refusing float ids as bincount does
-        flat = labels.ravel().astype(np.intp, casting="same_kind", copy=False)
-        frame_counts = np.bincount(flat, minlength=len(counts))
-        if len(frame_counts) > len(counts):
-            counts, label_sums, lab_sums = (
-                _grown(a, len(frame_counts)) for a in (counts, label_sums, lab_sums)
-            )
-        counts += frame_counts
-        label_sums += np.bincount(flat[mask.ravel()], minlength=len(counts))
-        for channel in range(3):
-            values = lab[..., channel].ravel()  # a view of rgb_to_lab's planes, no copy
-            lab_sums[:, channel] += np.bincount(flat, weights=values, minlength=len(counts))
-            lab_min[channel] = min(lab_min[channel], values.min())
-            lab_max[channel] = max(lab_max[channel], values.max())
-        # Drop the frame before asking for the next, so that a producer that
-        # converts frames ahead needs no room for one more.
-        del lab, values
-    if next(lab_frames, None) is not None:
-        raise ValueError("label, LAB, and mask frame lists must have equal length")
-    if not len(counts):
-        raise ValueError("no frames")
+    partials = parallel_imap(lambda i: _frame_tally(seq.frame(i), seq.labels(i), masks[i]),
+                             range(seq.num_frames), jobs)
+    with contextlib.closing(partials):
+        for frame_counts, frame_label_sums, frame_lab_sums, low, high in partials:
+            n = len(frame_counts)
+            if n > len(counts):
+                counts, label_sums, lab_sums = (_grown(a, n) for a in (counts, label_sums, lab_sums))
+            counts[:n] += frame_counts
+            label_sums[:n] += frame_label_sums
+            lab_sums[:n] += frame_lab_sums.T
+            np.minimum(lab_min, low, out=lab_min)
+            np.maximum(lab_max, high, out=lab_max)
     present = np.nonzero(counts)[0]
     return SupervoxelStats(
         ids=present,
@@ -416,7 +440,10 @@ def adjusted_foregroundness(
     The field is rescaled to [0, 1] by ``video_max``, the largest
     foregroundness of any frame of the video (a video whose maximum is 0
     stays all-zero), then per pixel the containing supervoxel's weighted
-    local and non-local consensus are added.
+    local and non-local consensus are added. The result is built from the
+    gathered consensus term, and the rescaled field is added to it in
+    place: addition commutes, so the bits are those of field plus term,
+    with one full-frame temporary fewer.
     """
     cfg = cfg or RefineConfig()
     fore, labels = np.asarray(fore, dtype=np.float64), np.asarray(labels)
@@ -426,12 +453,12 @@ def adjusted_foregroundness(
         raise ValueError("supervoxel ids must be non-negative")
     lookup = np.full(max(int(consensus.ids.max()), int(labels.max())) + 1, np.nan)
     lookup[consensus.ids] = cfg.local_weight * consensus.f_local + consensus.f_nonlocal
-    term = lookup[labels]
-    if np.any(np.isnan(term)):
-        missing = np.unique(labels[np.isnan(term)])
+    adjusted = lookup[labels]
+    if np.any(np.isnan(adjusted)):
+        missing = np.unique(labels[np.isnan(adjusted)])
         raise ValueError(f"supervoxel ids missing from consensus table: {missing.tolist()}")
-    scaled = fore / video_max if video_max > 0 else np.zeros_like(fore)
-    return scaled + term
+    adjusted += fore / video_max if video_max > 0 else 0.0
+    return adjusted
 
 
 def refine_mask(
@@ -476,10 +503,7 @@ def refine_sequence(
     if not seq.has_labels:
         raise ValueError(f"sequence '{seq.name}': supervoxel label rasters are required")
     initial = segment_sequence(seq, seg_cfg, jobs)
-    label_frames = (seq.labels(i) for i in range(seq.num_frames))
-    lab_frames = parallel_imap(lambda i: rgb_to_lab(seq.frame(i)), range(seq.num_frames), jobs)
-    with contextlib.closing(lab_frames):
-        stats = supervoxel_stats(label_frames, lab_frames, initial.masks)
+    stats = supervoxel_stats(seq, initial.masks, jobs)
     stats = replace(stats, mean_lab=normalize_lab(stats.mean_lab, stats.lab_min, stats.lab_max))
     table = build_consensus(stats, ref_cfg)
     log.info("consensus over %d supervoxels (mode=%s)", len(table.ids), ref_cfg.mode)

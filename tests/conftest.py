@@ -80,6 +80,23 @@ def write_video_dir(
     return root
 
 
+class ArrayVideo:
+    """RGB frames and supervoxel label maps held in memory, read by index like a ``FrameSequence``."""
+
+    def __init__(self, frames, labels):
+        self._frames, self._labels = list(frames), list(labels)
+
+    @property
+    def num_frames(self) -> int:
+        return len(self._frames)
+
+    def frame(self, index):
+        return self._frames[index]
+
+    def labels(self, index):
+        return self._labels[index]
+
+
 def zero_raster(subdir, shape):
     """An encoded all-zero raster of the kind a video's ``subdir`` holds, at (height, width) ``shape``."""
     zeros = np.zeros(shape)

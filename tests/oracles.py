@@ -19,6 +19,7 @@ import numpy as np
 from scipy import ndimage
 
 from tukeyseg import stats
+from tukeyseg.refine import SupervoxelStats
 from tukeyseg.segment import COMPONENT_NAMES, SegmenterConfig, flow_measures
 
 
@@ -424,6 +425,48 @@ def rgb_to_lab_full_frame(rgb):
     a_axis = 500.0 * (f[..., 0] - f[..., 1])
     b_axis = 200.0 * (f[..., 1] - f[..., 2])
     return np.stack([lightness, a_axis, b_axis], axis=-1)
+
+
+def supervoxel_stats_lab(label_frames, lab_frames, mask_frames):
+    """Per-supervoxel tallies of whole LAB frames: one ``np.bincount`` per channel per frame.
+
+    The frames are equal-length lists; ``lab_frames`` may hold any float
+    values, not only the LAB of an RGB frame. Each frame's bincounts are
+    added to the running sums in frame order, zero-padded to the ids seen.
+    """
+    if not len(label_frames) == len(lab_frames) == len(mask_frames):
+        raise ValueError("label, LAB, and mask frame lists must have equal length")
+    counts = np.zeros(0, dtype=np.int64)
+    label_sums = np.zeros(0, dtype=np.int64)
+    lab_sums = np.zeros((0, 3))
+    lab_min, lab_max = np.full(3, np.inf), np.full(3, -np.inf)
+    for labels, lab, mask in zip(label_frames, lab_frames, mask_frames):
+        flat = np.asarray(labels).ravel().astype(np.intp)
+        lab = np.asarray(lab, dtype=np.float64)
+        frame_counts = np.bincount(flat, minlength=len(counts))
+        if len(frame_counts) > len(counts):
+            grown = [np.zeros((len(frame_counts), *a.shape[1:]), a.dtype)
+                     for a in (counts, label_sums, lab_sums)]
+            for new, old in zip(grown, (counts, label_sums, lab_sums)):
+                new[: len(old)] = old
+            counts, label_sums, lab_sums = grown
+        counts += frame_counts
+        label_sums += np.bincount(flat[np.asarray(mask, dtype=bool).ravel()],
+                                  minlength=len(counts))
+        for channel in range(3):
+            values = lab[..., channel].ravel()
+            lab_sums[:, channel] += np.bincount(flat, weights=values, minlength=len(counts))
+            lab_min[channel] = min(lab_min[channel], values.min())
+            lab_max[channel] = max(lab_max[channel], values.max())
+    present = np.nonzero(counts)[0]
+    return SupervoxelStats(
+        ids=present,
+        pixel_counts=counts[present],
+        label_sums=label_sums[present],
+        mean_lab=lab_sums[present] / counts[present, None],
+        lab_min=lab_min,
+        lab_max=lab_max,
+    )
 
 
 def consensus_rows(ids, f_local, mean_lab, epsilon=1e-3):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import moving_block_arrays, write_video_dir
+from conftest import ArrayVideo, moving_block_arrays, write_video_dir
 from test_fusion import nine_mask_fixture
 from tukeyseg.cli import main
 from tukeyseg.fusion import fuse_frame, fuse_sequence
@@ -266,10 +266,10 @@ def test_refinement_fixtures():
     fore3 = np.full((3, 3), 0.5)
     fore3[0, 0] = 1.0
     fore3[0, 1] = 0.0
-    lab3 = np.zeros((3, 3, 3))
-    lab3[0, 0] = (1.0, 0.0, 0.0)
+    rgb3 = np.zeros((3, 3, 3), np.uint8)
+    rgb3[0, 0] = (255, 0, 0)
     nonlocal_cfg = RefineConfig(mode="nonlocal")
-    stats = supervoxel_stats([labels3], [lab3], [mask3])
+    stats = supervoxel_stats(ArrayVideo([rgb3], [labels3]), [mask3])
     table = build_consensus(stats, nonlocal_cfg)
     assert table.f_local == pytest.approx([0.0, -1.0], abs=1e-9)
     assert table.f_nonlocal == pytest.approx([-2.0 / 3.0, 0.0], abs=1e-9)

@@ -698,6 +698,24 @@ class TestEvalCommand:
         assert counted_mask_decodes == []
         assert _tree_bytes(tmp_path) == before
 
+    @pytest.mark.parametrize("output", ["gt/seq", "gt"])
+    def test_output_naming_a_directory_refused(self, tmp_path, capsys, counted_mask_decodes,
+                                               output):
+        # refused before any mask is decoded, not after the table is printed
+        mask = np.zeros((5, 5), dtype=np.uint8)
+        mask[1:4, 1:4] = 1
+        self._write_masks(tmp_path / "gt", "seq", [mask] * 3)
+        self._write_masks(tmp_path / "pred", "seq", [mask] * 3)
+        before = _tree_bytes(tmp_path)
+        argv = ["eval", "--input", str(tmp_path / "pred"), "--ground-truth", str(tmp_path / "gt"),
+                "--output", str(tmp_path / output)]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {tmp_path / output}: is a directory, "
+                                           "so it is not written to\n")
+        assert counted_mask_decodes == []
+        assert not list(tmp_path.rglob(".tukeyseg-*"))
+        assert _tree_bytes(tmp_path) == before
+
     def test_empty_ground_truth_fails(self, tmp_path, capsys):
         (tmp_path / "gt").mkdir()
         (tmp_path / "pred").mkdir()

@@ -3,13 +3,14 @@
 import collections
 import math
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from conftest import moving_block_arrays, write_video_dir
+from conftest import ArrayVideo, moving_block_arrays, write_video_dir
 from tukeyseg import refine
 from tukeyseg.cli import main
 from tukeyseg.io import open_sequence
@@ -175,32 +176,38 @@ class TestNormalizeLab:
         assert np.allclose(twice, once, atol=1e-12)
 
     def test_video_wide_extent(self):
-        # each frame holds one supervoxel; the bounds span both frames
-        labels = [np.array([[0]]), np.array([[1]])]
-        lab = [np.zeros((1, 1, 3)), np.full((1, 1, 3), 2.0)]
-        stats = supervoxel_stats(labels, lab, [np.zeros((1, 1))] * 2)
+        # each frame holds one supervoxel; the bounds span both frames, and
+        # black's L*a*b* is 0 in every channel while red's is positive in each
+        video = ArrayVideo([np.zeros((1, 1, 3), np.uint8), np.array([[[255, 0, 0]]], np.uint8)],
+                           [np.array([[0]]), np.array([[1]])])
+        stats = supervoxel_stats(video, [np.zeros((1, 1), bool)] * 2)
         out = normalize_lab(stats.mean_lab, stats.lab_min, stats.lab_max)
         assert np.all(out[0] == 0.0)
         assert np.all(out[1] == 1.0)
 
     def test_normalized_means_match_means_of_normalized_pixels(self, rng):
         labels = [rng.integers(0, 9, size=(6, 7)) for _ in range(3)]
-        lab = [rgb_to_lab(rng.integers(0, 256, size=(6, 7, 3), dtype=np.uint8)) for _ in range(3)]
-        masks = [np.zeros((6, 7))] * 3
-        stats = supervoxel_stats(labels, lab, masks)
+        frames = [rng.integers(0, 256, size=(6, 7, 3), dtype=np.uint8) for _ in range(3)]
+        masks = [np.zeros((6, 7), bool)] * 3
+        stats = supervoxel_stats(ArrayVideo(frames, labels), masks)
         means = normalize_lab(stats.mean_lab, stats.lab_min, stats.lab_max)
+        lab = [rgb_to_lab(f) for f in frames]
         low = np.min([f.min(axis=(0, 1)) for f in lab], axis=0)
         high = np.max([f.max(axis=(0, 1)) for f in lab], axis=0)
-        pixelwise = supervoxel_stats(labels, [(f - low) / (high - low) for f in lab], masks)
+        pixelwise = oracles.supervoxel_stats_lab(labels, [(f - low) / (high - low) for f in lab],
+                                                 masks)
         assert np.allclose(means, pixelwise.mean_lab, rtol=0, atol=1e-12)
+
+
+def _lab_of(*rgb):
+    """The L*a*b* triple of each 8-bit RGB color, as an (n, 3) array."""
+    return rgb_to_lab(np.array(rgb, np.uint8))
 
 
 class TestSupervoxelStats:
     def _frames(self, mask_rows):
-        labels = np.array([[0, 0, 1, 1]])
-        lab = np.zeros((1, 4, 3))
-        mask = np.array([mask_rows])
-        return [labels], [lab], [mask]
+        video = ArrayVideo([np.zeros((1, 4, 3), np.uint8)], [np.array([[0, 0, 1, 1]])])
+        return video, [np.array([mask_rows], bool)]
 
     def test_fully_foreground_supervoxel(self):
         stats = supervoxel_stats(*self._frames([1, 1, 0, 0]))
@@ -212,112 +219,222 @@ class TestSupervoxelStats:
         assert stats.local_consensus[0] == 0.0
 
     def test_three_quarters(self):
-        labels = [np.array([[2, 2], [2, 2]])]
-        lab = [np.zeros((2, 2, 3))]
-        mask = [np.array([[1, 1], [1, 0]])]
-        stats = supervoxel_stats(labels, lab, mask)
+        video = ArrayVideo([np.zeros((2, 2, 3), np.uint8)], [np.array([[2, 2], [2, 2]])])
+        stats = supervoxel_stats(video, [np.array([[1, 1], [1, 0]], bool)])
         assert stats.local_consensus[0] == 0.5
 
     def test_spans_frames(self):
-        labels = [np.array([[5]]), np.array([[5]])]
-        lab = [np.full((1, 1, 3), 0.2), np.full((1, 1, 3), 0.8)]
-        mask = [np.array([[1]]), np.array([[0]])]
-        stats = supervoxel_stats(labels, lab, mask)
+        colors = [(40, 90, 200), (220, 10, 60)]
+        video = ArrayVideo([np.array([[c]], np.uint8) for c in colors], [np.array([[5]])] * 2)
+        stats = supervoxel_stats(video, [np.array([[True]]), np.array([[False]])])
         assert stats.pixel_counts.tolist() == [2]
         assert stats.label_sums.tolist() == [1]
-        assert np.allclose(stats.mean_lab, 0.5)
+        assert np.allclose(stats.mean_lab, _lab_of(*colors).mean(axis=0))
 
     def test_dimension_mismatch(self):
+        video = ArrayVideo([np.zeros((2, 2, 3), np.uint8)], [np.zeros((2, 2), int)])
         with pytest.raises(ValueError, match="dimension mismatch"):
-            supervoxel_stats(
-                [np.zeros((2, 2), int)], [np.zeros((2, 2, 3))], [np.zeros((3, 3))]
-            )
+            supervoxel_stats(video, [np.zeros((3, 3), bool)])
 
     def test_bounds_of_local_consensus(self, rng):
-        labels = [rng.integers(0, 6, size=(6, 6))]
-        lab = [rng.random((6, 6, 3))]
-        mask = [(rng.random((6, 6)) > 0.5).astype(np.uint8)]
-        stats = supervoxel_stats(labels, lab, mask)
+        video = ArrayVideo([rng.integers(0, 256, size=(6, 6, 3), dtype=np.uint8)],
+                           [rng.integers(0, 6, size=(6, 6))])
+        stats = supervoxel_stats(video, [rng.random((6, 6)) > 0.5])
         consensus = stats.local_consensus
         assert np.all(consensus >= -1.0) and np.all(consensus <= 1.0)
         pure = np.abs(consensus) == 1.0
         mixed = (stats.label_sums > 0) & (stats.label_sums < stats.pixel_counts)
         assert not np.any(pure & mixed)
 
-    def test_accepts_generators(self, rng):
-        labels = [rng.integers(0, 5, size=(4, 5)) for _ in range(3)]
-        lab = [rng.random((4, 5, 3)) for _ in range(3)]
-        mask = [(rng.random((4, 5)) > 0.5).astype(np.uint8) for _ in range(3)]
-        listed = supervoxel_stats(labels, lab, mask)
-        lazy = supervoxel_stats(iter(labels), (f for f in lab), iter(mask))
-        for field in ("ids", "pixel_counts", "label_sums", "mean_lab", "lab_min", "lab_max"):
-            assert np.array_equal(getattr(listed, field), getattr(lazy, field))
-
     def test_later_frames_add_larger_ids(self):
-        labels = [np.array([[0, 0]]), np.array([[3, 0]])]
-        lab = [np.zeros((1, 2, 3)), np.ones((1, 2, 3))]
-        stats = supervoxel_stats(labels, lab, [np.ones((1, 2))] * 2)
+        white = (255, 255, 255)
+        video = ArrayVideo([np.zeros((1, 2, 3), np.uint8), np.full((1, 2, 3), 255, np.uint8)],
+                           [np.array([[0, 0]]), np.array([[3, 0]])])
+        stats = supervoxel_stats(video, [np.ones((1, 2), bool)] * 2)
         assert stats.ids.tolist() == [0, 3]
         assert stats.pixel_counts.tolist() == [3, 1]
         assert stats.label_sums.tolist() == [3, 1]
-        assert np.allclose(stats.mean_lab, [[1 / 3] * 3, [1.0] * 3])
+        assert np.allclose(stats.mean_lab, [_lab_of(white)[0] / 3, _lab_of(white)[0]])
 
     def test_channel_bounds_over_every_pixel(self, rng):
-        labels = [rng.integers(0, 3, size=(5, 5)) for _ in range(2)]
-        lab = [rng.normal(size=(5, 5, 3)) for _ in range(2)]
-        stats = supervoxel_stats(labels, lab, [np.zeros((5, 5))] * 2)
-        pixels = np.concatenate([f.reshape(-1, 3) for f in lab])
+        frames = [rng.integers(0, 256, size=(5, 5, 3), dtype=np.uint8) for _ in range(2)]
+        video = ArrayVideo(frames, [rng.integers(0, 3, size=(5, 5)) for _ in range(2)])
+        stats = supervoxel_stats(video, [np.zeros((5, 5), bool)] * 2)
+        pixels = np.concatenate([rgb_to_lab(f).reshape(-1, 3) for f in frames])
         assert np.array_equal(stats.lab_min, pixels.min(axis=0))
         assert np.array_equal(stats.lab_max, pixels.max(axis=0))
 
     def test_unequal_lengths(self):
+        video = ArrayVideo([np.zeros((1, 1, 3), np.uint8)] * 2, [np.zeros((1, 1), int)] * 2)
         with pytest.raises(ValueError, match="equal length"):
-            supervoxel_stats(
-                [np.zeros((1, 1), int)] * 2, iter([np.zeros((1, 1, 3))]), [np.zeros((1, 1))] * 2
-            )
+            supervoxel_stats(video, [np.zeros((1, 1), bool)])
 
-    @pytest.mark.parametrize("lengths", [(2, 3, 2), (1, 2, 2), (2, 2, 1), (0, 1, 0)])
+    @pytest.mark.parametrize("lengths", [(2, 3), (1, 2), (2, 1), (0, 1)])
     def test_any_list_longer_or_shorter(self, lengths):
-        n_labels, n_lab, n_masks = lengths
+        # more or fewer masks than frames is refused before any frame is read
+        n_frames, n_masks = lengths
+        video = ArrayVideo([None] * n_frames, [None] * n_frames)
         with pytest.raises(ValueError, match="equal length"):
-            supervoxel_stats(
-                [np.zeros((1, 1), int)] * n_labels,
-                iter([np.zeros((1, 1, 3))] * n_lab),
-                [np.zeros((1, 1))] * n_masks,
-            )
-
-    def test_each_lab_frame_dropped_before_the_next_is_asked_for(self, rng):
-        # what lets refine convert frames ahead without room for one more
-        alive = []
-
-        def lab_frames():
-            for _ in range(4):
-                assert all(ref() is None for ref in alive)
-                frame = [rng.random((4, 5, 3))]
-                alive.append(weakref.ref(frame[0]))
-                yield frame.pop()
-
-        labels = [rng.integers(0, 5, size=(4, 5)) for _ in range(4)]
-        supervoxel_stats(labels, lab_frames(), [np.zeros((4, 5))] * 4)
-        assert len(alive) == 4
+            supervoxel_stats(video, [np.zeros((1, 1), bool)] * n_masks)
 
     def test_no_frames(self):
         with pytest.raises(ValueError, match="no frames"):
-            supervoxel_stats([], iter([]), [])
+            supervoxel_stats(ArrayVideo([], []), [])
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_float_ids_are_refused(self, dtype):
         # a float id such as 0.7 must not be truncated into supervoxel 0
-        labels = [np.array([[0.7, 1.0]]).astype(dtype)]
+        video = ArrayVideo([np.zeros((1, 2, 3), np.uint8)], [np.array([[0.7, 1.0]]).astype(dtype)])
         with pytest.raises(TypeError, match="Cannot cast"):
-            supervoxel_stats(labels, [np.zeros((1, 2, 3))], [np.zeros((1, 2))])
+            supervoxel_stats(video, [np.zeros((1, 2), bool)])
 
     @pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.int32, np.int64, np.uint64])
     def test_integer_ids_of_any_width(self, dtype):
-        labels = [np.array([[0, 1, 1]], dtype=dtype)]
-        stats = supervoxel_stats(labels, [np.ones((1, 3, 3))], [np.array([[0, 1, 1]])])
+        video = ArrayVideo([np.full((1, 3, 3), 255, np.uint8)], [np.array([[0, 1, 1]], dtype)])
+        stats = supervoxel_stats(video, [np.array([[0, 1, 1]], bool)])
         assert stats.ids.tolist() == [0, 1]
         assert stats.pixel_counts.tolist() == [1, 2]
+
+
+_BAND_854 = _CACHE_ELEMENTS // (3 * 854)  # 25 rows of a DAVIS-width frame per band
+
+
+@st.composite
+def _tally_videos(draw):
+    """Small videos whose frames span one or several row bands, with masks of every kind.
+
+    Widths give bands of 25, 9 and 2 rows; heights sit at and around a band
+    edge. Later frames may bring ids not seen before.
+    """
+    width = draw(st.sampled_from([854, 2427, 10922]))
+    band = _CACHE_ELEMENTS // (3 * width)
+    height = draw(st.sampled_from([1, band - 1, band, band + 1, 2 * band + 3]))
+    num_frames = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    kinds = draw(st.lists(st.sampled_from(["empty", "full", "random"]),
+                          min_size=num_frames, max_size=num_frames))
+    rng = np.random.default_rng(seed)
+    frames, labels, masks = [], [], []
+    for i, kind in enumerate(kinds):
+        frames.append(rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8))
+        labels.append(rng.integers(0, 40 * (i + 1), size=(height, width)).astype(np.int32))
+        masks.append(np.zeros((height, width), bool) if kind == "empty"
+                     else np.ones((height, width), bool) if kind == "full"
+                     else rng.random((height, width)) < 0.4)
+    return frames, labels, masks
+
+
+class TestBandedTallyExactness:
+    """The banded tally equals one whole-frame ``bincount`` per channel per frame, to the bit.
+
+    ``oracles.supervoxel_stats_lab`` is that tally, over the LAB frames of
+    ``rgb_to_lab``. The golden videos run it too: ``wide`` (70x1024) is four
+    bands of 21 rows per frame and ``small`` one band.
+    """
+
+    @staticmethod
+    def _assert_equals_oracle(frames, labels, masks, jobs=1):
+        got = supervoxel_stats(ArrayVideo(frames, labels), masks, jobs)
+        expected = oracles.supervoxel_stats_lab(labels, [rgb_to_lab(f) for f in frames], masks)
+        for field in ("ids", "pixel_counts", "label_sums", "mean_lab", "lab_min", "lab_max"):
+            a, b = getattr(got, field), getattr(expected, field)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), field
+            assert a.tobytes() == b.tobytes(), field
+
+    @settings(max_examples=40, deadline=None)
+    @given(video=_tally_videos(), jobs=st.sampled_from([1, 2]))
+    def test_equals_whole_frame_bincount(self, video, jobs):
+        self._assert_equals_oracle(*video, jobs=jobs)
+
+    def test_davis_frames_with_ids_first_seen_later(self, rng):
+        # 480 rows of 854 are 19 full bands and one of 5
+        frames = [rng.integers(0, 256, size=(480, 854, 3), dtype=np.uint8) for _ in range(2)]
+        labels = [rng.integers(0, 600, size=(480, 854)), rng.integers(300, 1100, size=(480, 854))]
+        masks = [rng.random((480, 854)) < 0.05, np.ones((480, 854), bool)]
+        self._assert_equals_oracle(frames, labels, masks)
+
+
+class TestTallyMemory:
+    """No L*a*b* frame is built: the tally holds one band of it at a time."""
+
+    def test_one_frame_peaks_below_one_lab_frame(self, rng):
+        # A LAB frame is 24 B per pixel; the banded tally holds one band's
+        # LAB and scratch, the frame's ids a band at a time and its partials.
+        height, width = 480, 854
+        video = ArrayVideo([rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8)],
+                           [rng.integers(0, 1100, size=(height, width)).astype(np.int32)])
+        masks = [rng.random((height, width)) < 0.05]
+        supervoxel_stats(video, masks)
+        tracemalloc.start()
+        try:
+            supervoxel_stats(video, masks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * height * width, f"{peak / (height * width):.1f} B per pixel"
+
+    def test_lab_is_converted_a_band_at_a_time(self, tmp_path, monkeypatch):
+        height, width = 60, 854
+        root = _tile_video(tmp_path / "video", height, width, num_frames=3)
+        shapes, convert = [], refine.rgb_to_lab
+
+        def recording(rgb):
+            lab = convert(rgb)
+            shapes.append(lab.shape)
+            return lab
+
+        monkeypatch.setattr(refine, "rgb_to_lab", recording)
+        refine_sequence(open_sequence(root), jobs=2)
+        # three frames of 60 rows: bands of 25, 25 and 10 rows each
+        assert collections.Counter(shapes) == {(_BAND_854, width, 3): 6, (10, width, 3): 3}
+
+    def test_tally_grows_by_the_kept_fields_and_masks_only(self, tmp_path, monkeypatch):
+        # During the tally, a 6-frame refine at two jobs may peak above a
+        # 2-frame one by the fields and masks kept from pass one (9 B per
+        # pixel per frame, held when the tally starts) and no more. A LAB
+        # frame held per job ahead of the tally is 24 B per pixel: the former
+        # design exceeded the kept fields by 30-43 B per pixel here, the
+        # banded one by 0-5.
+        height, width = 240, 854
+        seqs = {n: open_sequence(_tile_video(tmp_path / f"tiles{n}", height, width, n))
+                for n in (2, 6)}
+        windows, tally = [], refine.supervoxel_stats
+
+        def windowed(*args, **kwargs):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            stats = tally(*args, **kwargs)
+            windows.append((start, tracemalloc.get_traced_memory()[1]))
+            return stats
+
+        monkeypatch.setattr(refine, "supervoxel_stats", windowed)
+        refine_sequence(seqs[2], jobs=2)  # lazy imports happen outside the traced runs
+        windows.clear()
+        for seq in seqs.values():
+            tracemalloc.start()
+            try:
+                refine_sequence(seq, jobs=2)
+            finally:
+                tracemalloc.stop()
+        (start2, peak2), (start6, peak6) = windows
+        beyond_kept = (peak6 - peak2 - (start6 - start2)) / (height * width)
+        assert start6 - start2 >= 4 * 9 * height * width
+        assert beyond_kept <= 12.0, f"{beyond_kept:.1f} B per pixel beyond the kept fields"
+
+
+def _tile_video(root, height, width, num_frames):
+    """A moving-block video with random colors and supervoxels of 10 x 10 tiles."""
+    rng = np.random.default_rng(num_frames)
+    scene = moving_block_arrays(height=height, width=width,
+                                block=(slice(height // 3, 2 * height // 3),
+                                       slice(width // 3, width // 2)),
+                                num_frames=num_frames)
+    rows, cols = np.indices((height, width))
+    labels = (rows // 10) * (width // 10 + 1) + cols // 10
+    frames = [rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8)
+              for _ in range(num_frames)]
+    return write_video_dir(root, frames=frames, flows=scene["flows"],
+                           saliencies=scene["saliencies"], labels=[labels] * num_frames)
 
 
 def _stats(ids, counts, fg, mean_lab):
@@ -589,9 +706,9 @@ class TestRefineMasks:
         fore = np.full((3, 3), 0.5)
         fore[0, 0] = 1.0
         fore[0, 1] = 0.0
-        lab = [np.zeros((3, 3, 3))]
-        lab[0][0, 0] = (1.0, 0.0, 0.0)  # distinct colors, irrelevant for n=2
-        stats = supervoxel_stats([labels], lab, [mask])
+        rgb = np.zeros((3, 3, 3), np.uint8)
+        rgb[0, 0] = (255, 0, 0)  # distinct colors, irrelevant for n=2
+        stats = supervoxel_stats(ArrayVideo([rgb], [labels]), [mask])
         cfg = RefineConfig(mode="nonlocal")
         table = build_consensus(stats, cfg)
         assert table.f_local.tolist() == [0.0, -1.0]
@@ -668,8 +785,9 @@ class TestRefineMasks:
             mask = (rng.random((3, 3)) > 0.5).astype(np.uint8)
             fore = rng.random((3, 3))
             labels = np.arange(9).reshape(3, 3)
-            lab = rng.random((3, 3, 3))
-            stats = supervoxel_stats([labels], [lab], [mask])
+            rgb = rng.integers(0, 256, size=(3, 3, 3), dtype=np.uint8)
+            lab = rgb_to_lab(rgb)
+            stats = supervoxel_stats(ArrayVideo([rgb], [labels]), [mask])
             cfg = RefineConfig(mode="local")
             table = build_consensus(stats, cfg)
             adjusted = adjusted_foregroundness(fore, labels, table, fore.max(), cfg)
@@ -791,7 +909,7 @@ class TestRefineSequence:
         lab = [oracles.rgb_to_lab_pow(f) for f in frames]
         low = np.min([f.min(axis=(0, 1)) for f in lab], axis=0)
         high = np.max([f.max(axis=(0, 1)) for f in lab], axis=0)
-        stats = supervoxel_stats(
+        stats = oracles.supervoxel_stats_lab(
             labels, [(f - low) / (high - low) for f in lab], result.initial.masks
         )
         expected = oracles.consensus_rows(stats.ids, stats.local_consensus, stats.mean_lab)
