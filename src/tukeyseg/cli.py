@@ -32,7 +32,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from tukeyseg.io import _check_same_extent, open_sequence, read_mask_dir, write_mask_pgm
+from tukeyseg.io import (_check_same_extent, _indexed_name, _name_index, open_sequence,
+                         read_mask_dir, write_mask_pgm)
 
 log = logging.getLogger(__name__)
 
@@ -51,45 +52,28 @@ def _exponent_list(text: str) -> tuple[float, ...]:
     return values
 
 
-def _parsed(kind, text: str):
-    try:
-        return kind(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a valid {kind.__name__}: '{text}'") from exc
+def _number(kind=float, low=-math.inf, high=math.inf):
+    """An argparse type: a finite ``kind`` in [low, high], else exit status 2 naming the flag."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not a valid {kind.__name__}: '{text}'") from exc
+        if not (low <= value <= high and abs(value) < math.inf):  # an int may not fit a float
+            raise argparse.ArgumentTypeError(f"must be finite and in [{low:g}, {high:g}], not {text}")
+        return value
+
+    return parse
 
 
-def _jobs(text: str) -> int:
-    value = _parsed(int, text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
-    return value
-
-
-def _finite_float(text: str) -> float:
-    value = _parsed(float, text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, not {text}")
-    return value
-
-
-def _non_negative(text: str) -> float:
-    value = _finite_float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must not be negative, not {text}")
-    return value
-
-
-def _unit_interval(text: str) -> float:
-    value = _parsed(float, text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1], not {text}")
-    return value
+_JOBS = _number(int, low=1)
+_NON_NEGATIVE = _number(low=0.0)
 
 
 def _add_segmenter_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k-fences", type=_non_negative, default=1.5,
+    parser.add_argument("--k-fences", type=_NON_NEGATIVE, default=1.5,
                         help="outlier fence multiple of the IQR (default 1.5)")
-    parser.add_argument("--min-flow-scale", type=_unit_interval, default=0.5,
+    parser.add_argument("--min-flow-scale", type=_number(low=0.0, high=1.0), default=0.5,
                         help="minimum outlier scale for flow measures (default 0.5)")
     parser.add_argument("--vs-exponents", type=_exponent_list, default=(1.0, 0.5, 1.0 / 3.0),
                         metavar="K1,K2,...",
@@ -109,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     tis0.add_argument("--input", required=True, help="video directory (frames/flow/saliency layout)")
     tis0.add_argument("--output", required=True, help="directory for %%05d.pgm masks and diagnostics")
     _add_segmenter_args(tis0)
-    tis0.add_argument("--jobs", type=_jobs, default=1, help="worker threads for per-frame stages")
+    tis0.add_argument("--jobs", type=_JOBS, default=1, help="worker threads for per-frame stages")
 
     refine = sub.add_parser("refine", help="segment, then refine boundaries with supervoxel consensus")
     refine.add_argument("--input", required=True,
@@ -118,9 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_segmenter_args(refine)
     refine.add_argument("--mode", choices=("local", "nonlocal"), default="nonlocal",
                         help="consensus mode (default nonlocal)")
-    refine.add_argument("--w0", type=_finite_float, default=None,
+    refine.add_argument("--w0", type=_number(), default=None,
                         help="override the local-consensus weight (default 1 local, 1/3 nonlocal)")
-    refine.add_argument("--jobs", type=_jobs, default=1)
+    refine.add_argument("--jobs", type=_JOBS, default=1)
 
     combine = sub.add_parser("combine", help="fuse the masks of several methods")
     combine.add_argument("--input", required=True,
@@ -128,23 +112,23 @@ def build_parser() -> argparse.ArgumentParser:
     combine.add_argument("--output", required=True, help="directory for fused masks and the weight report")
     combine.add_argument("--strategy", choices=_STRATEGIES, default="tism",
                          help="fusion rule (default tism)")
-    combine.add_argument("--k-fences", type=_non_negative, default=1.5)
-    combine.add_argument("--jobs", type=_jobs, default=1)
+    combine.add_argument("--k-fences", type=_NON_NEGATIVE, default=1.5)
+    combine.add_argument("--jobs", type=_JOBS, default=1)
 
     evaluate = sub.add_parser("eval", help="score predicted masks against ground truth")
     evaluate.add_argument("--input", required=True, help="prediction root (one directory per sequence)")
     evaluate.add_argument("--ground-truth", required=True, help="ground-truth root")
     evaluate.add_argument("--output", default=None, help="also write the CSV table to this file")
-    evaluate.add_argument("--tolerance", type=_non_negative, default=None,
+    evaluate.add_argument("--tolerance", type=_NON_NEGATIVE, default=None,
                           help="contour tolerance in pixels (default: 0.0075 * image diagonal)")
-    evaluate.add_argument("--jobs", type=_jobs, default=1)
+    evaluate.add_argument("--jobs", type=_JOBS, default=1)
 
     return parser
 
 
 # the raster directories of a video that tis0 and refine read
 _VIDEO_RASTERS = ("frames", "flow", "saliency", "svx")
-_OUTPUT_NAME = re.compile(r"[0-9]{5,}\.pgm|flow_alphas\.csv|mask_alphas\.csv")
+_REPORT_NAMES = ("flow_alphas.csv", "mask_alphas.csv")
 _STAGING_PREFIX = ".tukeyseg-"
 _STAGING_NAME = re.compile(r"\.tukeyseg-[a-z0-9_]+")
 
@@ -161,7 +145,8 @@ def _output_names(directory: Path) -> list[str]:
     names = []
     if directory.is_dir():
         for entry in directory.iterdir():
-            if not (entry.is_file() and _OUTPUT_NAME.fullmatch(entry.name)
+            is_output = entry.name in _REPORT_NAMES or _name_index(entry.name, "pgm") is not None
+            if not (entry.is_file() and is_output
                     or entry.is_dir() and _STAGING_NAME.fullmatch(entry.name)):
                 raise ValueError(f"{entry}: not an output of this program, "
                                  f"so {directory} is not written to")
@@ -225,21 +210,12 @@ def _write_outputs(directory: Path, files: dict[str, bytes], replaced=None) -> N
 
 
 def _mask_files(masks) -> dict[str, bytes]:
-    return {f"{i:05d}.pgm": write_mask_pgm(mask) for i, mask in enumerate(masks)}
+    return {_indexed_name(i, "pgm"): write_mask_pgm(mask) for i, mask in enumerate(masks)}
 
 
-def _flow_scale_csv(flow_scales) -> bytes:
-    lines = ["frame,component,alpha"]
-    for index, scales in enumerate(flow_scales):
-        for component, alpha in scales.items():
-            lines.append(f"{index},{component},{alpha:.12g}")
-    return ("\n".join(lines) + "\n").encode()
-
-
-def _fusion_report_csv(records) -> bytes:
-    lines = ["frame,method,count,alpha"]
-    for record in records:
-        lines.append(f"{record.frame},{record.method},{record.count},{record.alpha:.12g}")
+def _csv(header: str, rows) -> bytes:
+    """A CSV table: ``header``, then one line per row, whose last value is written to 12 digits."""
+    lines = [header, *(",".join([*map(str, row[:-1]), f"{row[-1]:.12g}"]) for row in rows)]
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -261,7 +237,8 @@ def _cmd_tis0(args) -> int:
     seq = open_sequence(args.input)
     result = segment_sequence(seq, _segmenter_config(args), jobs=args.jobs)
     files = _mask_files(result.masks)
-    files["flow_alphas.csv"] = _flow_scale_csv(result.flow_scales)
+    files["flow_alphas.csv"] = _csv("frame,component,alpha", (
+        (i, *item) for i, scales in enumerate(result.flow_scales) for item in scales.items()))
     _write_outputs(Path(args.output), files)
     log.info("wrote %d masks to %s", len(result.masks), args.output)
     return 0
@@ -301,7 +278,8 @@ def _cmd_combine(args) -> int:
         jobs=args.jobs,
     )
     files = _mask_files(fused)
-    files["mask_alphas.csv"] = _fusion_report_csv(records)
+    files["mask_alphas.csv"] = _csv("frame,method,count,alpha",
+                                    ((r.frame, r.method, r.count, r.alpha) for r in records))
     _write_outputs(Path(args.output), files)
     log.info("fused %d methods over %d frames", len(method_dirs), len(per_method[0]))
     return 0

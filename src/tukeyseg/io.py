@@ -67,7 +67,19 @@ import numpy as np
 
 FLO_SENTINEL = 202021.25  # float32 spelling of the ASCII tag "PIEH"
 
-_INDEXED_NAME = re.compile(r"^([0-9]{5})\.([a-z0-9]+)$")
+
+def _indexed_name(index: int, extension: str) -> str:
+    """The file name of raster ``index``: ``%05d.<extension>``."""
+    return f"{index:05d}.{extension}"
+
+
+def _name_index(name: str, extension: str) -> int | None:
+    """The index that :func:`_indexed_name` encodes in ``name``; ``None`` for any other name.
+
+    Five ASCII digits, or more without a leading zero, as ``%05d`` writes them.
+    """
+    match = re.fullmatch(r"([0-9]{5}|[1-9][0-9]{5,})\." + re.escape(extension), name)
+    return int(match[1]) if match else None
 
 
 # --- optical flow (.flo) ---
@@ -239,11 +251,6 @@ def _encode_pnm(values, magic: bytes, top: int, message: str, scale: int = 1) ->
     return bytes(out)
 
 
-def read_pgm(data: bytes) -> np.ndarray:
-    """Decode an 8-bit binary PGM into a (height, width) uint8 array."""
-    return _pnm_payload(data, b"P5").copy()
-
-
 def write_pgm(gray) -> bytes:
     """Encode a (height, width) array of 0..255 values as binary PGM."""
     return _encode_pnm(gray, b"P5", 255, "PGM values must be integers in 0..255")
@@ -335,9 +342,9 @@ def _index(directory: Path, extension: str, decode) -> RasterSequence:
     found: dict[int, Path] = {}
     if directory.is_dir():
         for path in directory.iterdir():
-            match = _INDEXED_NAME.match(path.name)
-            if match and match.group(2) == extension:
-                found[int(match.group(1))] = path
+            index = _name_index(path.name, extension)
+            if index is not None:
+                found[index] = path
     for i in range(len(found)):
         if i not in found:
             raise ValueError(f"{directory}: gap at index {i}")
@@ -409,14 +416,6 @@ class FrameSequence:
     @property
     def num_frames(self) -> int:
         return len(self.frames)
-
-    @property
-    def height(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.frames.shape[1]
 
     @property
     def flow_count(self) -> int:

@@ -195,6 +195,18 @@ def _grown(a: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
+def _check_ids(labels: np.ndarray) -> None:
+    """Refuse a supervoxel id map of a non-integer dtype, bool too, or with a negative id.
+
+    A float id such as 0.7 would be truncated into supervoxel 0, and a bool
+    map would index as a mask rather than as ids.
+    """
+    if labels.dtype.kind not in "ui":
+        raise TypeError(f"Cannot cast supervoxel ids of dtype {labels.dtype} to integers")
+    if labels.min() < 0:
+        raise ValueError("supervoxel ids must be non-negative")
+
+
 def _frame_tally(rgb, labels, mask):
     """One frame's per-supervoxel partial: (counts, foreground counts, LAB sums, low, high).
 
@@ -210,11 +222,7 @@ def _frame_tally(rgb, labels, mask):
         raise ValueError(
             f"dimension mismatch: labels {labels.shape}, rgb {rgb.shape}, mask {mask.shape}"
         )
-    if labels.min() < 0:
-        raise ValueError("supervoxel ids must be non-negative")
-    # refuse float ids as bincount does, before a float maximum sizes the partial
-    if not np.can_cast(labels.dtype, np.intp, casting="same_kind"):
-        raise TypeError(f"Cannot cast supervoxel ids of dtype {labels.dtype} to integers")
+    _check_ids(labels)
     size = int(labels.max()) + 1
     counts = np.zeros(size, dtype=np.int64)
     label_sums = np.zeros(size, dtype=np.int64)
@@ -449,8 +457,7 @@ def adjusted_foregroundness(
     fore, labels = np.asarray(fore, dtype=np.float64), np.asarray(labels)
     if fore.shape != labels.shape:
         raise ValueError(f"dimension mismatch: field {fore.shape} vs labels {labels.shape}")
-    if labels.min() < 0:
-        raise ValueError("supervoxel ids must be non-negative")
+    _check_ids(labels)
     lookup = np.full(max(int(consensus.ids.max()), int(labels.max())) + 1, np.nan)
     lookup[consensus.ids] = cfg.local_weight * consensus.f_local + consensus.f_nonlocal
     adjusted = lookup[labels]

@@ -39,9 +39,16 @@ class OutlierFences:
 
 
 def _sample_array(data) -> np.ndarray:
-    """``data`` as an array: a float32 one as it is, anything else as float64."""
+    """``data`` as an array: a float32 one as it is, anything else as float64.
+
+    This is the one finiteness check of a sample: a NaN or infinite value
+    raises ``ValueError``.
+    """
     d = np.asarray(data)
-    return d if d.dtype == np.float32 else np.asarray(d, dtype=np.float64)
+    d = d if d.dtype == np.float32 else np.asarray(d, dtype=np.float64)
+    if not np.all(np.isfinite(d)):
+        raise ValueError("non-finite input")
+    return d
 
 
 def quartiles(sample) -> Quartiles:
@@ -76,8 +83,6 @@ def quartiles(sample) -> Quartiles:
     data = _sample_array(sample)
     if data.size == 0:
         raise ValueError("empty sample")
-    if not np.all(np.isfinite(data)):
-        raise ValueError("non-finite input")
     work = data.view(np.int32 if data.dtype == np.float32 else np.int64).flatten()
     _flip_negatives(work)
     n = work.size
@@ -98,13 +103,13 @@ def quartiles(sample) -> Quartiles:
     values = np.array(picked, dtype=work.dtype)
     _flip_negatives(values)
     values = values.view(data.dtype).tolist()
-    q1, q2, q3 = (
+    q = Quartiles(*(
         _lerp(values[2 * i], values[2 * i + 1], p - k)
         for i, (p, k) in enumerate(zip(positions, lows))
-    )
-    if not all(math.isfinite(v) for v in (q1, q2, q3, q3 - q1)):
+    ))
+    if not all(math.isfinite(v) for v in (q.q1, q.q2, q.q3, q.iqr)):
         raise ValueError("sample spread overflows float64")
-    return Quartiles(q1, q2, q3)
+    return q
 
 
 # values per block of _flip_negatives: 256 KB of int32 or 512 KB of int64 temporary
@@ -139,8 +144,7 @@ def fences(q: Quartiles, k: float = 1.5) -> OutlierFences:
         raise ValueError("non-finite fence constant")
     if k < 0:
         raise ValueError("fence constant must be non-negative")
-    iqr = q.q3 - q.q1
-    return OutlierFences(q.q1 - k * iqr, q.q3 + k * iqr, float(k))
+    return OutlierFences(q.q1 - k * q.iqr, q.q3 + k * q.iqr, float(k))
 
 
 def outlier_set(data, f: OutlierFences) -> np.ndarray:
@@ -150,8 +154,6 @@ def outlier_set(data, f: OutlierFences) -> np.ndarray:
     the ufunc, value by value, never rounding a fence to float32.
     """
     d = _sample_array(data)
-    if not np.all(np.isfinite(d)):
-        raise ValueError("non-finite input")
     # np.float64 fences, since NEP 50 would round a Python float to the array's float32
     return (d < np.float64(f.o1)) | (d > np.float64(f.o3))
 
@@ -164,12 +166,10 @@ def outlier_scale(data, outliers) -> float:
     sums to zero magnitude (an all-zero source carries no signal to weight).
     The magnitudes are float64 whatever the data's width, and summed as such.
     """
-    d = _sample_array(data)
     o = np.asarray(outliers, dtype=bool)
-    if d.shape != o.shape:
-        raise ValueError(f"dimension mismatch: data {d.shape} vs outliers {o.shape}")
-    if not np.all(np.isfinite(d)):
-        raise ValueError("non-finite input")
+    if np.shape(data) != o.shape:
+        raise ValueError(f"dimension mismatch: data {np.shape(data)} vs outliers {o.shape}")
+    d = _sample_array(data)
     magnitude = np.abs(d, dtype=np.float64)
     total = float(magnitude.sum())
     if total == 0.0:

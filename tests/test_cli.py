@@ -216,6 +216,7 @@ class TestOutputDirectory:
 
     @pytest.mark.parametrize("foreign", [
         "notes.txt", "00001.png", "sub/00000.pgm", "\u0660" * 5 + ".pgm", ".tukeyseg-notes",
+        "012345.pgm",
     ])
     def test_foreign_content_is_never_replaced(self, block_video, tmp_path, capsys, foreign):
         video, _ = block_video

@@ -13,7 +13,6 @@ from tukeyseg.io import (
     open_sequence,
     read_flo,
     read_mask_pgm,
-    read_pgm,
     read_pgm16,
     read_ppm,
     read_mask_dir,
@@ -74,6 +73,10 @@ class TestFlo:
             assert decoded.v.tobytes() == v.tobytes()
 
 
+# the readers of 8-bit PGM files, which share one header and payload check
+_PGM_READERS = (read_mask_pgm, read_saliency_pgm)
+
+
 class TestPgm:
     def test_hand_assembled_mask(self):
         data = b"P5\n2 1\n255\n\x00\xff"
@@ -86,13 +89,15 @@ class TestPgm:
         assert write_mask_pgm(read_mask_pgm(encoded)) == encoded
 
     def test_sixteen_bit_maxval_rejected(self):
-        with pytest.raises(ValueError, match="maxval"):
-            read_pgm(b"P5\n1 1\n65535\n\x00\x00")
+        for read in _PGM_READERS:
+            with pytest.raises(ValueError, match="maxval"):
+                read(b"P5\n1 1\n65535\n\x00\x00")
 
     @pytest.mark.parametrize("maxval", [1, 100, 254])
     def test_maxval_other_than_255_rejected(self, maxval):
-        with pytest.raises(ValueError, match="maxval"):
-            read_pgm(f"P5\n1 1\n{maxval}\n".encode() + b"\x00")
+        for read in _PGM_READERS:
+            with pytest.raises(ValueError, match="maxval"):
+                read(f"P5\n1 1\n{maxval}\n".encode() + b"\x00")
 
     def test_mask_with_maxval_one_rejected(self):
         # read at maxval 255, these 1s would all binarize to background
@@ -105,16 +110,19 @@ class TestPgm:
             read_saliency_pgm(b"P5\n1 1\n100\n\x64")
 
     def test_wrong_magic(self):
-        with pytest.raises(ValueError, match="magic"):
-            read_pgm(b"P6\n1 1\n255\n\x00")
+        for read in _PGM_READERS:
+            with pytest.raises(ValueError, match="magic"):
+                read(b"P6\n1 1\n255\n\x00")
 
     def test_truncated_payload(self):
-        with pytest.raises(ValueError, match="truncated"):
-            read_pgm(b"P5\n2 2\n255\n\x00\x00\x00")
+        for read in _PGM_READERS:
+            with pytest.raises(ValueError, match="truncated"):
+                read(b"P5\n2 2\n255\n\x00\x00\x00")
 
     def test_excess_payload(self):
-        with pytest.raises(ValueError, match="longer"):
-            read_pgm(b"P5\n1 1\n255\n\x00\x00")
+        for read in _PGM_READERS:
+            with pytest.raises(ValueError, match="longer"):
+                read(b"P5\n1 1\n255\n\x00\x00")
 
     def test_binarization_threshold(self):
         data = b"P5\n3 1\n255\n" + bytes([127, 128, 0])
@@ -153,7 +161,9 @@ class TestPgm:
 
     def test_gray_round_trip(self, rng):
         gray = rng.integers(0, 256, size=(3, 4), dtype=np.uint8)
-        assert np.array_equal(read_pgm(write_pgm(gray)), gray)
+        encoded = write_pgm(gray)
+        assert np.array_equal(read_saliency_pgm(encoded), gray / 255.0)
+        assert write_saliency_pgm(read_saliency_pgm(encoded)) == encoded
 
 
 class TestPgm16:
@@ -474,6 +484,14 @@ class TestReadMaskDir:
         (tmp_path / "m" / "00001.pgm").rename(tmp_path / "m" / "\u0660\u0660\u0660\u0660\u0661.pgm")
         assert len(read_mask_dir(tmp_path / "m")) == 1
 
+    def test_six_digit_index_is_read(self, tmp_path):
+        # 100000.pgm is the name the CLI writes for frame 100000, so it is no stray file
+        self._write(tmp_path / "m", 1)
+        (tmp_path / "m" / "00000.pgm").rename(tmp_path / "m" / "100000.pgm")
+        self._write(tmp_path / "m", 1)
+        with pytest.raises(ValueError, match="gap at index 1"):
+            read_mask_dir(tmp_path / "m")
+
     def test_file_rewritten_with_another_size_named_on_access(self, tmp_path):
         self._write(tmp_path / "m", 3)
         masks = read_mask_dir(tmp_path / "m")
@@ -483,3 +501,19 @@ class TestReadMaskDir:
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: dimensions 2x3 do not match sequence 3x2")):
             masks[1]
+
+
+class TestIndexNames:
+    @pytest.mark.parametrize("index", [0, 7, 99999, 100000, 1234567])
+    def test_every_name_written_reads_back(self, index):
+        name = io._indexed_name(index, "pgm")
+        assert name == f"{index:05d}.pgm"
+        assert io._name_index(name, "pgm") == index
+        assert io._name_index(name, "ppm") is None
+
+    @pytest.mark.parametrize("name", [
+        "0001.pgm", "012345.pgm", "0100000.pgm", "00001.pgm16", "00001.pgm.bak", "00001.pgm\n",
+        "x00001.pgm", "\u0660" * 5 + ".pgm",
+    ])
+    def test_other_names_are_no_index(self, name):
+        assert io._name_index(name, "pgm") is None

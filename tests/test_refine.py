@@ -288,7 +288,13 @@ class TestSupervoxelStats:
         with pytest.raises(TypeError, match="Cannot cast"):
             supervoxel_stats(video, [np.zeros((1, 2), bool)])
 
-    @pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.int32, np.int64, np.uint64])
+    def test_bool_ids_are_refused(self):
+        # a bool map would be tallied as ids 0 and 1 here, then fail in pass two
+        video = ArrayVideo([np.zeros((1, 2, 3), np.uint8)], [np.array([[False, True]])])
+        with pytest.raises(TypeError, match="Cannot cast supervoxel ids of dtype bool"):
+            supervoxel_stats(video, [np.zeros((1, 2), bool)])
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.int64, np.uint64])
     def test_integer_ids_of_any_width(self, dtype):
         video = ArrayVideo([np.full((1, 3, 3), 255, np.uint8)], [np.array([[0, 1, 1]], dtype)])
         stats = supervoxel_stats(video, [np.array([[0, 1, 1]], bool)])
@@ -753,6 +759,15 @@ class TestRefineMasks:
         labels = np.array([[0, -1]])
         with pytest.raises(ValueError, match="non-negative"):
             adjusted_foregroundness(np.zeros((1, 2)), labels, table, 0.0)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.bool_])
+    def test_non_integer_ids_are_refused(self, dtype):
+        # the TypeError supervoxel_stats raises, not an IndexError from the lookup
+        table = ConsensusTable(np.array([0, 1]), np.array([0.0, 1.0]), np.zeros(2))
+        labels = np.array([[0, 1]], dtype=dtype)
+        for refine_frame in (adjusted_foregroundness, refine_mask):
+            with pytest.raises(TypeError, match="Cannot cast supervoxel ids of dtype"):
+                refine_frame(np.zeros((1, 2)), labels, table, 0.0)
 
     def test_shape_mismatch_raises(self):
         table = ConsensusTable(np.array([0]), np.array([1.0]), np.array([0.0]))
