@@ -87,7 +87,12 @@ def _name_index(name: str, extension: str) -> int | None:
 
 @dataclass(frozen=True)
 class FlowField:
-    """Per-pixel (u, v) displacement raster for one frame pair."""
+    """Per-pixel (u, v) displacement raster for one frame pair.
+
+    Both components must be float32, as ``.flo`` stores them, so that
+    their squares are exact in float64 (see
+    :func:`tukeyseg.segment.flow_measures`).
+    """
 
     u: np.ndarray  # (height, width) float32, x displacement in pixels
     v: np.ndarray  # (height, width) float32, y displacement in pixels
@@ -95,6 +100,8 @@ class FlowField:
     def __post_init__(self):
         if self.u.ndim != 2 or self.u.shape != self.v.shape:
             raise ValueError("u and v must be 2-D arrays of equal shape")
+        if self.u.dtype != np.float32 or self.v.dtype != np.float32:
+            raise ValueError(f"flow must be float32, got u {self.u.dtype} and v {self.v.dtype}")
         if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v))):
             raise ValueError("non-finite flow values")
 

@@ -7,15 +7,17 @@ un-gated deviation sum. :func:`frame_foregroundness` is the one place these
 terms are computed and summed; it relies on the
 :class:`~tukeyseg.io.FrameSequence` accessors for rasters of the sequence's
 shape. The statistics take whole-frame measures, x and y at the width the
-flow was decoded (float32 from ``.flo``) with float64 arithmetic inside
-each ufunc, so the values are those of the widened flow; the terms are
-summed a band of rows at a time, in buffers of about 512 KB each so that
-they stay in cache. Each pixel's operations keep their whole-frame order,
-so the bits do not depend on the band. The foregroundness field is
-thresholded at mean + standard deviation, with a half-threshold discount
-wherever the previous frame's mask was foreground, and reduced to the
-single strongest connected segment. Segments are labelled in numpy from
-the mask's row runs.
+flow was decoded (float32 from ``.flo``) with float64 arithmetic inside each
+ufunc, so the values are those of the widened flow. The magnitude is the
+correctly rounded square root of the once-rounded float64 sum of the
+components' exact squares: its bits depend on no libm, and it is within 1
+ulp of ``hypot``. The terms are summed a band of rows at a time, in buffers
+of about 512 KB each so that they stay in cache. Each pixel's operations
+keep their whole-frame order, so the bits do not depend on the band. The
+foregroundness field is thresholded at mean + standard deviation, with a
+half-threshold discount wherever the previous frame's mask was foreground,
+and reduced to the single strongest connected segment. Segments are labelled
+in numpy from the mask's row runs.
 """
 
 from __future__ import annotations
@@ -78,11 +80,19 @@ def flow_measures(flow: FlowField) -> FlowMeasures:
 
     The components are returned as given, not copied or widened. Magnitude
     and angle are computed in float64, each component widened inside the
-    ufunc, so they have the bits of the widened flow's.
+    ufunc, so they have the bits of the widened flow's. A float32
+    component's square is exact in float64, so the magnitude rounds only
+    the sum of the squares and its square root, both correctly rounded
+    IEEE 754 operations. Its bits depend on no libm or SIMD dispatch, and
+    it is within 1 ulp of ``hypot``.
     """
     u, v = np.asarray(flow.u), np.asarray(flow.v)
-    magnitude = np.hypot(u, v, dtype=np.float64)
-    angle = np.arctan2(v, u, dtype=np.float64)
+    # v*v goes in the angle's array, which arctan2 then overwrites, so that
+    # no third float64 array is made.
+    magnitude = np.multiply(u, u, dtype=np.float64)
+    angle = np.multiply(v, v, dtype=np.float64)
+    np.sqrt(np.add(magnitude, angle, out=magnitude), out=magnitude)
+    np.arctan2(v, u, out=angle, dtype=np.float64)
     angle[angle == -np.pi] = np.pi
     return FlowMeasures(x=u, y=v, magnitude=magnitude, angle=angle)
 

@@ -87,6 +87,17 @@ MUTANTS = (
            ("tests/test_refine.py",)),
     Mutant("index-name-width", "src/tukeyseg/io.py",
            "([0-9]{5}|[1-9][0-9]{5,})", "([0-9]{5})", ("tests/test_io.py",)),
+    Mutant("magnitude-libm-hypot", "src/tukeyseg/segment.py",
+           "np.sqrt(np.add(magnitude, angle, out=magnitude), out=magnitude)",
+           "np.hypot(u, v, out=magnitude, dtype=np.float64)", ("tests/test_segment.py",)),
+    Mutant("magnitude-float32-squares", "src/tukeyseg/segment.py",
+           "magnitude = np.multiply(u, u, dtype=np.float64)\n"
+           "    angle = np.multiply(v, v, dtype=np.float64)\n",
+           "magnitude = np.multiply(u, u)\n    angle = np.multiply(v, v)\n",
+           ("tests/test_segment.py",)),
+    Mutant("flowfield-dtype-unchecked", "src/tukeyseg/io.py",
+           "if self.u.dtype != np.float32 or self.v.dtype != np.float32:", "if False:",
+           ("tests/test_io.py",)),
 )
 
 

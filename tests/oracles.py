@@ -127,6 +127,12 @@ def top_segments(grid, weight, n_segments, connectivity=8):
 
 
 def _flow_components(u, v):
+    """The four flow measures of nested lists, one pixel at a time.
+
+    The magnitude is ``math.hypot``, a reference independent of the
+    package's square root of the rounded sum of squares. The two agree
+    within 1 ulp, which ``rtol=1e-12`` on the foregroundness covers.
+    """
     rows, cols = len(u), len(u[0])
     x = [[float(u[r][c]) for c in range(cols)] for r in range(rows)]
     y = [[float(v[r][c]) for c in range(cols)] for r in range(rows)]

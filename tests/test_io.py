@@ -46,6 +46,16 @@ class TestFlo:
         with pytest.raises(ValueError, match="truncated flow"):
             read_flo(data)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float16, np.int32])
+    def test_flow_that_is_not_float32_refused(self, dtype):
+        # Magnitudes square float32 components exactly in float64; a wider
+        # component's square could overflow or lose bits.
+        wide = np.ones((2, 2), dtype)
+        narrow = np.ones((2, 2), np.float32)
+        for u, v in ((wide, narrow), (narrow, wide)):
+            with pytest.raises(ValueError, match=f"float32.*{np.dtype(dtype)}"):
+                FlowField(u, v)
+
     def test_trailing_bytes_rejected(self):
         good = write_flo(FlowField(np.zeros((2, 2), np.float32), np.zeros((2, 2), np.float32)))
         with pytest.raises(ValueError, match="longer"):
