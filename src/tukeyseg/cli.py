@@ -214,8 +214,12 @@ def _mask_files(masks) -> dict[str, bytes]:
 
 
 def _csv(header: str, rows) -> bytes:
-    """A CSV table: ``header``, then one line per row, whose last value is written to 12 digits."""
-    lines = [header, *(",".join([*map(str, row[:-1]), f"{row[-1]:.12g}"]) for row in rows)]
+    """A CSV table: ``header``, then one line per row of values written with ``str``.
+
+    Callers format their floats: the alphas to 12 significant digits, the
+    evaluation scores to 6 decimals.
+    """
+    lines = [header, *(",".join(map(str, row)) for row in rows)]
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -238,7 +242,8 @@ def _cmd_tis0(args) -> int:
     result = segment_sequence(seq, _segmenter_config(args), jobs=args.jobs)
     files = _mask_files(result.masks)
     files["flow_alphas.csv"] = _csv("frame,component,alpha", (
-        (i, *item) for i, scales in enumerate(result.flow_scales) for item in scales.items()))
+        (i, name, f"{alpha:.12g}")
+        for i, scales in enumerate(result.flow_scales) for name, alpha in scales.items()))
     _write_outputs(Path(args.output), files)
     log.info("wrote %d masks to %s", len(result.masks), args.output)
     return 0
@@ -278,15 +283,15 @@ def _cmd_combine(args) -> int:
         jobs=args.jobs,
     )
     files = _mask_files(fused)
-    files["mask_alphas.csv"] = _csv("frame,method,count,alpha",
-                                    ((r.frame, r.method, r.count, r.alpha) for r in records))
+    files["mask_alphas.csv"] = _csv("frame,method,count,alpha", (
+        (r.frame, r.method, r.count, f"{r.alpha:.12g}") for r in records))
     _write_outputs(Path(args.output), files)
     log.info("fused %d methods over %d frames", len(method_dirs), len(per_method[0]))
     return 0
 
 
 def _cmd_eval(args) -> int:
-    from tukeyseg.metrics import evaluate_dataset, rows_to_csv
+    from tukeyseg.metrics import evaluate_dataset
 
     if args.output:
         out, truth = Path(args.output), Path(args.ground_truth)
@@ -296,10 +301,13 @@ def _cmd_eval(args) -> int:
         read = [root / name for root in (Path(args.input), truth) for name in names]
         _check_output(out.parent, read, replaced=())
     rows = evaluate_dataset(args.input, args.ground_truth, tolerance=args.tolerance, jobs=args.jobs)
-    csv = rows_to_csv(rows)
-    sys.stdout.write(csv)
+    table = _csv("sequence,J_mean,J_recall,J_decay,F_mean,F_recall,F_decay", (
+        (r.sequence, *(f"{v:.6f}" for v in (r.j_mean, r.j_recall, r.j_decay,
+                                           r.f_mean, r.f_recall, r.f_decay)))
+        for r in rows))
+    sys.stdout.write(table.decode())
     if args.output:
-        _write_outputs(out.parent, {out.name: csv.encode()}, replaced=())
+        _write_outputs(out.parent, {out.name: table}, replaced=())
     return 0
 
 

@@ -9,8 +9,8 @@ counts and weighs a frame's masks once, then applies the strategy, either
 this weighted vote (``tism``) or one of two baselines, the unweighted vote
 (``mean``) and the lower-median-count mask (``median``).
 
-Masks are validated by :func:`tukeyseg.io.check_levels`, the one {0, 1}
-check in the package, and fused into bool masks. The vote is summed in
+Masks are read by the one mask rule of :mod:`tukeyseg.io`, which takes 2-D
+arrays of 0s and 1s only, and fused into bool masks. The vote is summed in
 place on the bounding box of the voting masks' foreground (the metrics'
 box too), so its cost follows the object, not the frame; the result is
 bit-exact with the whole-frame sum.
@@ -18,13 +18,12 @@ bit-exact with the whole-frame sum.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from tukeyseg import stats
-from tukeyseg.io import _foreground_box, check_levels
+from tukeyseg.io import _foreground_box, _mask_array
 from tukeyseg.parallel import parallel_map
 
 STRATEGIES = ("tism", "mean", "median")
@@ -41,12 +40,8 @@ class FusionRecord:
 
 
 def _validated(masks) -> list[np.ndarray]:
-    """The masks as bool arrays of one shape, each checked once.
-
-    A bool mask is used as it is and a one-byte one (uint8, int8) through a
-    bool view of its own memory; any other dtype is compared with 0 once.
-    """
-    arrays = [np.asarray(m) for m in masks]
+    """The masks as 2-D bool arrays of one shape, each read once by io's mask rule."""
+    arrays = [_mask_array(m) for m in masks]
     if not arrays:
         raise ValueError("at least one mask is required")
     for a in arrays:
@@ -54,8 +49,7 @@ def _validated(masks) -> list[np.ndarray]:
             raise ValueError(
                 f"dimension mismatch across masks: {a.shape} vs {arrays[0].shape}"
             )
-        check_levels(a, 1, "mask values must be 0 or 1")
-    return [a.view(bool) if a.dtype.itemsize == 1 else a != 0 for a in arrays]
+    return arrays
 
 
 def foreground_counts(masks) -> list[int]:
@@ -122,47 +116,41 @@ def fuse_sequence(
     """Fuse a whole sequence frame by frame; returns (bool fused masks, records).
 
     ``frames`` is any iterable over frames, each entry an iterable of
-    per-method masks in a fixed method order. It is consumed lazily and in
-    order, through :func:`~tukeyseg.parallel.parallel_map`: a frame is taken
-    only when a worker is free for it, so at most ``jobs + 1`` frames' masks
-    are held at once, and a generator that decodes each frame's masks holds
-    no more. Weights are recomputed independently for every frame; the
-    diagnostic records always carry the reliability weights, whatever the
-    fusion strategy. :func:`fuse_frame` fuses each frame, so each frame's
-    masks are validated, counted and weighed once.
+    per-method masks in a fixed method order. It is walked once, lazily and
+    in order on the calling thread, by the feed of
+    :func:`~tukeyseg.parallel.parallel_map`: a frame's masks are listed, and
+    so decoded by a lazy source, only when a worker is free for it, so at
+    most ``jobs + 1`` frames' masks are held at once. The method names
+    default to ``method00``, ``method01``, ... after the first frame's mask
+    count, and every frame must hold one mask per name. Weights are
+    recomputed independently for every frame; the diagnostic records always
+    carry the reliability weights, whatever the fusion strategy.
+    :func:`fuse_frame` fuses each frame, so each frame's masks are
+    validated, counted and weighed once.
     """
-    frames = iter(frames)
-    first = next(frames, None)
-    if first is None:
-        raise ValueError("no frames to fuse")
-    first = list(first)
-    n_methods = len(first)
-    if method_names is None:
-        method_names = [f"method{j:02d}" for j in range(n_methods)]
-    method_names = [str(name) for name in method_names]
-    if len(method_names) != n_methods:
-        raise ValueError("method_names length must match the number of masks per frame")
-
-    def numbered(frames):
+    def numbered():
+        names = None if method_names is None else [str(name) for name in method_names]
         for index, frame in enumerate(frames):
             masks = list(frame)
-            if len(masks) != n_methods:
-                raise ValueError("every frame must provide the same number of masks")
-            yield index, masks
-
-    items = numbered(itertools.chain([first], frames))
-    del first  # held from here on only until the pool takes it
+            if names is None:
+                names = [f"method{j:02d}" for j in range(len(masks))]
+            if len(masks) != len(names):
+                raise ValueError(f"frame {index} has {len(masks)} masks: every frame must "
+                                 f"provide the same number of masks as method names ({len(names)})")
+            yield index, masks, names
 
     def fuse_one(item):
-        index, masks = item
+        index, masks, names = item
         fused, alphas, counts = fuse_frame(masks, k_fences, strategy)
         records = [
             FusionRecord(frame=index, method=name, count=count, alpha=float(alpha))
-            for name, count, alpha in zip(method_names, counts, alphas)
+            for name, count, alpha in zip(names, counts, alphas)
         ]
         return fused, records
 
-    results = parallel_map(fuse_one, items, jobs)
+    results = parallel_map(fuse_one, numbered(), jobs)
+    if not results:
+        raise ValueError("no frames to fuse")
     fused_masks = [fused for fused, _ in results]
     records = [record for _, frame_records in results for record in frame_records]
     return fused_masks, records

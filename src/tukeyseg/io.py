@@ -43,14 +43,16 @@ Values
 ------
 Every netpbm writer stores exactly the integers 0..maxval and raises
 ``ValueError`` for any other value; masks must hold 0 or 1.
-:func:`check_levels` is the one such check, also for the masks that
-:mod:`tukeyseg.fusion` is given, and it follows the dtype so that integer
-and bool arrays need at most a ``min`` and a ``max``.
+:func:`check_levels` is the one such check, and it follows the dtype so
+that integer and bool arrays need at most a ``min`` and a ``max``.
 
 A mask is a 2-D bool array from :func:`read_mask_pgm` to
-:func:`write_mask_pgm`: every stage returns its masks as bool and reads a
-bool mask as it is, without a copy. Fusion and the metrics cut their work
-to the masks' bounding box from one helper here.
+:func:`write_mask_pgm`. Every stage that is given a mask (segmentation,
+refinement, fusion and the metrics) reads it through one helper here, which
+refuses an array that is not 2-D or holds a value other than 0 and 1, and
+uses a bool mask as it is, without a copy; every stage returns its masks as
+bool. Fusion and the metrics cut their work to the masks' bounding box
+from one helper here too.
 """
 
 from __future__ import annotations
@@ -171,6 +173,20 @@ def check_levels(values: np.ndarray, top: int, message: str) -> None:
         ok = np.isin(values, np.arange(top + 1)).all()
     if not ok:
         raise ValueError(message)
+
+
+def _mask_array(values) -> np.ndarray:
+    """A mask as a 2-D bool array: the one rule by which every stage reads a mask.
+
+    Its values must be 0 or 1 (:func:`check_levels`). A bool array is
+    returned as it is and a one-byte one (uint8, int8) as a bool view of its
+    own memory; any other dtype is compared with 0.
+    """
+    a = np.asarray(values)
+    if a.ndim != 2:
+        raise ValueError(f"mask must be 2-D, got shape {a.shape}")
+    check_levels(a, 1, "mask values must be 0 or 1")
+    return a if a.dtype == bool else a.view(bool) if a.dtype.itemsize == 1 else a != 0
 
 
 def _foreground_box(masks) -> tuple[slice, ...] | None:

@@ -12,8 +12,10 @@ defaults to ceil(0.0075 x image diagonal), and a boundary pixel matches when
 the other boundary has a pixel within that Euclidean distance. Boundaries and
 matches are found with numpy slices on the bounding box of the two masks, so
 their cost scales with the object and not the frame. The box comes from the
-helper in :mod:`tukeyseg.io` that fusion uses too, and a bool mask, as
-:mod:`tukeyseg.io` decodes it, is scored without a copy.
+helper in :mod:`tukeyseg.io` that fusion uses too. Masks are read by io's one
+mask rule, as in every stage: 2-D arrays of 0s and 1s only, and a bool mask,
+as :mod:`tukeyseg.io` decodes it, is scored without a copy. The evaluation
+table is written as CSV by the command-line interface.
 """
 
 from __future__ import annotations
@@ -25,19 +27,11 @@ from pathlib import Path
 
 import numpy as np
 
-from tukeyseg.io import _check_same_extent, _foreground_box, read_mask_dir
+from tukeyseg.io import _check_same_extent, _foreground_box, _mask_array, read_mask_dir
 from tukeyseg.parallel import parallel_map
 
 RECALL_THRESHOLD = 0.5
 _END = object()  # marks the end of the shorter of two zipped sequences
-
-
-def _mask_2d(mask) -> np.ndarray:
-    """A mask as a 2-D bool array; a bool array is returned as it is, not copied."""
-    m = np.asarray(mask, dtype=bool)
-    if m.ndim != 2:
-        raise ValueError(f"mask must be 2-D, got shape {m.shape}")
-    return m
 
 
 def _mask_pair(mask, reference) -> tuple[np.ndarray, np.ndarray]:
@@ -45,8 +39,8 @@ def _mask_pair(mask, reference) -> tuple[np.ndarray, np.ndarray]:
 
     Both crops are empty when neither mask has a foreground pixel.
     """
-    m = _mask_2d(mask)
-    g = _mask_2d(reference)
+    m = _mask_array(mask)
+    g = _mask_array(reference)
     if m.shape != g.shape:
         raise ValueError(f"dimension mismatch: {m.shape} vs {g.shape}")
     box = _foreground_box([m, g])
@@ -69,7 +63,7 @@ def jaccard(mask, reference) -> float:
 
 def mask_boundary(mask) -> np.ndarray:
     """Mask pixels with a background 4-neighbor or on the image border."""
-    m = _mask_2d(mask)
+    m = _mask_array(mask)
     boundary = m.copy()
     boundary[1:-1, 1:-1] &= ~(m[:-2, 1:-1] & m[2:, 1:-1] & m[1:-1, :-2] & m[1:-1, 2:])
     return boundary
@@ -277,14 +271,3 @@ def evaluate_dataset(
         )
     )
     return rows
-
-
-def rows_to_csv(rows) -> str:
-    """Render evaluation rows as the canonical CSV table."""
-    lines = ["sequence,J_mean,J_recall,J_decay,F_mean,F_recall,F_decay"]
-    for r in rows:
-        lines.append(
-            f"{r.sequence},{r.j_mean:.6f},{r.j_recall:.6f},{r.j_decay:.6f},"
-            f"{r.f_mean:.6f},{r.f_recall:.6f},{r.f_decay:.6f}"
-        )
-    return "\n".join(lines) + "\n"

@@ -34,6 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from tukeyseg.io import _mask_array
 from tukeyseg.parallel import parallel_imap, parallel_map
 from tukeyseg.segment import (
     _CACHE_ELEMENTS,
@@ -217,7 +218,7 @@ def _frame_tally(rgb, labels, mask):
     order: the float additions of one ``np.bincount(weights=)`` per channel
     over the whole frame, so the bits do not depend on the band.
     """
-    rgb, labels, mask = np.asarray(rgb), np.asarray(labels), np.asarray(mask, dtype=bool)
+    rgb, labels, mask = np.asarray(rgb), np.asarray(labels), _mask_array(mask)
     if labels.shape != mask.shape or rgb.shape != (*labels.shape, 3):
         raise ValueError(
             f"dimension mismatch: labels {labels.shape}, rgb {rgb.shape}, mask {mask.shape}"

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from tukeyseg import stats
-from tukeyseg.io import FlowField, FrameSequence
+from tukeyseg.io import FlowField, FrameSequence, _mask_array
 from tukeyseg.parallel import parallel_map
 
 log = logging.getLogger(__name__)
@@ -102,13 +102,13 @@ def threshold_mask(fore, previous_mask=None) -> np.ndarray:
 
     Pixels under the previous frame's mask only need to clear half the
     threshold, which favors frame-to-frame continuity. Pass ``None`` for
-    the first frame.
+    the first frame; a previous mask must be 2-D and hold 0s and 1s only.
     """
     f = np.asarray(fore, dtype=np.float64)
     beta = float(f.mean() + f.std())
     if previous_mask is None:
         return f > beta
-    prev = np.asarray(previous_mask, dtype=bool)
+    prev = _mask_array(previous_mask)
     if prev.shape != f.shape:
         raise ValueError(f"dimension mismatch: field {f.shape} vs previous mask {prev.shape}")
     return np.where(prev, f > 0.5 * beta, f > beta)
@@ -178,9 +178,7 @@ def select_top_segments(mask, weight, n_segments: int = 1, connectivity: int = 8
     pixels, and only the components weighing at least the n-th largest
     sum are ranked.
     """
-    fg = np.asarray(mask, dtype=bool)
-    if fg.ndim != 2:
-        raise ValueError(f"mask must be 2-D, got shape {fg.shape}")
+    fg = _mask_array(mask)
     w = np.asarray(weight, dtype=np.float64)
     if fg.shape != w.shape:
         raise ValueError(f"dimension mismatch: mask {fg.shape} vs weight {w.shape}")

@@ -11,8 +11,9 @@ test modules that should kill it. For each one the repository's ``src/``,
 edit is applied to the copy, and the paired modules run there with
 ``pytest -x``. Before any mutant, those modules run once on an unedited copy,
 which must pass. A mutant is killed when its tests fail and survives when
-they pass; an edit whose text is not found exactly once is stale. The exit
-status is 0 only if every mutant run was killed.
+they pass; an edit whose text is not found exactly once is stale, which
+``tests/test_mutants.py`` checks with the tier-1 tests. The exit status is 0
+only if every mutant run was killed.
 """
 
 from __future__ import annotations
@@ -98,6 +99,12 @@ MUTANTS = (
     Mutant("flowfield-dtype-unchecked", "src/tukeyseg/io.py",
            "if self.u.dtype != np.float32 or self.v.dtype != np.float32:", "if False:",
            ("tests/test_io.py",)),
+    Mutant("mask-rule-truthy", "src/tukeyseg/io.py",
+           '    check_levels(a, 1, "mask values must be 0 or 1")\n', "", ("tests/test_io.py",)),
+    Mutant("fuse-ragged-admitted", "src/tukeyseg/fusion.py",
+           "if len(masks) != len(names):", "if False:", ("tests/test_fusion.py",)),
+    Mutant("csv-alpha-precision", "src/tukeyseg/cli.py",
+           'f"{r.alpha:.12g}"', 'f"{r.alpha:.6g}"', ("tests/test_fusion.py",)),
 )
 
 

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import errno
+import inspect
 import json
 import os
 import pathlib
@@ -72,6 +73,30 @@ class TestParser:
 
     def test_strategy_choices_are_the_fusion_strategies(self):
         assert _STRATEGIES == fusion.STRATEGIES
+
+    def test_defaults_are_the_library_defaults(self):
+        from tukeyseg.metrics import evaluate_dataset
+        from tukeyseg.refine import RefineConfig
+        from tukeyseg.segment import SegmenterConfig
+
+        def defaults(command):
+            return build_parser().parse_args([command, *_REQUIRED[command]])
+
+        def parameter_defaults(fn, *names):
+            parameters = inspect.signature(fn).parameters
+            return tuple(parameters[name].default for name in names)
+
+        seg, ref = SegmenterConfig(), RefineConfig()
+        for command in ("tis0", "refine"):
+            args = defaults(command)
+            assert (args.k_fences, args.min_flow_scale, args.vs_exponents, args.connectivity) == (
+                seg.k_fences, seg.min_flow_scale, seg.vs_exponents, seg.connectivity)
+        args = defaults("refine")
+        assert (args.mode, args.w0) == (ref.mode, ref.w0)
+        args = defaults("combine")
+        assert (args.k_fences, args.strategy) == parameter_defaults(
+            fusion.fuse_sequence, "k_fences", "strategy")
+        assert (defaults("eval").tolerance,) == parameter_defaults(evaluate_dataset, "tolerance")
 
     def test_exponent_list_parsing(self):
         args = build_parser().parse_args(

@@ -119,6 +119,11 @@ class TestFuseFrame:
         with pytest.raises(ValueError, match="0 or 1"):
             fuse_frame([np.full((2, 2), 3)])
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2), ()])
+    def test_mask_that_is_not_2d_rejected(self, shape):
+        with pytest.raises(ValueError, match="must be 2-D"):
+            fuse_frame([np.ones(shape, np.uint8)] * 2)
+
     def test_outlier_rejection(self):
         sane, outlier, truth = nine_mask_fixture()
         fused_with, alphas, _ = fuse_frame(sane + [outlier])
@@ -245,6 +250,8 @@ class TestFuseSequence:
         m = _mask([[1]])
         with pytest.raises(ValueError, match="same number"):
             fuse_sequence([[m, m], [m]])
+        with pytest.raises(ValueError, match="same number"):
+            fuse_sequence([[m, m]], method_names=["a"])
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError, match="strategy"):

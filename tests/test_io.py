@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from tukeyseg import io
+from tukeyseg import io, metrics, refine, segment
 from tukeyseg.io import (
     FLO_SENTINEL,
     FlowField,
@@ -24,7 +24,8 @@ from tukeyseg.io import (
     write_ppm,
     write_saliency_pgm,
 )
-from conftest import mask_dtype_matrix, moving_block_arrays, write_video_dir, zero_raster
+from conftest import (ArrayVideo, mask_dtype_matrix, moving_block_arrays, write_video_dir,
+                      zero_raster)
 
 
 class TestFlo:
@@ -282,6 +283,44 @@ class TestWriterValues:
         magic = "P6" if len(shape) == 3 else "P5"
         header = f"{magic}\n{shape[1]} {shape[0]}\n{np.iinfo(stored).max}\n".encode()
         assert writer(data) == header + data.astype(stored).tobytes()
+
+
+def _mask_readers():
+    """Every stage's call that reads a mask, as a function of a (2, 3) mask."""
+    empty, weight = np.zeros((2, 3), bool), np.ones((2, 3))
+    video = ArrayVideo([np.zeros((2, 3, 3), np.uint8)], [np.zeros((2, 3), np.int64)])
+    return {
+        "jaccard": lambda m: metrics.jaccard(m, empty),
+        "jaccard reference": lambda m: metrics.jaccard(empty, m),
+        "contour_f": lambda m: metrics.contour_f(m, empty),
+        "mask_boundary": metrics.mask_boundary,
+        "sequence_scores": lambda m: metrics.sequence_scores([empty], [m]),
+        "select_top_segments": lambda m: segment.select_top_segments(m, weight),
+        "threshold_mask": lambda m: segment.threshold_mask(weight, previous_mask=m),
+        "supervoxel_stats": lambda m: refine.supervoxel_stats(video, [m]),
+    }
+
+
+class TestMaskRule:
+    """Every stage reads a mask by one rule: a 2-D array of 0s and 1s."""
+
+    @pytest.mark.parametrize("reader", sorted(_mask_readers()))
+    @pytest.mark.parametrize("value, dtype", [(0.5, np.float64), (2, np.int64),
+                                              (255, np.uint8), (np.nan, np.float64)])
+    def test_every_stage_refuses_other_values(self, reader, value, dtype):
+        mask = np.zeros((2, 3), dtype)
+        mask[1, 1] = value
+        with pytest.raises(ValueError, match="^mask values must be 0 or 1$"):
+            _mask_readers()[reader](mask)
+
+    @pytest.mark.parametrize("reader", sorted(_mask_readers()))
+    def test_every_stage_takes_any_dtype_of_0_and_1(self, reader):
+        base = np.array([[0, 1, 1], [0, 1, 0]])
+        read = _mask_readers()[reader]
+        expected = read(base.astype(bool))
+        for dtype in (np.uint8, np.int8, np.int64, np.float32, np.float64):
+            got = read(base.astype(dtype))
+            assert repr(got) == repr(expected)
 
 
 class TestOpenSequence:

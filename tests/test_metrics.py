@@ -13,14 +13,14 @@ from hypothesis.extra import numpy as hnp
 import oracles
 from conftest import adversarial_masks
 from tukeyseg import metrics
-from tukeyseg.io import read_mask_pgm, write_mask_pgm
+from tukeyseg.cli import main
+from tukeyseg.io import _mask_array, read_mask_pgm, write_mask_pgm
 from tukeyseg.metrics import (
     contour_f,
     default_tolerance,
     evaluate_dataset,
     jaccard,
     mask_boundary,
-    rows_to_csv,
     score_decay,
     sequence_scores,
 )
@@ -75,16 +75,22 @@ class TestJaccard:
             height, width = rng.integers(1, 12, size=2)
             density = rng.choice([0.0, 0.02, 0.3, 1.0])
             a, b = (rng.random((2, height, width)) < density).astype(np.uint8)
-            for m, g in ((a, b), (a.astype(bool), b), (a * 3.5, b.astype(bool))):
+            for m, g in ((a, b), (a.astype(bool), b), (a.astype(np.float64), b.astype(bool))):
                 assert jaccard(m, g) == oracles.jaccard_full_frame(m, g)
         for mask in adversarial_masks(60, 90).values():
             shifted = np.roll(mask, (3, 5), axis=(0, 1))
             assert jaccard(mask, shifted) == oracles.jaccard_full_frame(mask, shifted)
 
     def test_bool_mask_used_as_given(self):
+        # the mask rule every stage reads masks by: no copy of a bool or one-byte mask
         m = np.eye(3, dtype=bool)
-        assert metrics._mask_2d(m) is m
-        assert metrics._mask_2d(m.astype(np.uint8)).dtype == bool
+        assert _mask_array(m) is m
+        for dtype in (np.uint8, np.int8):
+            a = m.astype(dtype)
+            view = _mask_array(a)
+            assert view.dtype == bool and np.shares_memory(view, a)
+            assert view.tolist() == m.tolist()
+        assert _mask_array(m.astype(np.float64)).tolist() == m.tolist()
 
     def test_monotone_under_true_positive(self, rng):
         for _ in range(100):
@@ -340,14 +346,14 @@ class TestContourFOnBoundingBox:
                 for i, pair in enumerate(frames):
                     (d / f"{i:05d}.pgm").write_bytes(write_mask_pgm(pair[pick]))
         tables = {
-            jobs: rows_to_csv(evaluate_dataset(tmp_path / "pred", tmp_path / "gt", jobs=jobs))
+            jobs: evaluate_dataset(tmp_path / "pred", tmp_path / "gt", jobs=jobs)
             for jobs in (1, 2)
         }
         monkeypatch.setattr(
             metrics, "contour_f",
             lambda m, g, t: oracles.contour_f_full_frame(m, g, default_tolerance(_W, _H)),
         )
-        reference = rows_to_csv(evaluate_dataset(tmp_path / "pred", tmp_path / "gt"))
+        reference = evaluate_dataset(tmp_path / "pred", tmp_path / "gt")
         assert tables[1] == reference
         assert tables[2] == reference
 
@@ -446,13 +452,13 @@ class TestEvaluateDataset:
         assert by_name["lo"].j_mean < 0.5
         assert by_name["ALL"].j_recall == 0.5
 
-    def test_csv_shape(self, tmp_path):
+    def test_csv_shape(self, tmp_path, capsys):
         g = _square(3, 3, slice(0, 2), slice(0, 2))
         self._write_sequence(tmp_path / "gt", "s", [g])
         self._write_sequence(tmp_path / "pred", "s", [g])
-        rows = evaluate_dataset(tmp_path / "pred", tmp_path / "gt")
-        csv = rows_to_csv(rows)
-        lines = csv.strip().split("\n")
+        assert main(["eval", "--input", str(tmp_path / "pred"),
+                     "--ground-truth", str(tmp_path / "gt")]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "sequence,J_mean,J_recall,J_decay,F_mean,F_recall,F_decay"
         assert lines[-1].startswith("ALL,")
         assert len(lines) == 3

@@ -450,7 +450,7 @@ class TestThresholdMask:
     def test_equals_threshold_field(self, rng):
         for _ in range(100):
             f = rng.integers(0, 6, size=(7, 9)) * rng.choice([0.25, 0.1, 1.0])
-            prev = rng.integers(0, 3, size=(7, 9)).astype(rng.choice([np.uint8, np.float64]))
+            prev = rng.integers(0, 2, size=(7, 9)).astype(rng.choice([np.uint8, np.float64]))
             for previous in (None, prev):
                 mask = threshold_mask(f, previous)
                 assert mask.dtype == bool
