@@ -3,9 +3,9 @@
 Subcommands mirror the pipeline stages. All numeric defaults are the
 pipeline's standard values and every one of them can be overridden for
 ablation runs. Set ``TIS_LOG=debug|info|warning`` for logging verbosity.
-All outputs are computed before anything is written. An output directory
-ends up holding exactly the files of one run: they are written to a hidden
-staging directory inside it and renamed into place once all are written,
+An output directory ends up holding exactly the files of one run: each is
+written to a hidden staging directory inside it as soon as it is encoded,
+and all are renamed into place once the last one is written,
 and the earlier outputs are removed. A directory that holds anything these
 subcommands do not write, or that the run reads rasters from, is refused
 before any input is read, and never written to. ``eval --output`` replaces
@@ -30,6 +30,7 @@ import re
 import shutil
 import sys
 import tempfile
+from itertools import chain
 from pathlib import Path
 
 from tukeyseg.io import (_check_same_extent, _indexed_name, _name_index, open_sequence,
@@ -168,15 +169,16 @@ def _check_output(directory: Path, inputs, replaced=None) -> None:
         _output_names(directory)
 
 
-def _write_outputs(directory: Path, files: dict[str, bytes], replaced=None) -> None:
-    """Make ``directory`` hold ``files`` instead of ``replaced``; a failure changes nothing.
+def _write_outputs(directory: Path, files, replaced=None) -> None:
+    """Make ``directory`` hold ``files``, an iterable of (name, bytes), instead of ``replaced``.
 
     ``replaced`` defaults to :func:`_output_names`, so that ``directory`` ends
-    up holding exactly ``files``. The files are written to a hidden staging
-    directory inside ``directory`` and renamed into place once all of them
-    are written; the ``replaced`` entries are first moved into the staging
-    directory, and every rename is undone if one fails. On failure every
-    directory this call created is removed too.
+    up holding exactly ``files``. Each file is written to a hidden staging
+    directory inside ``directory`` as it arrives, and all are renamed into
+    place once the last one is written; the ``replaced`` entries are first
+    moved into the staging directory, and every rename is undone if one
+    fails. A failure changes nothing, also one raised while ``files`` is
+    iterated, and every directory this call created is removed too.
     """
     if replaced is None:
         replaced = _output_names(directory)
@@ -188,10 +190,12 @@ def _write_outputs(directory: Path, files: dict[str, bytes], replaced=None) -> N
         staging = Path(tempfile.mkdtemp(prefix=_STAGING_PREFIX, dir=directory))
         previous = staging / "previous"
         previous.mkdir()
-        for name, data in files.items():
+        names = []
+        for name, data in files:
             (staging / name).write_bytes(data)
+            names.append(name)
         moves = [(directory / name, previous / name) for name in replaced]
-        moves += [(staging / name, directory / name) for name in files]
+        moves += [(staging / name, directory / name) for name in names]
         for source, target in moves:
             os.replace(source, target)
             renamed.append((source, target))
@@ -209,8 +213,9 @@ def _write_outputs(directory: Path, files: dict[str, bytes], replaced=None) -> N
     shutil.rmtree(staging, ignore_errors=True)
 
 
-def _mask_files(masks) -> dict[str, bytes]:
-    return {_indexed_name(i, "pgm"): write_mask_pgm(mask) for i, mask in enumerate(masks)}
+def _mask_files(masks):
+    """(name, PGM bytes) of each mask in turn, encoded as the writer asks for it."""
+    return ((_indexed_name(i, "pgm"), write_mask_pgm(mask)) for i, mask in enumerate(masks))
 
 
 def _csv(header: str, rows) -> bytes:
@@ -240,11 +245,11 @@ def _cmd_tis0(args) -> int:
     _check_output(Path(args.output), [Path(args.input) / d for d in _VIDEO_RASTERS])
     seq = open_sequence(args.input)
     result = segment_sequence(seq, _segmenter_config(args), jobs=args.jobs)
-    files = _mask_files(result.masks)
-    files["flow_alphas.csv"] = _csv("frame,component,alpha", (
+    alphas = _csv("frame,component,alpha", (
         (i, name, f"{alpha:.12g}")
         for i, scales in enumerate(result.flow_scales) for name, alpha in scales.items()))
-    _write_outputs(Path(args.output), files)
+    _write_outputs(Path(args.output),
+                   chain(_mask_files(result.masks), [("flow_alphas.csv", alphas)]))
     log.info("wrote %d masks to %s", len(result.masks), args.output)
     return 0
 
@@ -282,10 +287,9 @@ def _cmd_combine(args) -> int:
         k_fences=args.k_fences,
         jobs=args.jobs,
     )
-    files = _mask_files(fused)
-    files["mask_alphas.csv"] = _csv("frame,method,count,alpha", (
+    alphas = _csv("frame,method,count,alpha", (
         (r.frame, r.method, r.count, f"{r.alpha:.12g}") for r in records))
-    _write_outputs(Path(args.output), files)
+    _write_outputs(Path(args.output), chain(_mask_files(fused), [("mask_alphas.csv", alphas)]))
     log.info("fused %d methods over %d frames", len(method_dirs), len(per_method[0]))
     return 0
 
@@ -307,7 +311,7 @@ def _cmd_eval(args) -> int:
         for r in rows))
     sys.stdout.write(table.decode())
     if args.output:
-        _write_outputs(out.parent, {out.name: table}, replaced=())
+        _write_outputs(out.parent, [(out.name, table)], replaced=())
     return 0
 
 

@@ -16,6 +16,13 @@ Formats
 ``.ppm``
     Binary (P6) 24-bit RGB, maxval 255 only.
 
+Every netpbm header is read by one grammar: the magic number, then the
+width, height and maxval in ASCII decimal, each after one or more
+separators, then exactly one whitespace byte before the raster. A
+separator is a space, tab, CR or LF byte, or a comment from ``#`` through
+the end of its line, so ``P5`` must be followed by a separator (``P53 2
+255`` is refused). Writers emit ``<magic>\n<width> <height>\n<maxval>\n``.
+
 Directory layout
 ----------------
 A video directory binds per-frame rasters by a zero-based index::
@@ -30,7 +37,7 @@ The flow directory may hold T-1 files; the last frame then reuses the
 final flow file. All rasters of a video must share one (width, height).
 
 Every directory of indexed rasters is one :class:`RasterSequence`, built
-from the file names and the first file's header only; each file is
+from the file names and the first file's whole header only; each file is
 decoded, and its size checked, when it is accessed. A :class:`FrameSequence`
 holds one per raster directory of a video, and :func:`read_mask_dir`
 returns one for a directory of masks, a method's or a sequence's ground
@@ -108,12 +115,9 @@ class FlowField:
             raise ValueError("non-finite flow values")
 
     @property
-    def height(self) -> int:
-        return self.u.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.u.shape[1]
+    def shape(self) -> tuple[int, int]:
+        """(height, width), as every other raster's ``shape`` starts."""
+        return self.u.shape
 
 
 def _parse_flo_header(data: bytes) -> tuple[int, int]:
@@ -143,7 +147,8 @@ def read_flo(data: bytes) -> FlowField:
 
 def write_flo(flow: FlowField) -> bytes:
     """Encode a flow field; write_flo(read_flo(x)) == x bit-exactly."""
-    header = struct.pack("<fii", FLO_SENTINEL, flow.width, flow.height)
+    height, width = flow.shape
+    header = struct.pack("<fii", FLO_SENTINEL, width, height)
     pairs = np.stack([flow.u, flow.v], axis=-1).astype("<f4")
     return header + pairs.tobytes()
 
@@ -205,28 +210,24 @@ def _foreground_box(masks) -> tuple[slice, ...] | None:
     return box
 
 
+# The netpbm header up to its raster: the magic number, then width, height and
+# maxval, each after one or more separators (a whitespace byte, or a comment from
+# "#" through the end of its line), then exactly one whitespace byte.
+_PNM_HEADER = re.compile(rb"P[56]" + rb"(?:[ \t\r\n]|#[^\r\n]*[\r\n])+([0-9]+)" * 3
+                         + rb"[ \t\r\n]")
+
+
 def _parse_pnm_header(data: bytes, magic: bytes) -> tuple[int, int, int, int]:
     """Parse a binary netpbm header; returns (width, height, maxval, offset)."""
     if data[:2] != magic:
         raise ValueError(f"bad magic: expected {magic.decode()} header")
-    pos = 2
-    values = []
-    for _ in range(3):
-        while pos < len(data) and data[pos] in b" \t\r\n":
-            pos += 1
-        start = pos
-        while pos < len(data) and data[pos : pos + 1].isdigit():
-            pos += 1
-        if pos == start:
-            raise ValueError("malformed netpbm header")
-        values.append(int(data[start:pos]))
-    if pos >= len(data) or data[pos] not in b" \t\r\n":
+    match = _PNM_HEADER.match(data)
+    if match is None:
         raise ValueError("malformed netpbm header")
-    pos += 1
-    width, height, maxval = values
+    width, height, maxval = map(int, match.groups())
     if width <= 0 or height <= 0:
         raise ValueError(f"non-positive dimensions {width}x{height}")
-    return width, height, maxval, pos
+    return width, height, maxval, match.end()
 
 
 def _pnm_payload(data: bytes, magic: bytes, dtype=np.uint8) -> np.ndarray:
@@ -349,7 +350,7 @@ class RasterSequence(Sequence):
             raster = self.decode(path.read_bytes())
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
-        found = raster.u.shape if isinstance(raster, FlowField) else raster.shape[:2]
+        found = raster.shape[:2]
         if found != self.shape:
             raise ValueError(f"{path}: dimensions {found[1]}x{found[0]} do not match "
                              f"sequence {self.shape[1]}x{self.shape[0]}")
@@ -374,13 +375,15 @@ def _index(directory: Path, extension: str, decode) -> RasterSequence:
     paths = tuple(found[i] for i in range(len(found)))
     if not paths:
         return RasterSequence(paths, (0, 0), decode)
-    with paths[0].open("rb") as fh:
-        head = fh.read(128)
+    magic = b"P6" if extension == "ppm" else b"P5"
+    parse = _parse_flo_header if extension == "flo" else lambda data: _parse_pnm_header(data, magic)
     try:
-        if extension == "flo":
-            width, height = _parse_flo_header(head)
-        else:
-            width, height, _, _ = _parse_pnm_header(head, b"P6" if extension == "ppm" else b"P5")
+        with paths[0].open("rb") as fh:
+            head = fh.read(128)
+            try:
+                width, height = parse(head)[:2]
+            except ValueError:  # a header longer than 128 bytes, or a malformed one
+                width, height = parse(head + fh.read())[:2]
     except ValueError as exc:
         raise ValueError(f"{paths[0]}: {exc}") from exc
     return RasterSequence(paths, (height, width), decode)

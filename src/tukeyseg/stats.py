@@ -35,7 +35,6 @@ class OutlierFences:
 
     o1: float
     o3: float
-    k: float
 
 
 def _sample_array(data) -> np.ndarray:
@@ -144,7 +143,7 @@ def fences(q: Quartiles, k: float = 1.5) -> OutlierFences:
         raise ValueError("non-finite fence constant")
     if k < 0:
         raise ValueError("fence constant must be non-negative")
-    return OutlierFences(q.q1 - k * q.iqr, q.q3 + k * q.iqr, float(k))
+    return OutlierFences(q.q1 - k * q.iqr, q.q3 + k * q.iqr)
 
 
 def outlier_set(data, f: OutlierFences) -> np.ndarray:

@@ -60,6 +60,13 @@ MUTANTS = (
            ("tests/test_io.py",)),
     Mutant("pnm-magic-unchecked", "src/tukeyseg/io.py",
            "if data[:2] != magic:", "if False:", ("tests/test_io.py",)),
+    Mutant("pnm-comment-refused", "src/tukeyseg/io.py",
+           r"|#[^\r\n]*[\r\n])+(", ")+(", ("tests/test_io.py",)),
+    Mutant("pnm-separator-optional", "src/tukeyseg/io.py",
+           r"[\r\n])+([0-9]+)", r"[\r\n])*([0-9]+)", ("tests/test_io.py",)),
+    Mutant("flowfield-shape-transposed", "src/tukeyseg/io.py",
+           "        return self.u.shape\n", "        return self.u.shape[::-1]\n",
+           ("tests/test_io.py",)),
     Mutant("pnm-truncation-admitted", "src/tukeyseg/io.py",
            "if len(data) - offset < expected:", "if False:", ("tests/test_io.py",)),
     Mutant("pnm-excess-payload-admitted", "src/tukeyseg/io.py",
@@ -69,11 +76,16 @@ MUTANTS = (
            ("tests/test_io.py",)),
     Mutant("staging-skipped", "src/tukeyseg/cli.py",
            "            (staging / name).write_bytes(data)\n"
+           "            names.append(name)\n"
            "        moves = [(directory / name, previous / name) for name in replaced]\n"
-           "        moves += [(staging / name, directory / name) for name in files]\n",
+           "        moves += [(staging / name, directory / name) for name in names]\n",
            "            (directory / name).write_bytes(data)\n"
+           "            names.append(name)\n"
            "        moves = [(directory / name, previous / name) for name in replaced\n"
-           "                 if name not in files]\n",
+           "                 if name not in names]\n",
+           ("tests/test_cli.py",)),
+    Mutant("staged-name-not-renamed", "src/tukeyseg/cli.py",
+           "directory / name) for name in names]", "directory / name) for name in names[1:]]",
            ("tests/test_cli.py",)),
     Mutant("sample-check-skipped", "src/tukeyseg/stats.py",
            '    if not np.all(np.isfinite(d)):\n        raise ValueError("non-finite input")\n',

@@ -3,11 +3,14 @@
 import errno
 import inspect
 import json
+import math
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from hypothesis import strategies as st
 
 import tukeyseg
 from conftest import moving_block_arrays, write_video_dir, zero_raster
-from tukeyseg import fusion
+from tukeyseg import cli, fusion
 from tukeyseg.cli import _STRATEGIES, build_parser, main
 from tukeyseg.io import read_mask_dir, write_mask_pgm
 
@@ -421,6 +424,107 @@ class TestOutputDirectory:
         assert main(["tis0", "--input", str(video), "--output", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == [
             "00000.pgm", "00001.pgm", "00002.pgm", "flow_alphas.csv"]
+
+
+def _method_masks(root, num_frames, shape, seed=0):
+    """Random masks of ``shape`` for three methods over ``num_frames`` frames, under ``root``."""
+    rng = np.random.default_rng(seed)
+    for name in ("a", "b", "c"):
+        d = root / name
+        d.mkdir(parents=True)
+        for i in range(num_frames):
+            (d / f"{i:05d}.pgm").write_bytes(write_mask_pgm(rng.random(shape) < 0.3))
+    return root
+
+
+class TestStreamedOutputs:
+    """Each output file is staged as soon as it is encoded; a failure in the stream changes nothing."""
+
+    FRAMES = 4
+
+    def _previous(self, tmp_path):
+        """Masks of FRAMES frames, and an output directory holding an earlier run's files."""
+        methods = _method_masks(tmp_path / "methods", self.FRAMES, (6, 7))
+        out = tmp_path / "out"
+        assert main(["combine", "--input", str(methods), "--output", str(out),
+                     "--strategy", "mean"]) == 0
+        return ["combine", "--input", str(methods), "--output", str(out)], out, _tree_bytes(out)
+
+    @staticmethod
+    def _unchanged(tmp_path, out, before):
+        assert _tree_bytes(out) == before
+        assert sorted(p.name for p in out.iterdir()) == sorted(before)  # no .tukeyseg-* left
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["methods", "out"]
+
+    @pytest.mark.parametrize("k", [1, 3, FRAMES])
+    def test_encoder_failure_at_frame_k(self, tmp_path, monkeypatch, capsys, k):
+        argv, out, before = self._previous(tmp_path)
+        staged, real = [], cli.write_mask_pgm
+
+        def failing(mask):
+            staged.append(sorted(p.name for p in out.glob(".tukeyseg-*/0*.pgm")))
+            if len(staged) == k:
+                raise ValueError("encoder failed")
+            return real(mask)
+
+        monkeypatch.setattr(cli, "write_mask_pgm", failing)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: encoder failed\n"
+        # mask j is encoded once masks 0..j-1 are staged
+        assert staged == [[f"{i:05d}.pgm" for i in range(j)] for j in range(k)]
+        self._unchanged(tmp_path, out, before)
+
+    # files 1..FRAMES are the masks, file FRAMES + 1 the report
+    @pytest.mark.parametrize("k", [1, 3, FRAMES + 1])
+    def test_write_failure_at_file_k(self, tmp_path, monkeypatch, capsys, k):
+        argv, out, before = self._previous(tmp_path)
+        encoded, written = [], []
+        real_encode, real_write = cli.write_mask_pgm, pathlib.Path.write_bytes
+        monkeypatch.setattr(cli, "write_mask_pgm",
+                            lambda mask: encoded.append(None) or real_encode(mask))
+
+        def failing_write(path, data):
+            written.append(len(encoded))
+            if len(written) == k:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_write(path, data)
+
+        monkeypatch.setattr(pathlib.Path, "write_bytes", failing_write)
+        assert main(argv) == 1
+        assert "No space left" in capsys.readouterr().err
+        # each mask is written as soon as it is encoded
+        assert written == [min(i, self.FRAMES) for i in range(1, k + 1)]
+        self._unchanged(tmp_path, out, before)
+
+    @pytest.mark.parametrize("k", [0, 2, FRAMES - 1])
+    def test_undecodable_mask_at_frame_k(self, tmp_path, capsys, k):
+        argv, out, before = self._previous(tmp_path)
+        corrupt = tmp_path / "methods" / "b" / f"{k:05d}.pgm"
+        corrupt.write_bytes(corrupt.read_bytes()[:-1])
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {corrupt}: truncated PGM payload\n"
+        self._unchanged(tmp_path, out, before)
+
+    def test_combine_memory_per_frame(self, tmp_path):
+        # The fused bool masks are 1 B per pixel per frame, held until written;
+        # their encoded PGMs, if all were held too, would be one more. At these
+        # lengths the peak is that held output, not one frame's fusion temporaries.
+        shape = (96, 128)
+        argvs = {}
+        for frames in (32, 64):
+            methods = _method_masks(tmp_path / f"methods{frames}", frames, shape)
+            argvs[frames] = ["combine", "--input", str(methods), "--output", str(tmp_path / "out")]
+        assert main(argvs[32]) == 0  # loads what a first run loads
+        peaks = {}
+        for frames, argv in argvs.items():
+            shutil.rmtree(tmp_path / "out")
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks[frames] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (peaks[64] - peaks[32]) / 32 / math.prod(shape) < 1.5
 
 
 class TestRefineCommand:

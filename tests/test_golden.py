@@ -11,7 +11,10 @@ bits regenerates the table with
 
     PYTHONPATH=src python tests/test_golden.py --write
 
-and lists each changed file and the reason with the change.
+and lists each changed file and the reason with the change. A second test
+reruns the cases in a child process with numpy's AVX-512 dispatch disabled;
+it is an expected failure while the output bits follow the CPU (ROADMAP
+item 8), and is skipped on a CPU without AVX-512.
 """
 
 from __future__ import annotations
@@ -20,14 +23,19 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import platform
+import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from numpy._core import _multiarray_umath
 
+import tukeyseg
 from conftest import write_video_dir
 from tukeyseg.cli import main
 from tukeyseg.io import write_mask_pgm
@@ -174,6 +182,30 @@ def test_outputs_match_golden_table(tmp_path):
             f"{len(changed)} output digests differ from {TABLE.name} "
             f"(made with {_described(table)}; this run: {_described(_versions())}): "
             + ", ".join(changed[:20]))
+
+
+# the failure of the rerun without AVX-512 today (ROADMAP item 8)
+AVX2_DIFFERENCE = (r"2 output digests differ .*\): "
+                   r"refine-wide-nonlocal-jobs3/00003\.pgm, refine-wide-nonlocal/00003\.pgm$")
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 8: the bits of the LAB conversion follow numpy's SIMD dispatch, so under "
+    "AVX2 refine-wide-nonlocal/00003.pgm and refine-wide-nonlocal-jobs3/00003.pgm differ"))
+def test_outputs_match_golden_table_without_avx512(tmp_path):
+    features = _multiarray_umath.__cpu_features__
+    disabled = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+    if not any(features.get(t) for t in disabled):
+        pytest.skip("the CPU has no AVX-512, so there is no dispatch to disable")
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(disabled),
+           "PYTHONPATH": str(Path(tukeyseg.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--basetemp",
+         str(tmp_path), f"{__file__}::test_outputs_match_golden_table"],
+        cwd=TABLE.parents[1], env=env, capture_output=True, text=True, timeout=600)
+    if run.returncode != 0 and not re.search(AVX2_DIFFERENCE, run.stdout, re.MULTILINE):
+        raise RuntimeError(f"the rerun without AVX-512 failed otherwise:\n{run.stdout[-2000:]}")
+    assert run.returncode == 0, run.stdout[-2000:]
 
 
 if __name__ == "__main__":

@@ -73,6 +73,13 @@ class TestFlo:
         again = write_flo(read_flo(encoded))
         assert again == encoded
 
+    def test_shape_is_height_then_width(self):
+        flow = FlowField(np.zeros((2, 3), np.float32), np.ones((2, 3), np.float32))
+        assert flow.shape == (2, 3)
+        assert struct.unpack("<fii", write_flo(flow)[:12]) == (FLO_SENTINEL, 3, 2)
+        assert read_flo(write_flo(flow)).shape == (2, 3)
+        assert not hasattr(flow, "height") and not hasattr(flow, "width")
+
     def test_random_round_trips(self, rng):
         for _ in range(50):
             h, w = rng.integers(1, 12, size=2)
@@ -217,6 +224,130 @@ class TestPpm:
     def test_maxval_other_than_255_rejected(self, maxval):
         with pytest.raises(ValueError, match="maxval"):
             read_ppm(f"P6\n1 1\n{maxval}\n".encode() + b"\x00\x00\x00")
+
+
+# (reader, the writer's encoding of a 2x3 raster) for each netpbm reader
+_NETPBM = {
+    "mask": (read_mask_pgm, write_mask_pgm(np.array([[0, 1, 1], [1, 0, 1]]))),
+    "saliency": (read_saliency_pgm, write_pgm(np.arange(6, dtype=np.uint8).reshape(2, 3) * 40)),
+    "pgm16": (read_pgm16, write_pgm16(np.arange(6).reshape(2, 3) * 9000)),
+    "ppm": (read_ppm, write_ppm(np.arange(18, dtype=np.uint8).reshape(2, 3, 3) * 13)),
+}
+
+
+def _with_header(encoded: bytes, header: str) -> bytes:
+    """The raster of a writer's ``encoded`` file after ``header``, given its magic and maxval."""
+    magic, _, maxval, raster = encoded.split(b"\n", 3)  # the writer's header is "M\nW H\nV\n"
+    return header.format(magic=magic.decode(), maxval=maxval.decode()).encode("latin-1") + raster
+
+
+class TestPnmHeaderGrammar:
+    """One header grammar: magic, then width, height and maxval after separators, then one byte.
+
+    A separator is a space, tab, CR or LF byte, or a comment from "#" through
+    the end of its line.
+    """
+
+    ACCEPTED = {
+        "gimp": "{magic}\n# CREATOR: GIMP PNM Filter Version 1.1\n3 2\n{maxval}\n",
+        "before-width": "{magic}\n# before the width\n3 2 {maxval}\n",
+        "before-height": "{magic} 3\n# before the height\n2 {maxval}\n",
+        "before-maxval": "{magic} 3 2\n# before the maxval\n{maxval}\n",
+        "glued-comments": "{magic}#a\n#b\n3#c\n2#d\n{maxval}\t",
+        "crlf": "{magic}\r\n# written with CRLF line ends\r\n3 2\r\n{maxval}\r",
+        "number-in-comment": "{magic} 3 2 # 255 is no maxval inside a comment\n{maxval}\n",
+        "odd-bytes": "{magic}\n#\n# ## \x80\xff #\n3 2\n{maxval}\n",
+        "long-comment": "{magic}\n# " + "x" * 300 + "\n3 2\n{maxval}\n",
+        "long-whitespace": "{magic}" + " " * 200 + "003 2\t\r\n{maxval}\n",
+    }
+
+    @pytest.mark.parametrize("header", ACCEPTED.values(), ids=ACCEPTED)
+    @pytest.mark.parametrize("kind", sorted(_NETPBM))
+    def test_header_read_as_the_writers_one(self, kind, header):
+        read, encoded = _NETPBM[kind]
+        got = read(_with_header(encoded, header))
+        expected = read(encoded)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("kind", sorted(_NETPBM))
+    def test_number_glued_to_the_magic_refused(self, kind):
+        read, encoded = _NETPBM[kind]
+        with pytest.raises(ValueError, match="^malformed netpbm header$"):
+            read(_with_header(encoded, "{magic}3 2 {maxval}\n"))
+
+    def test_exactly_one_whitespace_byte_before_the_raster(self):
+        # the second LF is the first sample, 10
+        assert read_pgm16(b"P5 1 1 65535\n\n\x00").tolist() == [[10 << 8]]
+        assert read_saliency_pgm(b"P5 1 1 255\r\n").tolist() == [[10 / 255]]
+
+    @pytest.mark.parametrize("header, message", [
+        ("{magic}", "malformed netpbm header"),
+        ("{magic}\n", "malformed netpbm header"),
+        ("{magic}\n3 2\n", "malformed netpbm header"),
+        ("{magic}\n3 2\n{maxval}", "malformed netpbm header"),
+        ("{magic}\n3 x {maxval}\n", "malformed netpbm header"),
+        ("{magic}\n-3 2 {maxval}\n", "malformed netpbm header"),
+        ("{magic}\n+3 2 {maxval}\n", "malformed netpbm header"),
+        ("{magic} 3 2 {maxval}x", "malformed netpbm header"),
+        ("{magic} 3 2 {maxval}#c\n", "malformed netpbm header"),
+        ("{magic}\f3 2 {maxval}\n", "malformed netpbm header"),
+        ("{magic}\n# a comment that never ends 3 2 {maxval}\n", "malformed netpbm header"),
+        ("{magic}\n0 2\n{maxval}\n", "non-positive dimensions 0x2"),
+        ("{magic} 3 0 {maxval}\n", "non-positive dimensions 3x0"),
+    ], ids=["empty", "no-width", "no-maxval", "no-raster-byte", "letter", "minus", "plus",
+            "letter-after-maxval", "comment-after-maxval", "form-feed", "unended-comment",
+            "zero-width", "zero-height"])
+    @pytest.mark.parametrize("kind", sorted(_NETPBM))
+    def test_malformed_header_messages(self, kind, header, message):
+        read, encoded = _NETPBM[kind]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read(_with_header(encoded, header))
+
+    @pytest.mark.parametrize("kind", sorted(_NETPBM))
+    def test_bad_magic_message(self, kind):
+        read, encoded = _NETPBM[kind]
+        for other in ("P2", "P3", "p5", "P", ""):
+            expected = f"^bad magic: expected {encoded[:2].decode()} header$"
+            with pytest.raises(ValueError, match=expected):
+                read(_with_header(encoded, other + "\n3 2\n{maxval}\n"))
+
+    @pytest.mark.parametrize("header", ACCEPTED.values(), ids=ACCEPTED)
+    def test_mask_directory_opened_with_the_same_grammar(self, tmp_path, header):
+        d = tmp_path / "m"
+        d.mkdir()
+        encoded = _NETPBM["mask"][1]
+        (d / "00000.pgm").write_bytes(_with_header(encoded, header))
+        (d / "00001.pgm").write_bytes(encoded)
+        masks = read_mask_dir(d)
+        assert masks.shape == (2, 3)
+        assert np.array_equal(masks[0], masks[1])
+
+    @pytest.mark.parametrize("header", ACCEPTED.values(), ids=ACCEPTED)
+    def test_video_opened_with_the_same_grammar(self, tmp_path, header):
+        scene = moving_block_arrays(height=2, width=3, block=(slice(0, 1), slice(1, 2)),
+                                    num_frames=2)
+        root = write_video_dir(tmp_path / "vid", frames=scene["frames"],
+                               saliencies=scene["saliencies"])
+        for name in ("frames/00000.ppm", "saliency/00000.pgm"):
+            path = root / name
+            path.write_bytes(_with_header(path.read_bytes(), header))
+        seq = open_sequence(root)
+        assert seq.frames.shape == seq.saliencies.shape == (2, 3)
+        assert np.array_equal(seq.frame(0), scene["frames"][0])
+        assert np.array_equal(seq.saliency(0), seq.saliency(1))
+
+    @pytest.mark.parametrize("header, message", [
+        ("{magic}3 2 {maxval}\n", "malformed netpbm header"),
+        ("{magic}\n# " + "x" * 300 + "\n0 2\n{maxval}\n", "non-positive dimensions 0x2"),
+        ("P3 3 2 {maxval}\n", "bad magic: expected P5 header"),
+    ], ids=["glued-to-magic", "zero-width-after-long-comment", "bad-magic"])
+    def test_first_header_refused_at_open_with_the_decoders_message(self, tmp_path, header,
+                                                                    message):
+        d = tmp_path / "m"
+        d.mkdir()
+        (d / "00000.pgm").write_bytes(_with_header(_NETPBM["mask"][1], header))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(d / '00000.pgm'))}: {message}$"):
+            read_mask_dir(d)
 
 
 _WRITERS = {

@@ -222,7 +222,7 @@ class TestFloat32FencesAreNotRounded:
         o3 = float(a) + 0.75 * (float(b) - float(a))  # rounds up to b in float32
         o1 = float(c) + 0.25 * (float(d) - float(c))  # rounds down to c in float32
         sample = np.array([c, d, -1.0, 0.0, 0.5, a, b, c, b], dtype=np.float32)
-        return sample, OutlierFences(o1, o3, 1.5)
+        return sample, OutlierFences(o1, o3)
 
     def test_the_trap_is_real(self):
         sample, f = self._trap()
@@ -335,21 +335,21 @@ class TestFences:
 class TestOutlierSet:
     def test_selects_extreme_value(self):
         data = np.array([1, 2, 3, 4, 5, 100], dtype=float)
-        flags = outlier_set(data, OutlierFences(-1.5, 8.5, 1.5))
+        flags = outlier_set(data, OutlierFences(-1.5, 8.5))
         assert flags.tolist() == [0, 0, 0, 0, 0, 1]
 
     def test_strict_comparison_excludes_fence_values(self):
         data = np.full((3, 3), 7.0)
-        flags = outlier_set(data, OutlierFences(7.0, 7.0, 1.5))
+        flags = outlier_set(data, OutlierFences(7.0, 7.0))
         assert not flags.any()
 
     def test_both_sides(self):
-        flags = outlier_set(np.array([-10.0, 0.0, 10.0]), OutlierFences(-5, 5, 1.5))
+        flags = outlier_set(np.array([-10.0, 0.0, 10.0]), OutlierFences(-5, 5))
         assert flags.tolist() == [1, 0, 1]
 
     def test_uint8_flags_of_the_input_shape(self, rng):
         data = rng.normal(size=(4, 5))
-        flags = outlier_set(data, OutlierFences(-1.0, 1.0, 1.5))
+        flags = outlier_set(data, OutlierFences(-1.0, 1.0))
         assert flags.dtype == bool and flags.shape == (4, 5)
         assert flags.tolist() == (np.abs(data) > 1.0).astype(np.uint8).tolist()
 
