@@ -33,8 +33,8 @@ import tempfile
 from itertools import chain
 from pathlib import Path
 
-from tukeyseg.io import (_check_same_extent, _indexed_name, _name_index, open_sequence,
-                         read_mask_dir, write_mask_pgm)
+from tukeyseg.io import (_VIDEO_RASTERS, _check_same_extent, _indexed_name, _name_index,
+                         open_sequence, read_mask_dir, write_mask_pgm)
 
 log = logging.getLogger(__name__)
 
@@ -71,67 +71,67 @@ _JOBS = _number(int, low=1)
 _NON_NEGATIVE = _number(low=0.0)
 
 
-def _add_segmenter_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k-fences", type=_NON_NEGATIVE, default=1.5,
-                        help="outlier fence multiple of the IQR (default 1.5)")
-    parser.add_argument("--min-flow-scale", type=_number(low=0.0, high=1.0), default=0.5,
-                        help="minimum outlier scale for flow measures (default 0.5)")
-    parser.add_argument("--vs-exponents", type=_exponent_list, default=(1.0, 0.5, 1.0 / 3.0),
-                        metavar="K1,K2,...",
-                        help="comma-separated saliency exponents (default 1,0.5,0.333...)")
-    parser.add_argument("--connectivity", type=int, choices=(4, 8), default=8,
-                        help="segment connectivity (default 8)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tukeyseg",
         description="Video object segmentation from robust outlier statistics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags shared by several subcommands, each declared once in a parent parser
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", type=_JOBS, default=1,
+                      help="worker threads (default 1); outputs do not depend on it")
+    k_fences = argparse.ArgumentParser(add_help=False)
+    k_fences.add_argument("--k-fences", type=_NON_NEGATIVE, default=1.5,
+                          help="outlier fence multiple of the IQR (default 1.5)")
+    segmenter = argparse.ArgumentParser(add_help=False, parents=[k_fences])
+    segmenter.add_argument("--min-flow-scale", type=_number(low=0.0, high=1.0), default=0.5,
+                           help="minimum outlier scale for flow measures (default 0.5)")
+    segmenter.add_argument("--vs-exponents", type=_exponent_list, default=(1.0, 0.5, 1.0 / 3.0),
+                           metavar="K1,K2,...",
+                           help="comma-separated saliency exponents (default 1,0.5,0.333...)")
+    segmenter.add_argument("--connectivity", type=int, choices=(4, 8), default=8,
+                           help="segment connectivity (default 8)")
 
-    tis0 = sub.add_parser("tis0", help="segment a video from flow and saliency outliers")
+    tis0 = sub.add_parser("tis0", parents=[segmenter, jobs],
+                          help="segment a video from flow and saliency outliers")
+    tis0.set_defaults(handler=_cmd_tis0)
     tis0.add_argument("--input", required=True, help="video directory (frames/flow/saliency layout)")
     tis0.add_argument("--output", required=True, help="directory for %%05d.pgm masks and diagnostics")
-    _add_segmenter_args(tis0)
-    tis0.add_argument("--jobs", type=_JOBS, default=1, help="worker threads for per-frame stages")
 
-    refine = sub.add_parser("refine", help="segment, then refine boundaries with supervoxel consensus")
+    refine = sub.add_parser("refine", parents=[segmenter, jobs],
+                            help="segment, then refine boundaries with supervoxel consensus")
+    refine.set_defaults(handler=_cmd_refine)
     refine.add_argument("--input", required=True,
                         help="video directory (frames/flow/saliency/svx layout)")
     refine.add_argument("--output", required=True, help="directory for refined %%05d.pgm masks")
-    _add_segmenter_args(refine)
     refine.add_argument("--mode", choices=("local", "nonlocal"), default="nonlocal",
                         help="consensus mode (default nonlocal)")
     refine.add_argument("--w0", type=_number(), default=None,
                         help="override the local-consensus weight (default 1 local, 1/3 nonlocal)")
-    refine.add_argument("--jobs", type=_JOBS, default=1)
 
-    combine = sub.add_parser("combine", help="fuse the masks of several methods")
+    combine = sub.add_parser("combine", parents=[k_fences, jobs],
+                             help="fuse the masks of several methods")
+    combine.set_defaults(handler=_cmd_combine)
     combine.add_argument("--input", required=True,
                          help="directory whose subdirectories each hold one method's %%05d.pgm masks")
     combine.add_argument("--output", required=True, help="directory for fused masks and the weight report")
     combine.add_argument("--strategy", choices=_STRATEGIES, default="tism",
                          help="fusion rule (default tism)")
-    combine.add_argument("--k-fences", type=_NON_NEGATIVE, default=1.5)
-    combine.add_argument("--jobs", type=_JOBS, default=1)
 
-    evaluate = sub.add_parser("eval", help="score predicted masks against ground truth")
+    evaluate = sub.add_parser("eval", parents=[jobs], help="score predicted masks against ground truth")
+    evaluate.set_defaults(handler=_cmd_eval)
     evaluate.add_argument("--input", required=True, help="prediction root (one directory per sequence)")
     evaluate.add_argument("--ground-truth", required=True, help="ground-truth root")
     evaluate.add_argument("--output", default=None, help="also write the CSV table to this file")
     evaluate.add_argument("--tolerance", type=_NON_NEGATIVE, default=None,
                           help="contour tolerance in pixels (default: 0.0075 * image diagonal)")
-    evaluate.add_argument("--jobs", type=_JOBS, default=1)
-
     return parser
 
 
-# the raster directories of a video that tis0 and refine read
-_VIDEO_RASTERS = ("frames", "flow", "saliency", "svx")
 _REPORT_NAMES = ("flow_alphas.csv", "mask_alphas.csv")
 _STAGING_PREFIX = ".tukeyseg-"
-_STAGING_NAME = re.compile(r"\.tukeyseg-[a-z0-9_]+")
+_STAGING_NAME = re.compile(re.escape(_STAGING_PREFIX) + "[a-z0-9_]+")
 
 
 def _output_names(directory: Path) -> list[str]:
@@ -315,21 +315,13 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "tis0": _cmd_tis0,
-    "refine": _cmd_refine,
-    "combine": _cmd_combine,
-    "eval": _cmd_eval,
-}
-
-
 def main(argv=None) -> int:
     level = os.environ.get("TIS_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -417,6 +417,10 @@ def _check_same_extent(sequences, spare: int = 0) -> None:
                              f"but {first.paths[0].parent} holds {len(first)} of {fw}x{fh}")
 
 
+# The raster directories of a video, in the order of FrameSequence's fields.
+_VIDEO_RASTERS = ("frames", "flow", "saliency", "svx")
+
+
 @dataclass(frozen=True)
 class FrameSequence:
     """One video's rasters: a :class:`RasterSequence` per kind, empty where it is absent.
@@ -482,19 +486,22 @@ class FrameSequence:
 def open_sequence(root) -> FrameSequence:
     """Index a video directory from its file names and one header per raster directory.
 
-    Each raster directory must hold contiguous indices, and agree with
-    ``frames/`` on size and file count; ``flow/`` may hold one file fewer.
-    ``masks/`` contributes the names of its subdirectories only.
+    The raster directories are those of ``_VIDEO_RASTERS``, the one list of
+    them, indexed in its order. Each must hold contiguous indices, and agree
+    with ``frames/`` on size and file count; ``flow/`` may hold one file
+    fewer. ``masks/`` contributes the names of its subdirectories only.
     """
     root = Path(root)
     if not root.is_dir():
         raise ValueError(f"not a directory: {root}")
-    frames = _index(root / "frames", "ppm", read_ppm)
+    # the decoders are looked up by name on each call, so a re-bound one is used
+    rasters = (_index(root / name, extension, decode) for name, extension, decode in zip(
+        _VIDEO_RASTERS, ("ppm", "flo", "pgm", "pgm16"),
+        (read_ppm, read_flo, read_saliency_pgm, read_pgm16)))
+    frames = next(rasters)
     if not frames:
         raise ValueError(f"{root}: no frames found under frames/")
-    flows = _index(root / "flow", "flo", read_flo)
-    saliencies = _index(root / "saliency", "pgm", read_saliency_pgm)
-    label_maps = _index(root / "svx", "pgm16", read_pgm16)
+    flows, saliencies, label_maps = rasters
     _check_same_extent([frames, flows], spare=1)
     _check_same_extent([frames, saliencies, label_maps])
     masks = root / "masks"

@@ -86,10 +86,8 @@ def _near(boundary, tolerance) -> np.ndarray:
     def half_width(dy):
         return int(np.count_nonzero(np.sqrt(dy * dy + dx_squared) <= tolerance)) - 1
 
-    widest = half_width(0)
+    widest = half_width(0)  # at least 0: contour_f refuses a negative tolerance
     near = np.zeros(boundary.shape, dtype=bool)
-    if widest < 0:
-        return near
     # counts[:, widest + 1 + x] = boundary pixels in columns 0..x of the row,
     # with the row's total beyond the last column and 0 before the first.
     counts = np.zeros((height, width + 2 * widest + 1), dtype=np.int32)

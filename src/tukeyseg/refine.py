@@ -17,8 +17,9 @@ converted to LAB in cache-sized scratch and summed per supervoxel into
 the frame's partial, and the per-channel LAB bounds are tracked on the
 way. The calling thread merges the partials in frame order, so a worker
 holds one frame's RGB, labels and partial sums; pass two refines one
-frame per worker. Min-max normalization is affine, so it is applied to
-the per-supervoxel means at the end rather than to every pixel.
+frame per worker. Min-max normalization is affine, so
+:func:`build_consensus` applies it to the per-supervoxel means rather than
+to every pixel.
 The neighbor search is exact but pruned: blocks of rows close in color look
 only at the columns within a growing radius of their bounding box, and
 select each row's k nearest with a partial sort; ties at the k-th distance
@@ -30,19 +31,15 @@ from __future__ import annotations
 import contextlib
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from tukeyseg.io import _mask_array
 from tukeyseg.parallel import parallel_imap, parallel_map
-from tukeyseg.segment import (
-    _CACHE_ELEMENTS,
-    SegmenterConfig,
-    SegmentationResult,
-    segment_sequence,
-    select_top_segments,
-)
+from tukeyseg.segment import (SegmenterConfig, SegmentationResult, segment_sequence,
+                              select_top_segments)
+from tukeyseg.stats import _CACHE_ELEMENTS
 
 log = logging.getLogger(__name__)
 
@@ -149,9 +146,9 @@ def normalize_lab(lab, low, high) -> np.ndarray:
     ``(n, 3)`` per-supervoxel means; ``low`` and ``high`` are the per-channel
     extremes over every pixel of the video (``SupervoxelStats.lab_min`` and
     ``lab_max``). The map is affine, so normalizing the means equals taking
-    the mean of the normalized pixels, up to rounding. A channel that is
-    constant across the video maps to 0. Non-finite bounds, or ``None``,
-    raise ``ValueError``.
+    the mean of the normalized pixels, up to rounding; :func:`build_consensus`
+    calls it on the means of its table. A channel that is constant across the
+    video maps to 0. Non-finite bounds, or ``None``, raise ``ValueError``.
     """
     lab = np.asarray(lab, dtype=np.float64)
     low = np.asarray(low, dtype=np.float64)
@@ -370,11 +367,14 @@ def _search_block(channels, ids, rows, k, radius, near, near_dist) -> np.ndarray
 def build_consensus(stats: SupervoxelStats, cfg: RefineConfig | None = None) -> ConsensusTable:
     """Compute local consensus and, in non-local mode, neighbor votes.
 
-    Each supervoxel's neighbors are the k = ceil(n/100) others closest in
-    city-block mean-LAB distance; a tie at the k-th distance goes to the
-    smaller id. Raw weights are 1 / max(distance, NONLOCAL_EPSILON)^2,
-    rescaled to sum to 2/3, and the vote adds neighbors in (distance, id)
-    order.
+    The mean colors are first min-max normalized by the table's own LAB
+    bounds (:func:`normalize_lab` with ``stats.lab_min`` and ``lab_max``), so
+    ``stats`` is passed as :func:`supervoxel_stats` returns it; local mode
+    reads no color. Each supervoxel's neighbors are the k = ceil(n/100)
+    others closest in city-block normalized mean-LAB distance; a tie at the
+    k-th distance goes to the smaller id. Raw weights are
+    1 / max(distance, NONLOCAL_EPSILON)^2, rescaled to sum to 2/3, and the
+    vote adds neighbors in (distance, id) order.
 
     The search is exact but pruned. Supervoxels are put in Z-order of their
     means, and each block of 32 consecutive rows in that order computes
@@ -402,7 +402,7 @@ def build_consensus(stats: SupervoxelStats, cfg: RefineConfig | None = None) -> 
     n = len(stats.ids)
     if n < 2:
         raise ValueError("non-local consensus needs at least 2 supervoxels")
-    points = np.asarray(stats.mean_lab, dtype=np.float64)
+    points = normalize_lab(stats.mean_lab, stats.lab_min, stats.lab_max)
     if not np.isfinite(points).all():
         raise ValueError("supervoxel mean colors must be finite")
     k = math.ceil(n / 100)
@@ -511,9 +511,7 @@ def refine_sequence(
     if not seq.has_labels:
         raise ValueError(f"sequence '{seq.name}': supervoxel label rasters are required")
     initial = segment_sequence(seq, seg_cfg, jobs)
-    stats = supervoxel_stats(seq, initial.masks, jobs)
-    stats = replace(stats, mean_lab=normalize_lab(stats.mean_lab, stats.lab_min, stats.lab_max))
-    table = build_consensus(stats, ref_cfg)
+    table = build_consensus(supervoxel_stats(seq, initial.masks, jobs), ref_cfg)
     log.info("consensus over %d supervoxels (mode=%s)", len(table.ids), ref_cfg.mode)
     video_max = max(float(fore.max()) for fore in initial.foregroundness)
     masks = parallel_map(

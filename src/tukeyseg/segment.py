@@ -35,12 +35,6 @@ from tukeyseg.parallel import parallel_map
 
 log = logging.getLogger(__name__)
 
-COMPONENT_NAMES = ("x", "y", "magnitude", "angle")
-
-# Float64 elements (about 512 KB) one band of per-pixel work holds in each of
-# its buffers, so that it stays in cache.
-_CACHE_ELEMENTS = 2**16
-
 
 @dataclass(frozen=True)
 class SegmenterConfig:
@@ -63,7 +57,7 @@ class SegmenterConfig:
 
 
 class FlowMeasures(NamedTuple):
-    """The four per-pixel measures of one flow field, in ``COMPONENT_NAMES`` order.
+    """The four per-pixel measures of one flow field; their names are ``COMPONENT_NAMES``.
 
     ``x`` and ``y`` are the flow's own arrays, of its dtype (float32 from a
     ``.flo`` file); ``magnitude`` and ``angle`` are float64.
@@ -73,6 +67,9 @@ class FlowMeasures(NamedTuple):
     y: np.ndarray
     magnitude: np.ndarray  # sqrt(x^2 + y^2), >= 0
     angle: np.ndarray      # atan2(y, x) in (-pi, pi]; zero vector maps to 0
+
+
+COMPONENT_NAMES = FlowMeasures._fields
 
 
 def flow_measures(flow: FlowField) -> FlowMeasures:
@@ -245,7 +242,7 @@ def frame_foregroundness(seq: FrameSequence, index: int, cfg: SegmenterConfig | 
         scales[name] = alpha
     fore = np.zeros(vs.shape)
     height, width = fore.shape
-    band = min(height, max(1, _CACHE_ELEMENTS // width))
+    band = min(height, max(1, stats._CACHE_ELEMENTS // width))
     buffers = np.empty((3, band, width))
     for start in range(0, height, band):
         rows = slice(start, start + band)

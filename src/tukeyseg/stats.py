@@ -111,8 +111,10 @@ def quartiles(sample) -> Quartiles:
     return q
 
 
-# values per block of _flip_negatives: 256 KB of int32 or 512 KB of int64 temporary
-_FLIP_BLOCK = 1 << 16
+# Elements per block of blocked per-pixel work, about 512 KB of float64 or
+# int64, so that a block's buffers stay in cache: _flip_negatives here, the
+# foregroundness bands in segment and the LAB bands in refine.
+_CACHE_ELEMENTS = 2**16
 
 
 def _flip_negatives(keys: np.ndarray) -> None:
@@ -125,7 +127,7 @@ def _flip_negatives(keys: np.ndarray) -> None:
     """
     sign = 8 * keys.itemsize - 1
     low = (1 << sign) - 1
-    for block in np.split(keys, range(_FLIP_BLOCK, keys.size, _FLIP_BLOCK)):
+    for block in np.split(keys, range(_CACHE_ELEMENTS, keys.size, _CACHE_ELEMENTS)):
         flip = block >> sign
         flip &= low
         block ^= flip

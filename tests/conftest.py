@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 
 import numpy as np
@@ -134,6 +135,53 @@ def moving_block_arrays(
         "saliencies": [saliency] * num_frames,
         "truth": truth,
     }
+
+
+def fusion_scene(seed, height=96, width=128, frames=20, methods=6, object_share=0.05,
+                 outlier_share=0.3):
+    """One sequence of the fusion workload's shape, in memory: (truth, masks).
+
+    An ellipse with axes 1.4 : 1 covering ``object_share`` of the frame moves
+    2-3 px per frame across it; ``truth[t]`` is its bool mask in frame t. Each
+    method sees it offset 2 px in the method's own direction, plus up to 1 px
+    of jitter per frame and axis, and scaled by its own factor in
+    [0.92, 1.08]. On about ``outlier_share`` of the frames one or two methods
+    are outliers instead, each "large" (axes 3.5 times as long) or "empty".
+    ``masks[t][m]`` is method m's bool mask in frame t.
+    """
+    rng = np.random.default_rng(seed)
+    b = math.sqrt(object_share * height * width / (1.4 * math.pi))
+    a = 1.4 * b
+    rows, cols = np.indices((height, width))
+
+    def ellipse(cx, cy, scale=1.0):
+        return ((cols - cx) / (scale * a)) ** 2 + ((rows - cy) / (scale * b)) ** 2 <= 1.0
+
+    vx = rng.uniform(2.0, 3.0) * min(1.0, (width - 2 * a - 8) / (3.0 * (frames - 1)))
+    vy = rng.uniform(-0.5, 0.5)
+    cx0, cy0 = a + 4 + rng.uniform(0, 4), height / 2 + rng.uniform(-0.1, 0.1) * height
+    angles = 2 * np.pi * np.arange(methods) / methods + rng.uniform(0, 2 * np.pi)
+    offsets = 2.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    scales = rng.permutation(np.linspace(0.92, 1.08, methods))
+    truth, masks = [], []
+    for t in range(frames):
+        cx, cy = cx0 + vx * t, cy0 + vy * t
+        truth.append(ellipse(cx, cy))
+        outliers = {}
+        if rng.random() < outlier_share:
+            for m in rng.choice(methods, size=rng.integers(1, 3), replace=False):
+                outliers[int(m)] = "large" if rng.random() < 0.5 else "empty"
+        jitter = rng.uniform(-1.0, 1.0, size=(methods, 2))
+        frame = []
+        for m in range(methods):
+            dx, dy = offsets[m] + jitter[m]
+            if outliers.get(m) == "empty":
+                frame.append(np.zeros((height, width), dtype=bool))
+            else:
+                size = scales[m] * (3.5 if outliers.get(m) == "large" else 1.0)
+                frame.append(ellipse(cx + dx, cy + dy, size))
+        masks.append(frame)
+    return truth, masks
 
 
 def mask_dtype_matrix():

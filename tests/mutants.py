@@ -117,6 +117,15 @@ MUTANTS = (
            "if len(masks) != len(names):", "if False:", ("tests/test_fusion.py",)),
     Mutant("csv-alpha-precision", "src/tukeyseg/cli.py",
            'f"{r.alpha:.12g}"', 'f"{r.alpha:.6g}"', ("tests/test_fusion.py",)),
+    Mutant("consensus-raw-means", "src/tukeyseg/refine.py",
+           "points = normalize_lab(stats.mean_lab, stats.lab_min, stats.lab_max)",
+           "points = np.asarray(stats.mean_lab, dtype=np.float64)", ("tests/test_refine.py",)),
+    Mutant("video-rasters-without-svx", "src/tukeyseg/io.py",
+           '_VIDEO_RASTERS = ("frames", "flow", "saliency", "svx")',
+           '_VIDEO_RASTERS = ("frames", "flow", "saliency")', ("tests/test_io.py",)),
+    Mutant("handler-swapped", "src/tukeyseg/cli.py",
+           "combine.set_defaults(handler=_cmd_combine)", "combine.set_defaults(handler=_cmd_eval)",
+           ("tests/test_cli.py",)),
 )
 
 

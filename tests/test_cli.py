@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -73,6 +74,17 @@ class TestParser:
                 ["refine", "--input", "a", "--output", "b", "--mode", "psychic"]
             )
         assert exc.value.code != 0
+
+    @pytest.mark.parametrize("command, flag", [
+        *((command, "--jobs") for command in ("tis0", "refine", "combine", "eval")),
+        *((command, "--k-fences") for command in ("tis0", "refine", "combine")),
+    ])
+    def test_help_documents_shared_flags(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--help"])
+        assert exc.value.code == 0
+        # the flag and its metavar, then its help text on the same or the next line
+        assert re.search(rf"{flag} [A-Z_]+\s+[a-z]", capsys.readouterr().out)
 
     def test_strategy_choices_are_the_fusion_strategies(self):
         assert _STRATEGIES == fusion.STRATEGIES

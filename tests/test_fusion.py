@@ -1,12 +1,13 @@
 """Tests for reliability-weighted mask fusion."""
 
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
-from conftest import mask_dtype_matrix
+from conftest import fusion_scene, mask_dtype_matrix
 from tukeyseg import fusion, stats
 from tukeyseg.cli import main
 from tukeyseg.fusion import (
@@ -17,6 +18,7 @@ from tukeyseg.fusion import (
     fuse_sequence,
 )
 from tukeyseg.io import read_mask_dir, write_mask_pgm
+from tukeyseg.metrics import jaccard
 from tukeyseg.stats import mask_outlier_scales
 
 
@@ -488,3 +490,51 @@ class TestCombineAgainstOracle:
         assert len(fused) == len(expected)
         assert all(np.array_equal(f, e) for f, e in zip(fused, expected))
         assert (out / "mask_alphas.csv").read_bytes() == csv
+
+
+# Fixed before the first run, and not to be re-picked to make a check pass.
+_CLAIM_SEEDS = (1, 2, 3, 4, 5, 6, 7)
+# Seeds on which TISM's J fell below the mean strategy's: TISM vs mean.
+_BELOW_MEAN = {1: "0.8936 vs 0.8956", 3: "0.9060 vs 0.9111"}
+
+
+@functools.cache
+def _claim_scores(seed):
+    """J of each method and of each fusion strategy over ``fusion_scene(seed)``."""
+    truth, masks = fusion_scene(seed)
+
+    def j_mean(sequence):
+        return float(np.mean([jaccard(m, g) for m, g in zip(sequence, truth)]))
+
+    methods = [j_mean([frame[m] for frame in masks]) for m in range(len(masks[0]))]
+    return methods, {s: j_mean(fuse_sequence(masks, strategy=s)[0]) for s in STRATEGIES}
+
+
+class TestFusionClaim:
+    """The paper's claim for TISM fusion, on the fusion benchmark's shape at 96 x 128.
+
+    Six methods, one or two of them outliers ("large" or "empty") on about
+    30% of the frames. The paper reports TISM up to 28% above the median
+    method's J; here it is 16-23% above.
+    """
+
+    @pytest.mark.parametrize("seed", _CLAIM_SEEDS)
+    def test_tism_beats_the_median_method(self, seed):
+        methods, fused = _claim_scores(seed)
+        assert fused["tism"] > np.median(methods)
+
+    @pytest.mark.parametrize("seed", _CLAIM_SEEDS)
+    def test_tism_at_least_the_median_strategy(self, seed):
+        _, fused = _claim_scores(seed)
+        assert fused["tism"] >= fused["median"]
+
+    @pytest.mark.parametrize("seed", [
+        pytest.param(seed, marks=pytest.mark.xfail(
+            strict=True, reason=f"TISM's J is below the unweighted vote's on this seed "
+                                f"({_BELOW_MEAN[seed]})"))
+        if seed in _BELOW_MEAN else seed
+        for seed in _CLAIM_SEEDS
+    ])
+    def test_tism_at_least_the_mean_strategy(self, seed):
+        _, fused = _claim_scores(seed)
+        assert fused["tism"] >= fused["mean"]

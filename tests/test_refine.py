@@ -2,6 +2,7 @@
 
 import collections
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -13,9 +14,8 @@ import oracles
 from conftest import ArrayVideo, moving_block_arrays, write_video_dir
 from tukeyseg import refine
 from tukeyseg.cli import main
-from tukeyseg.io import open_sequence
+from tukeyseg.io import FrameSequence, open_sequence
 from tukeyseg.refine import (
-    _CACHE_ELEMENTS,
     _CONSENSUS_BLOCK,
     ConsensusTable,
     RefineConfig,
@@ -28,6 +28,7 @@ from tukeyseg.refine import (
     rgb_to_lab,
     supervoxel_stats,
 )
+from tukeyseg.stats import _CACHE_ELEMENTS
 
 
 class TestRgbToLab:
@@ -414,6 +415,17 @@ class TestTallyMemory:
             return stats
 
         monkeypatch.setattr(refine, "supervoxel_stats", windowed)
+        # Both jobs hold a decoded frame before either tallies it, in every run
+        # alike. Left to the scheduler, the 2-frame run sometimes tallied its
+        # frames one after the other, and its lower peak failed the bound.
+        barrier, read = threading.Barrier(2, timeout=60), FrameSequence.frame
+
+        def in_step(seq, index):
+            rgb = read(seq, index)
+            barrier.wait()
+            return rgb
+
+        monkeypatch.setattr(FrameSequence, "frame", in_step)
         refine_sequence(seqs[2], jobs=2)  # lazy imports happen outside the traced runs
         windows.clear()
         for seq in seqs.values():
@@ -906,6 +918,17 @@ class TestRefineSequence:
             assert np.array_equal(other.consensus.f_nonlocal, results[0].consensus.f_nonlocal)
             for a, b in zip(results[0].masks, other.masks):
                 assert a.tobytes() == b.tobytes()
+
+    def test_library_composition_equals_the_pipeline(self, tmp_path):
+        # build_consensus normalizes the means by the table's own LAB bounds,
+        # so the public pieces composed give the pipeline's consensus
+        seq = open_sequence(_tile_video(tmp_path / "tiles", 60, 120, num_frames=3))
+        result = refine_sequence(seq)
+        stats = supervoxel_stats(seq, result.initial.masks)
+        assert len(stats.ids) == 72 and (stats.lab_max - stats.lab_min > 1).all()
+        table = build_consensus(stats)
+        for field in ("ids", "f_local", "f_nonlocal"):
+            assert np.array_equal(getattr(table, field), getattr(result.consensus, field))
 
     def test_matches_pixelwise_normalization(self, tmp_path):
         # the former pipeline: normalize every LAB pixel, average, vote per row

@@ -24,8 +24,8 @@ from conftest import adversarial_masks, moving_block_arrays, write_video_dir
 from tukeyseg.io import FlowField, open_sequence
 from tukeyseg.metrics import jaccard
 from tukeyseg.io import write_saliency_pgm
+from tukeyseg.stats import _CACHE_ELEMENTS
 from tukeyseg.segment import (
-    _CACHE_ELEMENTS,
     COMPONENT_NAMES,
     SegmenterConfig,
     flow_measures,
