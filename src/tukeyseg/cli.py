@@ -2,7 +2,9 @@
 
 Subcommands mirror the pipeline stages. All numeric defaults are the
 pipeline's standard values and every one of them can be overridden for
-ablation runs. Set ``TIS_LOG=debug|info|warning`` for logging verbosity.
+ablation runs. Set ``TIS_LOG`` to ``debug``, ``info`` or ``warning``, in any
+case, for logging verbosity; unset or empty means ``warning``, and any other
+value is refused with exit status 2 before any input is read.
 An output directory ends up holding exactly the files of one run: each is
 written to a hidden staging directory inside it as soon as it is encoded,
 and all are renamed into place once the last one is written,
@@ -37,6 +39,9 @@ from tukeyseg.io import (_VIDEO_RASTERS, _check_same_extent, _indexed_name, _nam
                          open_sequence, read_mask_dir, write_mask_pgm)
 
 log = logging.getLogger(__name__)
+
+# The values of TIS_LOG, lower-cased, and their logging levels.
+_LOG_LEVELS = {"debug": logging.DEBUG, "info": logging.INFO, "warning": logging.WARNING}
 
 # The names of tukeyseg.fusion.STRATEGIES, spelled out so that building the
 # parser does not load the fusion stage; a test keeps the two equal.
@@ -316,9 +321,13 @@ def _cmd_eval(args) -> int:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("TIS_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
+    name = os.environ.get("TIS_LOG") or "warning"
+    level = _LOG_LEVELS.get(name.lower())
+    if level is None:
+        print(f"error: TIS_LOG must be one of {', '.join(_LOG_LEVELS)}, not {name!r}",
+              file=sys.stderr)
+        return 2
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)

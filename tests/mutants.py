@@ -126,6 +126,9 @@ MUTANTS = (
     Mutant("handler-swapped", "src/tukeyseg/cli.py",
            "combine.set_defaults(handler=_cmd_combine)", "combine.set_defaults(handler=_cmd_eval)",
            ("tests/test_cli.py",)),
+    Mutant("log-level-unchecked", "src/tukeyseg/cli.py",
+           "level = _LOG_LEVELS.get(name.lower())",
+           "level = getattr(logging, name.upper(), logging.WARNING)", ("tests/test_cli.py",)),
 )
 
 

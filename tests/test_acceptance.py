@@ -9,13 +9,14 @@ import itertools
 import math
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
-from conftest import ArrayVideo, moving_block_arrays, write_video_dir
+from scenes import Scene, labelled_block, moving_block, tiles, write, write_masks
 from test_fusion import nine_mask_fixture
 from tukeyseg.cli import main
 from tukeyseg.fusion import fuse_frame, fuse_sequence
@@ -182,33 +183,17 @@ def test_fusion_outlier_rejection():
 @criterion("moving-block segmentation: J >= 0.95, equals the step-by-step script")
 def test_block_segmentation_end_to_end(tmp_path):
     started = time.perf_counter()
-    scene = moving_block_arrays()
-    root = write_video_dir(
-        tmp_path / "block",
-        frames=scene["frames"],
-        flows=scene["flows"],
-        saliencies=scene["saliencies"],
-    )
-    result = segment_sequence(open_sequence(root))
+    scene = moving_block()
+    result = segment_sequence(open_sequence(write(tmp_path / "block", scene)))
     mask = result.masks[0]
-    assert jaccard(mask, scene["truth"]) >= 0.95
-    u, v = scene["flows"][0]
+    assert jaccard(mask, scene.truth[0]) >= 0.95
+    flow = scene.flows[0]
     script = oracles.pipeline_masks(
-        [(u.tolist(), v.tolist())], [scene["saliencies"][0].tolist()]
+        [(flow.u.tolist(), flow.v.tolist())], [scene.saliencies[0].tolist()]
     )
     assert mask.tolist() == script[0]
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0, f"block fixture took {elapsed:.1f}s"
-
-
-def _mask_video(root):
-    """The 3-frame moving-block video with 5x5 supervoxels and one mask method."""
-    scene = moving_block_arrays(num_frames=3)  # 30 x 40, the block at rows 10..19
-    rows, cols = np.indices(scene["truth"].shape)
-    write_video_dir(root, frames=scene["frames"], flows=scene["flows"],
-                    saliencies=scene["saliencies"], labels=[(rows // 5) * 8 + cols // 5] * 3,
-                    masks={"truth": [scene["truth"]] * 3})
-    return open_sequence(root), scene["truth"]
 
 
 # Every public function that returns a mask: (video, uint8 truth) -> list of masks.
@@ -240,7 +225,10 @@ _MASK_MAKERS = {
 @criterion("every public function that returns a mask returns a 2-D bool array")
 @pytest.mark.parametrize("maker", sorted(_MASK_MAKERS))
 def test_masks_are_bool(tmp_path, maker):
-    seq, truth = _mask_video(tmp_path / "vid")
+    # the 3-frame 30 x 40 moving block, the block at rows 10..19, with 5 x 5 supervoxels
+    scene = moving_block(num_frames=3)
+    scene = replace(scene, label_maps=[tiles(30, 40, (5, 5))] * 3, masks={"truth": scene.truth})
+    seq, truth = open_sequence(write(tmp_path / "vid", scene)), scene.truth[0]
     masks = _MASK_MAKERS[maker](seq, truth)
     assert masks and all(m.dtype == bool and m.shape == truth.shape for m in masks)
 
@@ -270,7 +258,7 @@ def test_refinement_fixtures():
     rgb3 = np.zeros((3, 3, 3), np.uint8)
     rgb3[0, 0] = (255, 0, 0)
     nonlocal_cfg = RefineConfig(mode="nonlocal")
-    stats = supervoxel_stats(ArrayVideo([rgb3], [labels3]), [mask3])
+    stats = supervoxel_stats(Scene(frames=[rgb3], label_maps=[labels3]), [mask3])
     table = build_consensus(stats, nonlocal_cfg)
     assert table.f_local == pytest.approx([0.0, -1.0], abs=1e-9)
     assert table.f_nonlocal == pytest.approx([-2.0 / 3.0, 0.0], abs=1e-9)
@@ -370,31 +358,12 @@ def test_codec_round_trips():
 
 @criterion("every CLI subcommand byte-identical across --jobs 1 and --jobs 8")
 def test_cli_determinism(tmp_path):
-    scene = moving_block_arrays(num_frames=3)
-    height, width = scene["truth"].shape
-    labels = np.zeros((height, width), dtype=np.int64)
-    labels[scene["truth"] != 0] = 1
-    labels[:, :5] = 2
-    video = write_video_dir(
-        tmp_path / "video",
-        frames=scene["frames"],
-        flows=scene["flows"],
-        saliencies=scene["saliencies"],
-        labels=[labels] * 3,
-        masks={
-            "alpha": [scene["truth"]] * 3,
-            "beta": [scene["truth"]] * 3,
-            "gamma": [np.roll(scene["truth"], 1, axis=1)] * 3,
-        },
-    )
-    pred = tmp_path / "pred"
-    gt = tmp_path / "gt"
-    for root in (pred, gt):
-        d = root / "seq"
-        d.mkdir(parents=True)
-        for i in range(3):
-            mask = np.roll(scene["truth"], i, axis=0) if root is pred else scene["truth"]
-            (d / f"{i:05d}.pgm").write_bytes(write_mask_pgm(mask))
+    scene = labelled_block()
+    truth = scene.truth[0]
+    video = write(tmp_path / "video", scene)
+    pred, gt = tmp_path / "pred", tmp_path / "gt"
+    write_masks(pred / "seq", [np.roll(truth, i, axis=0) for i in range(3)])
+    write_masks(gt / "seq", scene.truth)
 
     def tree(root: Path):
         return {
@@ -434,11 +403,7 @@ def test_davis_integration(tmp_path):
     for seq_dir in sorted(d for d in gt_root.iterdir() if d.is_dir()):
         per_method = [read_mask_dir(m / seq_dir.name) for m in method_dirs]
         frames = [[masks[i] for masks in per_method] for i in range(len(per_method[0]))]
-        fused, _ = fuse_sequence(frames)
-        out = pred_root / seq_dir.name
-        out.mkdir(parents=True)
-        for i, mask in enumerate(fused):
-            (out / f"{i:05d}.pgm").write_bytes(write_mask_pgm(mask))
+        write_masks(pred_root / seq_dir.name, fuse_sequence(frames)[0])
     rows = evaluate_dataset(pred_root, gt_root)
     overall = rows[-1]
     assert abs(overall.j_mean * 100.0 - 74.9) <= 2.0

@@ -3,6 +3,7 @@
 import errno
 import inspect
 import json
+import logging
 import math
 import os
 import pathlib
@@ -12,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tukeyseg
-from conftest import moving_block_arrays, write_video_dir, zero_raster
+from scenes import blank, encode, flat, labelled_block, moving_block, tiles, write, write_masks
 from tukeyseg import cli, fusion
 from tukeyseg.cli import _STRATEGIES, build_parser, main
 from tukeyseg.io import read_mask_dir, write_mask_pgm
@@ -35,25 +37,8 @@ def _tree_bytes(root):
 
 @pytest.fixture
 def block_video(tmp_path):
-    scene = moving_block_arrays(num_frames=3)
-    height, width = scene["truth"].shape
-    labels = np.zeros((height, width), dtype=np.int64)
-    labels[scene["truth"] != 0] = 1
-    labels[:, :5] = 2
-    masks = {
-        "alpha": [scene["truth"]] * 3,
-        "beta": [scene["truth"]] * 3,
-        "gamma": [np.roll(scene["truth"], 1, axis=1)] * 3,
-    }
-    root = write_video_dir(
-        tmp_path / "video",
-        frames=scene["frames"],
-        flows=scene["flows"],
-        saliencies=scene["saliencies"],
-        labels=[labels] * 3,
-        masks=masks,
-    )
-    return root, scene["truth"]
+    scene = labelled_block()
+    return write(tmp_path / "video", scene), scene.truth[0]
 
 
 class TestParser:
@@ -208,14 +193,43 @@ class TestNumericFlags:
         mask = np.zeros((5, 5), dtype=np.uint8)
         mask[1:4, 1:4] = 1
         for root in ("gt", "pred"):
-            d = tmp_path / root / "seq"
-            d.mkdir(parents=True)
-            (d / "00000.pgm").write_bytes(write_mask_pgm(mask))
+            write_masks(tmp_path / root / "seq", [mask])
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--input", str(tmp_path / "pred"),
                   "--ground-truth", str(tmp_path / "gt"), "--tolerance", "-3"])
         assert exc.value.code == 2
         assert "seq," not in capsys.readouterr().out
+
+
+class TestLogLevel:
+    """``TIS_LOG`` takes debug, info or warning in any case; unset or empty is warning."""
+
+    @pytest.mark.parametrize("value, level", [
+        (None, logging.WARNING), ("", logging.WARNING), ("debug", logging.DEBUG),
+        ("Info", logging.INFO), ("WARNING", logging.WARNING),
+    ])
+    def test_documented_values(self, tmp_path, monkeypatch, capsys, value, level):
+        levels = []
+        monkeypatch.setattr(logging, "basicConfig", lambda **kwargs: levels.append(kwargs["level"]))
+        if value is None:
+            monkeypatch.delenv("TIS_LOG", raising=False)
+        else:
+            monkeypatch.setenv("TIS_LOG", value)
+        assert main(["tis0", "--input", str(tmp_path / "missing"),
+                     "--output", str(tmp_path / "out")]) == 1
+        assert levels == [level]
+        assert capsys.readouterr().err.startswith("error: not a directory")
+
+    @pytest.mark.parametrize("value", ["loud", "basic_format", "BASIC_FORMAT", "critical",
+                                       "error", "warn", " info", "10"])
+    def test_other_values_refused_before_input_is_read(self, tmp_path, monkeypatch, capsys,
+                                                       value):
+        monkeypatch.setenv("TIS_LOG", value)
+        assert main(["tis0", "--input", str(tmp_path / "missing"),
+                     "--output", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: TIS_LOG must be one of debug, info, warning, not {value!r}\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestSegmentCommand:
@@ -442,10 +456,7 @@ def _method_masks(root, num_frames, shape, seed=0):
     """Random masks of ``shape`` for three methods over ``num_frames`` frames, under ``root``."""
     rng = np.random.default_rng(seed)
     for name in ("a", "b", "c"):
-        d = root / name
-        d.mkdir(parents=True)
-        for i in range(num_frames):
-            (d / f"{i:05d}.pgm").write_bytes(write_mask_pgm(rng.random(shape) < 0.3))
+        write_masks(root / name, [rng.random(shape) < 0.3 for _ in range(num_frames)])
     return root
 
 
@@ -552,13 +563,7 @@ class TestRefineCommand:
             assert np.array_equal(masks[0], truth)
 
     def test_missing_labels_fails(self, tmp_path, capsys):
-        scene = moving_block_arrays()
-        video = write_video_dir(
-            tmp_path / "nolabels",
-            frames=scene["frames"],
-            flows=scene["flows"],
-            saliencies=scene["saliencies"],
-        )
+        video = write(tmp_path / "nolabels", moving_block())
         code = main(["refine", "--input", str(video), "--output", str(tmp_path / "o")])
         assert code != 0
         assert "label" in capsys.readouterr().err
@@ -570,14 +575,11 @@ class TestRastersOfTheVideo:
     FILES = {"frames": "00002.ppm", "flow": "00002.flo", "saliency": "00002.pgm",
              "svx": "00002.pgm16"}
 
-    @staticmethod
-    def _video(tmp_path, masks=None):
+    @pytest.fixture
+    def scene(self):
         """A 3-frame 30x40 video with one flow file per frame, so that each kind has a 00002."""
-        scene = moving_block_arrays(num_frames=3)
-        return write_video_dir(tmp_path / "video", frames=scene["frames"],
-                               flows=scene["flows"] + scene["flows"][-1:],
-                               saliencies=scene["saliencies"], labels=[scene["truth"]] * 3,
-                               masks=masks)
+        scene = moving_block(num_frames=3)
+        return replace(scene, flows=scene.flows + scene.flows[-1:], label_maps=scene.truth)
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("command, kind", [
@@ -585,11 +587,11 @@ class TestRastersOfTheVideo:
         ("refine", "frames"), ("refine", "flow"), ("refine", "saliency"), ("refine", "svx"),
     ])
     @pytest.mark.parametrize("shape", [(29, 40), (30, 41)])
-    def test_resized_file_named(self, tmp_path, capsys, no_thread_left, command, kind, jobs,
+    def test_resized_file_named(self, tmp_path, capsys, no_thread_left, scene, command, kind, jobs,
                                 shape):
-        video = self._video(tmp_path)
+        video = write(tmp_path / "video", scene)
         path = video / kind / self.FILES[kind]
-        path.write_bytes(zero_raster(kind, shape))
+        path.write_bytes(encode(blank(*shape), kind))
         out = tmp_path / "out"
         assert main([command, "--input", str(video), "--output", str(out), "--jobs", jobs]) == 1
         err = capsys.readouterr().err
@@ -597,17 +599,17 @@ class TestRastersOfTheVideo:
         assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["frames", "svx"])
-    def test_tis0_does_not_read_frames_or_labels(self, tmp_path, kind):
-        video = self._video(tmp_path)
-        (video / kind / self.FILES[kind]).write_bytes(zero_raster(kind, (29, 40)))
+    def test_tis0_does_not_read_frames_or_labels(self, tmp_path, scene, kind):
+        video = write(tmp_path / "video", scene)
+        (video / kind / self.FILES[kind]).write_bytes(encode(blank(29, 40), kind))
         assert main(["tis0", "--input", str(video), "--output", str(tmp_path / "out")]) == 0
         assert len(read_mask_dir(tmp_path / "out")) == 3
 
     @pytest.mark.parametrize("command", ["tis0", "refine"])
     @pytest.mark.parametrize("gt", [[np.ones((30, 40), np.uint8)] * 2,
                                     [np.ones((4, 4), np.uint8)] * 3], ids=["fewer", "resized"])
-    def test_masks_of_the_video_are_not_checked(self, tmp_path, command, gt):
-        video = self._video(tmp_path, masks={"gt": gt})
+    def test_masks_of_the_video_are_not_checked(self, tmp_path, scene, command, gt):
+        video = write(tmp_path / "video", replace(scene, masks={"gt": gt}))
         assert main([command, "--input", str(video), "--output", str(tmp_path / "out")]) == 0
         assert len(read_mask_dir(tmp_path / "out")) == 3
 
@@ -631,10 +633,7 @@ class TestCombineCommand:
     def test_single_method_passthrough(self, tmp_path):
         mask = np.zeros((4, 4), dtype=np.uint8)
         mask[1:3, 1:3] = 1
-        d = tmp_path / "methods" / "only"
-        d.mkdir(parents=True)
-        for i in range(2):
-            (d / f"{i:05d}.pgm").write_bytes(write_mask_pgm(mask))
+        write_masks(tmp_path / "methods" / "only", [mask] * 2)
         out = tmp_path / "fused"
         code = main(["combine", "--input", str(tmp_path / "methods"), "--output", str(out)])
         assert code == 0
@@ -644,10 +643,7 @@ class TestCombineCommand:
     def test_zero_weights_fall_back_to_lower_median(self, tmp_path):
         # counts 10 and 0 with --k-fences 0 both sit on a fence and weigh 0
         for name, value in (("a", 1), ("b", 0)):
-            d = tmp_path / "methods" / name
-            d.mkdir(parents=True)
-            for i in range(2):
-                (d / f"{i:05d}.pgm").write_bytes(write_mask_pgm(np.full((2, 5), value)))
+            write_masks(tmp_path / "methods" / name, [np.full((2, 5), value)] * 2)
         out = tmp_path / "fused"
         code = main(["combine", "--input", str(tmp_path / "methods"), "--output", str(out),
                      "--k-fences", "0"])
@@ -660,10 +656,7 @@ class TestCombineCommand:
     def test_mismatched_frame_counts(self, tmp_path, capsys):
         mask = np.ones((2, 2), dtype=np.uint8)
         for name, count in (("a", 2), ("b", 3)):
-            d = tmp_path / "methods" / name
-            d.mkdir(parents=True)
-            for i in range(count):
-                (d / f"{i:05d}.pgm").write_bytes(write_mask_pgm(mask))
+            write_masks(tmp_path / "methods" / name, [mask] * count)
         code = main(
             ["combine", "--input", str(tmp_path / "methods"), "--output", str(tmp_path / "o")]
         )
@@ -692,10 +685,7 @@ def test_undecodable_mask_named(tmp_path, capsys, command):
     mask = np.zeros((4, 5), dtype=np.uint8)
     mask[1:3, 1:4] = 1
     for root in ("methods/a", "methods/b", "gt/seq", "pred/seq"):
-        d = tmp_path / root
-        d.mkdir(parents=True)
-        for i in range(3):
-            (d / f"{i:05d}.pgm").write_bytes(write_mask_pgm(mask))
+        write_masks(tmp_path / root, [mask] * 3)
     if command == "combine":
         corrupt = tmp_path / "methods" / "b" / "00001.pgm"
         argv = ["combine", "--input", str(tmp_path / "methods"), "--output", str(tmp_path / "o")]
@@ -723,10 +713,7 @@ def counted_mask_decodes(monkeypatch):
 def _write_mask_tree(root, shapes):
     """Two masks of the given (height, width) in each named directory under ``root``."""
     for name, shape in shapes.items():
-        d = root / name
-        d.mkdir(parents=True)
-        for i in range(2):
-            (d / f"{i:05d}.pgm").write_bytes(write_mask_pgm(np.ones(shape, dtype=np.uint8)))
+        write_masks(root / name, [np.ones(shape, dtype=np.uint8)] * 2)
 
 
 def test_combine_names_the_directory_of_another_size(tmp_path, capsys, counted_mask_decodes):
@@ -753,17 +740,11 @@ def test_eval_names_the_sequence_and_frame_of_another_size(tmp_path, capsys,
 
 
 class TestEvalCommand:
-    def _write_masks(self, root, name, masks):
-        d = root / name
-        d.mkdir(parents=True)
-        for i, m in enumerate(masks):
-            (d / f"{i:05d}.pgm").write_bytes(write_mask_pgm(m))
-
     def test_identical_predictions_score_one(self, tmp_path, capsys):
         mask = np.zeros((5, 5), dtype=np.uint8)
         mask[1:4, 1:4] = 1
-        self._write_masks(tmp_path / "gt", "seq", [mask, mask])
-        self._write_masks(tmp_path / "pred", "seq", [mask, mask])
+        write_masks(tmp_path / "gt" / "seq", [mask, mask])
+        write_masks(tmp_path / "pred" / "seq", [mask, mask])
         csv_path = tmp_path / "scores.csv"
         code = main(
             [
@@ -782,8 +763,8 @@ class TestEvalCommand:
     def _scored(self, tmp_path):
         mask = np.zeros((5, 5), dtype=np.uint8)
         mask[1:4, 1:4] = 1
-        self._write_masks(tmp_path / "gt", "seq", [mask])
-        self._write_masks(tmp_path / "pred", "seq", [mask])
+        write_masks(tmp_path / "gt" / "seq", [mask])
+        write_masks(tmp_path / "pred" / "seq", [mask])
         return ["eval", "--input", str(tmp_path / "pred"), "--ground-truth", str(tmp_path / "gt")]
 
     @staticmethod
@@ -829,8 +810,8 @@ class TestEvalCommand:
                                                    root, name):
         mask = np.zeros((5, 5), dtype=np.uint8)
         mask[1:4, 1:4] = 1
-        self._write_masks(tmp_path / "gt", "seq", [mask] * 3)
-        self._write_masks(tmp_path / "pred", "seq", [mask] * 3)
+        write_masks(tmp_path / "gt" / "seq", [mask] * 3)
+        write_masks(tmp_path / "pred" / "seq", [mask] * 3)
         before = _tree_bytes(tmp_path)
         argv = ["eval", "--input", str(tmp_path / "pred"), "--ground-truth", str(tmp_path / "gt"),
                 "--output", str(tmp_path / root / "seq" / name)]
@@ -846,8 +827,8 @@ class TestEvalCommand:
         # refused before any mask is decoded, not after the table is printed
         mask = np.zeros((5, 5), dtype=np.uint8)
         mask[1:4, 1:4] = 1
-        self._write_masks(tmp_path / "gt", "seq", [mask] * 3)
-        self._write_masks(tmp_path / "pred", "seq", [mask] * 3)
+        write_masks(tmp_path / "gt" / "seq", [mask] * 3)
+        write_masks(tmp_path / "pred" / "seq", [mask] * 3)
         before = _tree_bytes(tmp_path)
         argv = ["eval", "--input", str(tmp_path / "pred"), "--ground-truth", str(tmp_path / "gt"),
                 "--output", str(tmp_path / output)]
@@ -868,18 +849,6 @@ class TestEvalCommand:
         assert "error:" in capsys.readouterr().err
 
 
-def _flat_video(root, height, width, num_frames, u=1.0, v=0.0, labels=None):
-    """Uniform frames and saliency with constant flow (u, v)."""
-    flow = (np.full((height, width), u, np.float32), np.full((height, width), v, np.float32))
-    return write_video_dir(
-        root,
-        frames=[np.full((height, width, 3), 90, dtype=np.uint8)] * num_frames,
-        flows=[flow] * max(num_frames - 1, 1),
-        saliencies=[np.linspace(0.0, 1.0, height * width).reshape(height, width)] * num_frames,
-        labels=labels,
-    )
-
-
 class TestDegenerateInputs:
     """Degenerate videos; any warning fails these, as everywhere in tier-1."""
 
@@ -889,7 +858,7 @@ class TestDegenerateInputs:
     def test_constant_flow_gives_empty_masks(self, u, v, num_frames):
         with tempfile.TemporaryDirectory() as tmp:
             tmp = pathlib.Path(tmp)
-            video = _flat_video(tmp / "video", 6, 8, num_frames, u, v)
+            video = write(tmp / "video", flat(6, 8, num_frames, u, v))
             assert main(["tis0", "--input", str(video), "--output", str(tmp / "out")]) == 0
             masks = read_mask_dir(tmp / "out")
             assert len(masks) == num_frames
@@ -901,7 +870,7 @@ class TestDegenerateInputs:
     ])
     def test_one_frame_video(self, tmp_path, command, height, width):
         labels = [np.arange(height * width).reshape(height, width)]
-        video = _flat_video(tmp_path / "video", height, width, 1, labels=labels)
+        video = write(tmp_path / "video", replace(flat(height, width, 1), label_maps=labels))
         out = tmp_path / "out"
         assert main([*command, "--input", str(video), "--output", str(out)]) == 0
         masks = read_mask_dir(out)
@@ -909,15 +878,15 @@ class TestDegenerateInputs:
 
     @pytest.mark.parametrize("command", [["tis0"], ["refine", "--mode", "local"]])
     def test_one_by_one_frames(self, tmp_path, command):
-        video = _flat_video(tmp_path / "video", 1, 1, 3, labels=[np.zeros((1, 1))] * 3)
+        video = write(tmp_path / "video", replace(flat(1, 1, 3), label_maps=[np.zeros((1, 1))] * 3))
         out = tmp_path / "out"
         assert main([*command, "--input", str(video), "--output", str(out)]) == 0
         assert [m.shape for m in read_mask_dir(out)] == [(1, 1)] * 3
 
     @pytest.mark.parametrize("height, width", [(1, 1), (4, 6)])
     def test_one_supervoxel_nonlocal(self, tmp_path, capsys, height, width):
-        video = _flat_video(tmp_path / "video", height, width, 2,
-                            labels=[np.full((height, width), 3)] * 2)
+        video = write(tmp_path / "video",
+                      replace(flat(height, width, 2), label_maps=[np.full((height, width), 3)] * 2))
         out = tmp_path / "out"
         code = main(["refine", "--mode", "nonlocal", "--input", str(video), "--output", str(out)])
         assert code == 1
@@ -930,12 +899,8 @@ def _all_commands(video, truth, tmp_path, base, jobs):
     pred = tmp_path / "pred"
     gt = tmp_path / "gt"
     if not pred.exists():
-        for root in (pred, gt):
-            d = root / "seq"
-            d.mkdir(parents=True)
-            for i in range(3):
-                shifted = np.roll(truth, i, axis=0) if root is pred else truth
-                (d / f"{i:05d}.pgm").write_bytes(write_mask_pgm(shifted))
+        write_masks(pred / "seq", [np.roll(truth, i, axis=0) for i in range(3)])
+        write_masks(gt / "seq", [truth] * 3)
     return {
         "tis0": ["tis0", "--input", str(video), "--output", str(base / "tis0"), "--jobs", jobs],
         "refine": ["refine", "--input", str(video), "--output", str(base / "refine"),
@@ -962,16 +927,9 @@ class TestDeterminismAcrossJobs:
     def test_tis0_and_refine_byte_identical_over_partial_bands(self, tmp_path, capsys):
         # 2048 columns give foregroundness bands of 32 rows and LAB bands of
         # 10; 45 rows end both in a partial band
-        scene = moving_block_arrays(height=45, width=2048, block=(slice(5, 30), slice(700, 1100)),
-                                    num_frames=3)
-        rows, cols = np.indices((45, 2048))
-        video = write_video_dir(
-            tmp_path / "video",
-            frames=scene["frames"],
-            flows=scene["flows"],
-            saliencies=scene["saliencies"],
-            labels=[(rows // 9) * 128 + cols // 16] * 3,
-        )
+        scene = moving_block(height=45, width=2048, block=(slice(5, 30), slice(700, 1100)),
+                             num_frames=3)
+        video = write(tmp_path / "video", replace(scene, label_maps=[tiles(45, 2048, (9, 16))] * 3))
         outputs = {}
         for jobs in ("1", "2", "3"):
             base = tmp_path / f"jobs{jobs}"

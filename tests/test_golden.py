@@ -36,9 +36,8 @@ import pytest
 from numpy._core import _multiarray_umath
 
 import tukeyseg
-from conftest import write_video_dir
+from scenes import Scene, write, write_masks
 from tukeyseg.cli import main
-from tukeyseg.io import write_mask_pgm
 
 TABLE = Path(__file__).with_name("golden_digests.json")
 
@@ -116,8 +115,8 @@ def build_video(root: Path, height: int, width: int, num_frames: int, seed: int)
         "speckled": speckle,
         "wild": [blob if t % 2 == 0 else m for t, m in enumerate(truths)],
     }
-    write_video_dir(root, frames=frames, flows=flows, saliencies=saliencies, labels=labels,
-                    masks=masks)
+    write(root, Scene(frames=frames, flows=flows, saliencies=saliencies, label_maps=labels,
+                      masks=masks))
     return truths, masks["shifted"]
 
 
@@ -127,10 +126,7 @@ def build_inputs(base: Path) -> dict[str, str]:
     for name, (height, width, num_frames, seed) in VIDEOS.items():
         truths, predicted = build_video(base / name, height, width, num_frames, seed)
         for root, masks in (("truth", truths), ("pred", predicted)):
-            directory = base / root / name
-            directory.mkdir(parents=True)
-            for i, mask in enumerate(masks):
-                (directory / f"{i:05d}.pgm").write_bytes(write_mask_pgm(mask))
+            write_masks(base / root / name, masks)
         places[name] = str(base / name)
     return places
 

@@ -2,6 +2,7 @@
 
 import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,8 +25,8 @@ from tukeyseg.io import (
     write_ppm,
     write_saliency_pgm,
 )
-from conftest import (ArrayVideo, mask_dtype_matrix, moving_block_arrays, write_video_dir,
-                      zero_raster)
+from conftest import mask_dtype_matrix
+from scenes import Scene, blank, encode, moving_block, write, write_masks
 
 
 class TestFlo:
@@ -324,16 +325,14 @@ class TestPnmHeaderGrammar:
 
     @pytest.mark.parametrize("header", ACCEPTED.values(), ids=ACCEPTED)
     def test_video_opened_with_the_same_grammar(self, tmp_path, header):
-        scene = moving_block_arrays(height=2, width=3, block=(slice(0, 1), slice(1, 2)),
-                                    num_frames=2)
-        root = write_video_dir(tmp_path / "vid", frames=scene["frames"],
-                               saliencies=scene["saliencies"])
+        scene = moving_block(height=2, width=3, block=(slice(0, 1), slice(1, 2)), num_frames=2)
+        root = write(tmp_path / "vid", replace(scene, flows=()))
         for name in ("frames/00000.ppm", "saliency/00000.pgm"):
             path = root / name
             path.write_bytes(_with_header(path.read_bytes(), header))
         seq = open_sequence(root)
         assert seq.frames.shape == seq.saliencies.shape == (2, 3)
-        assert np.array_equal(seq.frame(0), scene["frames"][0])
+        assert np.array_equal(seq.frame(0), scene.frames[0])
         assert np.array_equal(seq.saliency(0), seq.saliency(1))
 
     @pytest.mark.parametrize("header, message", [
@@ -419,7 +418,7 @@ class TestWriterValues:
 def _mask_readers():
     """Every stage's call that reads a mask, as a function of a (2, 3) mask."""
     empty, weight = np.zeros((2, 3), bool), np.ones((2, 3))
-    video = ArrayVideo([np.zeros((2, 3, 3), np.uint8)], [np.zeros((2, 3), np.int64)])
+    video = Scene(frames=[np.zeros((2, 3, 3), np.uint8)], label_maps=[np.zeros((2, 3), np.int64)])
     return {
         "jaccard": lambda m: metrics.jaccard(m, empty),
         "jaccard reference": lambda m: metrics.jaccard(empty, m),
@@ -455,18 +454,15 @@ class TestMaskRule:
 
 
 class TestOpenSequence:
-    def _basic_video(self, tmp_path, num_frames=10, flow_count=9):
-        scene = moving_block_arrays(height=8, width=9, block=(slice(2, 5), slice(3, 6)))
-        return write_video_dir(
-            tmp_path / "vid",
-            frames=scene["frames"] * num_frames,
-            flows=scene["flows"] * flow_count,
-            saliencies=scene["saliencies"] * num_frames,
-        )
+    BLOCK = {"height": 8, "width": 9, "block": (slice(2, 5), slice(3, 6))}
+
+    @pytest.fixture
+    def root(self, tmp_path):
+        """The video of a 3-frame moving block, with 2 flows."""
+        return write(tmp_path / "vid", moving_block(**self.BLOCK, num_frames=3))
 
     def test_last_frame_reuses_final_flow(self, tmp_path):
-        root = self._basic_video(tmp_path, num_frames=10, flow_count=9)
-        seq = open_sequence(root)
+        seq = open_sequence(write(tmp_path / "vid", moving_block(**self.BLOCK, num_frames=10)))
         assert seq.num_frames == 10
         assert seq.flow_count == 9
         last = seq.flow(9)
@@ -479,13 +475,12 @@ class TestOpenSequence:
             open_sequence(tmp_path / "empty")
 
     def test_gap_in_frames(self, tmp_path):
-        root = self._basic_video(tmp_path, num_frames=4, flow_count=3)
+        root = write(tmp_path / "vid", moving_block(**self.BLOCK, num_frames=4))
         (root / "frames" / "00002.ppm").rename(root / "frames" / "00009.ppm")
         with pytest.raises(ValueError, match="gap at index 2"):
             open_sequence(root)
 
-    def test_dimension_mismatch_names_file(self, tmp_path):
-        root = self._basic_video(tmp_path, num_frames=3, flow_count=2)
+    def test_dimension_mismatch_names_file(self, root):
         odd = np.zeros((4, 4, 3), dtype=np.uint8)
         path = root / "frames" / "00001.ppm"
         path.write_bytes(write_ppm(odd))
@@ -493,8 +488,7 @@ class TestOpenSequence:
         with pytest.raises(ValueError, match=re.escape(f"{path}: dimensions 4x4")):
             seq.frame(1)
 
-    def test_corrupt_header_named_when_decoded(self, tmp_path):
-        root = self._basic_video(tmp_path, num_frames=3, flow_count=2)
+    def test_corrupt_header_named_when_decoded(self, root):
         path = root / "frames" / "00002.ppm"
         path.write_bytes(b"P3" + path.read_bytes()[2:])
         seq = open_sequence(root)
@@ -504,51 +498,41 @@ class TestOpenSequence:
 
     @pytest.mark.parametrize("subdir, name, count", [("saliency", "00000.pgm", 3),
                                                      ("flow", "00000.flo", 2)])
-    def test_first_file_of_another_size_refused(self, tmp_path, subdir, name, count):
-        root = self._basic_video(tmp_path, num_frames=3, flow_count=2)
-        (root / subdir / name).write_bytes(zero_raster(subdir, (8, 4)))
+    def test_first_file_of_another_size_refused(self, root, subdir, name, count):
+        (root / subdir / name).write_bytes(encode(blank(8, 4), subdir))
         with pytest.raises(ValueError) as info:
             open_sequence(root)
         assert str(info.value) == (f"{root / subdir}: {count} files of 4x8, "
                                    f"but {root / 'frames'} holds 3 of 9x8")
 
-    def test_masks_contribute_their_names_only(self, tmp_path):
-        root = self._basic_video(tmp_path, num_frames=3, flow_count=2)
+    def test_masks_contribute_their_names_only(self, root):
         for name, count, shape in (("alpha", 3, (8, 9)), ("beta", 2, (4, 4))):
-            d = root / "masks" / name
-            d.mkdir(parents=True)
-            for i in range(count):
-                (d / f"{i:05d}.pgm").write_bytes(write_mask_pgm(np.zeros(shape, dtype=bool)))
+            write_masks(root / "masks" / name, [np.zeros(shape, dtype=bool)] * count)
         (root / "masks" / "empty").mkdir()
         (root / "masks" / "notes.txt").write_text("not a method")
         assert open_sequence(root).mask_methods == ("alpha", "beta", "empty")
 
     def test_bad_flow_count(self, tmp_path):
-        root = self._basic_video(tmp_path, num_frames=5, flow_count=2)
+        scene = moving_block(**self.BLOCK, num_frames=5)
+        root = write(tmp_path / "vid", replace(scene, flows=scene.flows[:2]))
         with pytest.raises(ValueError, match="flow"):
             open_sequence(root)
 
-    def test_count_in_the_error_is_the_files_on_disk(self, tmp_path):
-        root = self._basic_video(tmp_path, num_frames=3, flow_count=2)
+    def test_count_in_the_error_is_the_files_on_disk(self, root):
         (root / "saliency" / "00002.pgm").unlink()
         with pytest.raises(ValueError, match=re.escape(
                 f"{root / 'saliency'}: 2 files of 9x8, but {root / 'frames'} holds 3 of 9x8")):
             open_sequence(root)
 
     def test_mask_methods_discovered(self, tmp_path):
-        scene = moving_block_arrays(height=6, width=6, block=(slice(1, 3), slice(1, 3)))
-        masks = [scene["truth"]] * 3
-        root = write_video_dir(
-            tmp_path / "vid",
-            frames=scene["frames"] * 3,
-            masks={"beta": masks, "alpha": masks},
-        )
+        scene = moving_block(height=6, width=6, block=(slice(1, 3), slice(1, 3)), num_frames=3)
+        root = write(tmp_path / "vid", Scene(frames=scene.frames,
+                                             masks={"beta": scene.truth, "alpha": scene.truth}))
         seq = open_sequence(root)
         assert seq.mask_methods == ("alpha", "beta")
-        assert read_mask_dir(root / "masks" / "alpha")[1].tolist() == scene["truth"].tolist()
+        assert read_mask_dir(root / "masks" / "alpha")[1].tolist() == scene.truth[1].tolist()
 
-    def test_accessors_validate_index_and_presence(self, tmp_path):
-        root = self._basic_video(tmp_path, num_frames=3, flow_count=2)
+    def test_accessors_validate_index_and_presence(self, root):
         seq = open_sequence(root)
         with pytest.raises(IndexError):
             seq.frame(3)
@@ -571,15 +555,9 @@ class TestAccessorsRecheckFiles:
     }
 
     def _open(self, tmp_path):
-        scene = moving_block_arrays(num_frames=3)  # 30 x 40
-        root = write_video_dir(
-            tmp_path / "vid",
-            frames=scene["frames"],
-            flows=scene["flows"],
-            saliencies=scene["saliencies"],
-            labels=[scene["truth"]] * 3,
-            masks={"alpha": [scene["truth"]] * 3},
-        )
+        scene = moving_block(num_frames=3)  # 30 x 40
+        root = write(tmp_path / "vid", replace(scene, label_maps=scene.truth,
+                                               masks={"alpha": scene.truth}))
         return root, open_sequence(root)
 
     @pytest.mark.parametrize("kind", sorted(FILES))
@@ -589,7 +567,7 @@ class TestAccessorsRecheckFiles:
         relative, read = self.FILES[kind]
         path = root / relative
         read(seq)  # the untouched file reads fine
-        path.write_bytes(zero_raster(path.parent.name, shape))
+        path.write_bytes(encode(blank(*shape), path.parent.name))
         expected = f"{path}: dimensions {shape[1]}x{shape[0]} do not match sequence 40x30"
         with pytest.raises(ValueError, match=re.escape(expected)):
             read(seq)

@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 import oracles
 from conftest import adversarial_masks
+from scenes import write_masks
 from tukeyseg import metrics
 from tukeyseg.cli import main
 from tukeyseg.io import _mask_array, read_mask_pgm, write_mask_pgm
@@ -341,10 +342,7 @@ class TestContourFOnBoundingBox:
         for s, start in enumerate((0, 7, 14)):
             frames = [_SMALL_OBJECTS[names[(start + i) % len(names)]] for i in range(7)]
             for root, pick in (("pred", 0), ("gt", 1)):
-                d = tmp_path / root / f"seq{s}"
-                d.mkdir(parents=True)
-                for i, pair in enumerate(frames):
-                    (d / f"{i:05d}.pgm").write_bytes(write_mask_pgm(pair[pick]))
+                write_masks(tmp_path / root / f"seq{s}", [pair[pick] for pair in frames])
         tables = {
             jobs: evaluate_dataset(tmp_path / "pred", tmp_path / "gt", jobs=jobs)
             for jobs in (1, 2)
@@ -391,17 +389,11 @@ class TestDecayAndSequences:
 
 
 class TestEvaluateDataset:
-    def _write_sequence(self, root, name, masks):
-        d = root / name
-        d.mkdir(parents=True)
-        for i, m in enumerate(masks):
-            (d / f"{i:05d}.pgm").write_bytes(write_mask_pgm(m))
-
     def test_identity_dataset_all_ones(self, tmp_path):
         g = _square(6, 6, slice(1, 4), slice(1, 4))
         for root in ("pred", "gt"):
-            self._write_sequence(tmp_path / root, "seq_a", [g, g])
-            self._write_sequence(tmp_path / root, "seq_b", [g, g, g])
+            write_masks(tmp_path / root / "seq_a", [g, g])
+            write_masks(tmp_path / root / "seq_b", [g, g, g])
         rows = evaluate_dataset(tmp_path / "pred", tmp_path / "gt", tolerance=1)
         assert [r.sequence for r in rows] == ["seq_a", "seq_b", "ALL"]
         assert all(r.j_mean == 1.0 and r.f_mean == 1.0 for r in rows)
@@ -409,7 +401,7 @@ class TestEvaluateDataset:
 
     def test_missing_sequence(self, tmp_path):
         g = np.zeros((3, 3), dtype=np.uint8)
-        self._write_sequence(tmp_path / "gt", "seq_a", [g])
+        write_masks(tmp_path / "gt" / "seq_a", [g])
         (tmp_path / "pred").mkdir()
         with pytest.raises(ValueError, match="missing prediction"):
             evaluate_dataset(tmp_path / "pred", tmp_path / "gt")
@@ -423,10 +415,10 @@ class TestEvaluateDataset:
     def test_two_sequence_aggregate_hand_checked(self, tmp_path):
         g = _square(4, 4, slice(0, 2), slice(0, 2))
         half = _square(4, 4, slice(0, 1), slice(0, 2))  # J = 0.5 against g
-        self._write_sequence(tmp_path / "gt", "one", [g])
-        self._write_sequence(tmp_path / "gt", "two", [g])
-        self._write_sequence(tmp_path / "pred", "one", [g])
-        self._write_sequence(tmp_path / "pred", "two", [half])
+        write_masks(tmp_path / "gt" / "one", [g])
+        write_masks(tmp_path / "gt" / "two", [g])
+        write_masks(tmp_path / "pred" / "one", [g])
+        write_masks(tmp_path / "pred" / "two", [half])
         rows = evaluate_dataset(tmp_path / "pred", tmp_path / "gt", tolerance=0)
         by_name = {r.sequence: r for r in rows}
         assert by_name["one"].j_mean == 1.0
@@ -442,10 +434,10 @@ class TestEvaluateDataset:
         close[1, 0] = 1  # overlap 4, union ~ 6.. adjust below
         far = _square(5, 5, slice(0, 1), slice(0, 3))
         far[1, 0:4] = 1  # overlap 3, union 9 -> 1/3
-        self._write_sequence(tmp_path / "gt", "hi", [g])
-        self._write_sequence(tmp_path / "gt", "lo", [g])
-        self._write_sequence(tmp_path / "pred", "hi", [close])
-        self._write_sequence(tmp_path / "pred", "lo", [far])
+        write_masks(tmp_path / "gt" / "hi", [g])
+        write_masks(tmp_path / "gt" / "lo", [g])
+        write_masks(tmp_path / "pred" / "hi", [close])
+        write_masks(tmp_path / "pred" / "lo", [far])
         rows = evaluate_dataset(tmp_path / "pred", tmp_path / "gt")
         by_name = {r.sequence: r for r in rows}
         assert by_name["hi"].j_mean > 0.5
@@ -454,8 +446,8 @@ class TestEvaluateDataset:
 
     def test_csv_shape(self, tmp_path, capsys):
         g = _square(3, 3, slice(0, 2), slice(0, 2))
-        self._write_sequence(tmp_path / "gt", "s", [g])
-        self._write_sequence(tmp_path / "pred", "s", [g])
+        write_masks(tmp_path / "gt" / "s", [g])
+        write_masks(tmp_path / "pred" / "s", [g])
         assert main(["eval", "--input", str(tmp_path / "pred"),
                      "--ground-truth", str(tmp_path / "gt")]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
@@ -467,7 +459,7 @@ class TestEvaluateDataset:
     def test_invalid_tolerance_refused_before_reading(self, tmp_path, monkeypatch, tolerance):
         g = _square(4, 4, slice(1, 3), slice(1, 3))
         for root in ("pred", "gt"):
-            self._write_sequence(tmp_path / root, "s", [g, g])
+            write_masks(tmp_path / root / "s", [g, g])
         reads, real_read = [], metrics.read_mask_dir
 
         def counting_read(directory):
@@ -484,7 +476,7 @@ class TestEvaluateDataset:
         for side, shift in (("pred", 0), ("gt", 2)):
             masks = [_square(*shape, slice(20 + i + shift, 120 + i), slice(30, 150 + shift))
                      for i in range(frames)]
-            self._write_sequence(root / side, "s", masks)
+            write_masks(root / side / "s", masks)
         tracemalloc.start()
         try:
             evaluate_dataset(root / "pred", root / "gt")
@@ -503,8 +495,8 @@ class TestEvaluateDataset:
     def test_jobs_do_not_change_rows(self, tmp_path):
         g = _square(4, 4, slice(1, 3), slice(1, 3))
         for name in ("a", "b", "c"):
-            self._write_sequence(tmp_path / "gt", name, [g, g])
-            self._write_sequence(tmp_path / "pred", name, [g, g])
+            write_masks(tmp_path / "gt" / name, [g, g])
+            write_masks(tmp_path / "pred" / name, [g, g])
         serial = evaluate_dataset(tmp_path / "pred", tmp_path / "gt", jobs=1)
         threaded = evaluate_dataset(tmp_path / "pred", tmp_path / "gt", jobs=8)
         assert serial == threaded

@@ -4,6 +4,7 @@ import collections
 import math
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import ArrayVideo, moving_block_arrays, write_video_dir
+from scenes import Scene, moving_block, tile_video, tiles, write
 from tukeyseg import refine
 from tukeyseg.cli import main
 from tukeyseg.io import FrameSequence, open_sequence
@@ -179,8 +180,8 @@ class TestNormalizeLab:
     def test_video_wide_extent(self):
         # each frame holds one supervoxel; the bounds span both frames, and
         # black's L*a*b* is 0 in every channel while red's is positive in each
-        video = ArrayVideo([np.zeros((1, 1, 3), np.uint8), np.array([[[255, 0, 0]]], np.uint8)],
-                           [np.array([[0]]), np.array([[1]])])
+        video = Scene(frames=[np.zeros((1, 1, 3), np.uint8), np.array([[[255, 0, 0]]], np.uint8)],
+                      label_maps=[np.array([[0]]), np.array([[1]])])
         stats = supervoxel_stats(video, [np.zeros((1, 1), bool)] * 2)
         out = normalize_lab(stats.mean_lab, stats.lab_min, stats.lab_max)
         assert np.all(out[0] == 0.0)
@@ -190,7 +191,7 @@ class TestNormalizeLab:
         labels = [rng.integers(0, 9, size=(6, 7)) for _ in range(3)]
         frames = [rng.integers(0, 256, size=(6, 7, 3), dtype=np.uint8) for _ in range(3)]
         masks = [np.zeros((6, 7), bool)] * 3
-        stats = supervoxel_stats(ArrayVideo(frames, labels), masks)
+        stats = supervoxel_stats(Scene(frames=frames, label_maps=labels), masks)
         means = normalize_lab(stats.mean_lab, stats.lab_min, stats.lab_max)
         lab = [rgb_to_lab(f) for f in frames]
         low = np.min([f.min(axis=(0, 1)) for f in lab], axis=0)
@@ -206,40 +207,40 @@ def _lab_of(*rgb):
 
 
 class TestSupervoxelStats:
-    def _frames(self, mask_rows):
-        video = ArrayVideo([np.zeros((1, 4, 3), np.uint8)], [np.array([[0, 0, 1, 1]])])
-        return video, [np.array([mask_rows], bool)]
+    # one frame of two supervoxels, each two pixels wide
+    PAIR = Scene(frames=[np.zeros((1, 4, 3), np.uint8)], label_maps=[np.array([[0, 0, 1, 1]])])
 
     def test_fully_foreground_supervoxel(self):
-        stats = supervoxel_stats(*self._frames([1, 1, 0, 0]))
+        stats = supervoxel_stats(self.PAIR, [np.array([[1, 1, 0, 0]], bool)])
         consensus = stats.local_consensus
         assert consensus[stats.ids.tolist().index(0)] == 1.0
 
     def test_half_and_half(self):
-        stats = supervoxel_stats(*self._frames([1, 0, 0, 0]))
+        stats = supervoxel_stats(self.PAIR, [np.array([[1, 0, 0, 0]], bool)])
         assert stats.local_consensus[0] == 0.0
 
     def test_three_quarters(self):
-        video = ArrayVideo([np.zeros((2, 2, 3), np.uint8)], [np.array([[2, 2], [2, 2]])])
+        video = Scene(frames=[np.zeros((2, 2, 3), np.uint8)], label_maps=[np.full((2, 2), 2)])
         stats = supervoxel_stats(video, [np.array([[1, 1], [1, 0]], bool)])
         assert stats.local_consensus[0] == 0.5
 
     def test_spans_frames(self):
         colors = [(40, 90, 200), (220, 10, 60)]
-        video = ArrayVideo([np.array([[c]], np.uint8) for c in colors], [np.array([[5]])] * 2)
+        video = Scene(frames=[np.array([[c]], np.uint8) for c in colors],
+                      label_maps=[np.array([[5]])] * 2)
         stats = supervoxel_stats(video, [np.array([[True]]), np.array([[False]])])
         assert stats.pixel_counts.tolist() == [2]
         assert stats.label_sums.tolist() == [1]
         assert np.allclose(stats.mean_lab, _lab_of(*colors).mean(axis=0))
 
     def test_dimension_mismatch(self):
-        video = ArrayVideo([np.zeros((2, 2, 3), np.uint8)], [np.zeros((2, 2), int)])
+        video = Scene(frames=[np.zeros((2, 2, 3), np.uint8)], label_maps=[np.zeros((2, 2), int)])
         with pytest.raises(ValueError, match="dimension mismatch"):
             supervoxel_stats(video, [np.zeros((3, 3), bool)])
 
     def test_bounds_of_local_consensus(self, rng):
-        video = ArrayVideo([rng.integers(0, 256, size=(6, 6, 3), dtype=np.uint8)],
-                           [rng.integers(0, 6, size=(6, 6))])
+        video = Scene(frames=[rng.integers(0, 256, size=(6, 6, 3), dtype=np.uint8)],
+                      label_maps=[rng.integers(0, 6, size=(6, 6))])
         stats = supervoxel_stats(video, [rng.random((6, 6)) > 0.5])
         consensus = stats.local_consensus
         assert np.all(consensus >= -1.0) and np.all(consensus <= 1.0)
@@ -249,8 +250,8 @@ class TestSupervoxelStats:
 
     def test_later_frames_add_larger_ids(self):
         white = (255, 255, 255)
-        video = ArrayVideo([np.zeros((1, 2, 3), np.uint8), np.full((1, 2, 3), 255, np.uint8)],
-                           [np.array([[0, 0]]), np.array([[3, 0]])])
+        video = Scene(frames=[np.zeros((1, 2, 3), np.uint8), np.full((1, 2, 3), 255, np.uint8)],
+                      label_maps=[np.array([[0, 0]]), np.array([[3, 0]])])
         stats = supervoxel_stats(video, [np.ones((1, 2), bool)] * 2)
         assert stats.ids.tolist() == [0, 3]
         assert stats.pixel_counts.tolist() == [3, 1]
@@ -259,14 +260,15 @@ class TestSupervoxelStats:
 
     def test_channel_bounds_over_every_pixel(self, rng):
         frames = [rng.integers(0, 256, size=(5, 5, 3), dtype=np.uint8) for _ in range(2)]
-        video = ArrayVideo(frames, [rng.integers(0, 3, size=(5, 5)) for _ in range(2)])
+        video = Scene(frames=frames, label_maps=[rng.integers(0, 3, size=(5, 5)) for _ in range(2)])
         stats = supervoxel_stats(video, [np.zeros((5, 5), bool)] * 2)
         pixels = np.concatenate([rgb_to_lab(f).reshape(-1, 3) for f in frames])
         assert np.array_equal(stats.lab_min, pixels.min(axis=0))
         assert np.array_equal(stats.lab_max, pixels.max(axis=0))
 
     def test_unequal_lengths(self):
-        video = ArrayVideo([np.zeros((1, 1, 3), np.uint8)] * 2, [np.zeros((1, 1), int)] * 2)
+        video = Scene(frames=[np.zeros((1, 1, 3), np.uint8)] * 2,
+                      label_maps=[np.zeros((1, 1), int)] * 2)
         with pytest.raises(ValueError, match="equal length"):
             supervoxel_stats(video, [np.zeros((1, 1), bool)])
 
@@ -274,30 +276,33 @@ class TestSupervoxelStats:
     def test_any_list_longer_or_shorter(self, lengths):
         # more or fewer masks than frames is refused before any frame is read
         n_frames, n_masks = lengths
-        video = ArrayVideo([None] * n_frames, [None] * n_frames)
+        video = Scene(frames=[None] * n_frames, label_maps=[None] * n_frames)
         with pytest.raises(ValueError, match="equal length"):
             supervoxel_stats(video, [np.zeros((1, 1), bool)] * n_masks)
 
     def test_no_frames(self):
         with pytest.raises(ValueError, match="no frames"):
-            supervoxel_stats(ArrayVideo([], []), [])
+            supervoxel_stats(Scene(), [])
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_float_ids_are_refused(self, dtype):
         # a float id such as 0.7 must not be truncated into supervoxel 0
-        video = ArrayVideo([np.zeros((1, 2, 3), np.uint8)], [np.array([[0.7, 1.0]]).astype(dtype)])
+        video = Scene(frames=[np.zeros((1, 2, 3), np.uint8)],
+                      label_maps=[np.array([[0.7, 1.0]]).astype(dtype)])
         with pytest.raises(TypeError, match="Cannot cast"):
             supervoxel_stats(video, [np.zeros((1, 2), bool)])
 
     def test_bool_ids_are_refused(self):
         # a bool map would be tallied as ids 0 and 1 here, then fail in pass two
-        video = ArrayVideo([np.zeros((1, 2, 3), np.uint8)], [np.array([[False, True]])])
+        video = Scene(frames=[np.zeros((1, 2, 3), np.uint8)],
+                      label_maps=[np.array([[False, True]])])
         with pytest.raises(TypeError, match="Cannot cast supervoxel ids of dtype bool"):
             supervoxel_stats(video, [np.zeros((1, 2), bool)])
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.int64, np.uint64])
     def test_integer_ids_of_any_width(self, dtype):
-        video = ArrayVideo([np.full((1, 3, 3), 255, np.uint8)], [np.array([[0, 1, 1]], dtype)])
+        video = Scene(frames=[np.full((1, 3, 3), 255, np.uint8)],
+                      label_maps=[np.array([[0, 1, 1]], dtype)])
         stats = supervoxel_stats(video, [np.array([[0, 1, 1]], bool)])
         assert stats.ids.tolist() == [0, 1]
         assert stats.pixel_counts.tolist() == [1, 2]
@@ -341,7 +346,7 @@ class TestBandedTallyExactness:
 
     @staticmethod
     def _assert_equals_oracle(frames, labels, masks, jobs=1):
-        got = supervoxel_stats(ArrayVideo(frames, labels), masks, jobs)
+        got = supervoxel_stats(Scene(frames=frames, label_maps=labels), masks, jobs)
         expected = oracles.supervoxel_stats_lab(labels, [rgb_to_lab(f) for f in frames], masks)
         for field in ("ids", "pixel_counts", "label_sums", "mean_lab", "lab_min", "lab_max"):
             a, b = getattr(got, field), getattr(expected, field)
@@ -368,8 +373,9 @@ class TestTallyMemory:
         # A LAB frame is 24 B per pixel; the banded tally holds one band's
         # LAB and scratch, the frame's ids a band at a time and its partials.
         height, width = 480, 854
-        video = ArrayVideo([rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8)],
-                           [rng.integers(0, 1100, size=(height, width)).astype(np.int32)])
+        video = Scene(
+            frames=[rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8)],
+            label_maps=[rng.integers(0, 1100, size=(height, width)).astype(np.int32)])
         masks = [rng.random((height, width)) < 0.05]
         supervoxel_stats(video, masks)
         tracemalloc.start()
@@ -382,7 +388,7 @@ class TestTallyMemory:
 
     def test_lab_is_converted_a_band_at_a_time(self, tmp_path, monkeypatch):
         height, width = 60, 854
-        root = _tile_video(tmp_path / "video", height, width, num_frames=3)
+        root = write(tmp_path / "video", tile_video(height, width, num_frames=3))
         shapes, convert = [], refine.rgb_to_lab
 
         def recording(rgb):
@@ -403,7 +409,7 @@ class TestTallyMemory:
         # design exceeded the kept fields by 30-43 B per pixel here, the
         # banded one by 0-5.
         height, width = 240, 854
-        seqs = {n: open_sequence(_tile_video(tmp_path / f"tiles{n}", height, width, n))
+        seqs = {n: open_sequence(write(tmp_path / f"tiles{n}", tile_video(height, width, n)))
                 for n in (2, 6)}
         windows, tally = [], refine.supervoxel_stats
 
@@ -438,21 +444,6 @@ class TestTallyMemory:
         beyond_kept = (peak6 - peak2 - (start6 - start2)) / (height * width)
         assert start6 - start2 >= 4 * 9 * height * width
         assert beyond_kept <= 12.0, f"{beyond_kept:.1f} B per pixel beyond the kept fields"
-
-
-def _tile_video(root, height, width, num_frames):
-    """A moving-block video with random colors and supervoxels of 10 x 10 tiles."""
-    rng = np.random.default_rng(num_frames)
-    scene = moving_block_arrays(height=height, width=width,
-                                block=(slice(height // 3, 2 * height // 3),
-                                       slice(width // 3, width // 2)),
-                                num_frames=num_frames)
-    rows, cols = np.indices((height, width))
-    labels = (rows // 10) * (width // 10 + 1) + cols // 10
-    frames = [rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8)
-              for _ in range(num_frames)]
-    return write_video_dir(root, frames=frames, flows=scene["flows"],
-                           saliencies=scene["saliencies"], labels=[labels] * num_frames)
 
 
 def _stats(ids, counts, fg, mean_lab):
@@ -726,7 +717,7 @@ class TestRefineMasks:
         fore[0, 1] = 0.0
         rgb = np.zeros((3, 3, 3), np.uint8)
         rgb[0, 0] = (255, 0, 0)  # distinct colors, irrelevant for n=2
-        stats = supervoxel_stats(ArrayVideo([rgb], [labels]), [mask])
+        stats = supervoxel_stats(Scene(frames=[rgb], label_maps=[labels]), [mask])
         cfg = RefineConfig(mode="nonlocal")
         table = build_consensus(stats, cfg)
         assert table.f_local.tolist() == [0.0, -1.0]
@@ -814,7 +805,7 @@ class TestRefineMasks:
             labels = np.arange(9).reshape(3, 3)
             rgb = rng.integers(0, 256, size=(3, 3, 3), dtype=np.uint8)
             lab = rgb_to_lab(rgb)
-            stats = supervoxel_stats(ArrayVideo([rgb], [labels]), [mask])
+            stats = supervoxel_stats(Scene(frames=[rgb], label_maps=[labels]), [mask])
             cfg = RefineConfig(mode="local")
             table = build_consensus(stats, cfg)
             adjusted = adjusted_foregroundness(fore, labels, table, fore.max(), cfg)
@@ -847,25 +838,18 @@ class TestRefineMasks:
 
 
 class TestRefineSequence:
-    def _video(self, tmp_path, mode="nonlocal"):
-        scene = moving_block_arrays(height=20, width=24, block=(slice(5, 15), slice(7, 17)))
-        height, width = 20, 24
-        labels = np.zeros((height, width), dtype=np.int64)
+    @pytest.fixture
+    def video(self, tmp_path):
+        """Two frames of a 20 x 24 moving block, its supervoxel, a left band and the rest."""
+        labels = np.zeros((20, 24), dtype=np.int64)
         labels[5:15, 7:17] = 1  # block supervoxel
         labels[:, :4] = 2       # a left band
-        frame = scene["frames"][0]
-        root = write_video_dir(
-            tmp_path / f"vid_{mode}",
-            frames=[frame] * 2,
-            flows=scene["flows"],
-            saliencies=scene["saliencies"] * 2,
-            labels=[labels] * 2,
-        )
-        return root, scene["truth"], labels
+        scene = moving_block(height=20, width=24, block=(slice(5, 15), slice(7, 17)), num_frames=2)
+        return write(tmp_path / "vid", replace(scene, label_maps=[labels] * 2)), scene.truth[0]
 
     @pytest.mark.parametrize("mode", ["local", "nonlocal"])
-    def test_end_to_end(self, tmp_path, mode):
-        root, truth, _ = self._video(tmp_path, mode)
+    def test_end_to_end(self, video, mode):
+        root, truth = video
         seq = open_sequence(root)
         result = refine_sequence(seq, ref_cfg=RefineConfig(mode=mode))
         assert len(result.masks) == 2
@@ -876,19 +860,12 @@ class TestRefineSequence:
             assert np.array_equal(mask, truth)
 
     def test_requires_labels(self, tmp_path):
-        scene = moving_block_arrays()
-        root = write_video_dir(
-            tmp_path / "nolabels",
-            frames=scene["frames"],
-            flows=scene["flows"],
-            saliencies=scene["saliencies"],
-        )
+        root = write(tmp_path / "nolabels", moving_block())
         with pytest.raises(ValueError, match="label"):
             refine_sequence(open_sequence(root))
 
-    def test_jobs_deterministic(self, tmp_path):
-        root, _, _ = self._video(tmp_path)
-        seq = open_sequence(root)
+    def test_jobs_deterministic(self, video):
+        seq = open_sequence(video[0])
         serial = refine_sequence(seq, jobs=1)
         threaded = refine_sequence(seq, jobs=8)
         for a, b in zip(serial.masks, threaded.masks):
@@ -897,20 +874,11 @@ class TestRefineSequence:
     def test_jobs_deterministic_over_several_blocks(self, tmp_path):
         # 16 x 21 tiles of 3 x 3 pixels: 336 supervoxels, eleven blocks of the neighbor search
         rng = np.random.default_rng(7)
-        scene = moving_block_arrays(
-            height=48, width=63, block=(slice(12, 33), slice(18, 42)), num_frames=5
-        )
-        rows, cols = np.indices((48, 63))
-        labels = (rows // 3) * 21 + cols // 3
+        scene = moving_block(height=48, width=63, block=(slice(12, 33), slice(18, 42)),
+                             num_frames=5)
         frames = [rng.integers(0, 256, size=(48, 63, 3), dtype=np.uint8) for _ in range(5)]
-        root = write_video_dir(
-            tmp_path / "tiles",
-            frames=frames,
-            flows=scene["flows"],
-            saliencies=scene["saliencies"],
-            labels=[labels] * 5,
-        )
-        seq = open_sequence(root)
+        seq = open_sequence(write(tmp_path / "tiles", replace(
+            scene, frames=frames, label_maps=[tiles(48, 63, (3, 3))] * 5)))
         results = [refine_sequence(seq, jobs=jobs) for jobs in (1, 2, 8)]
         n = len(results[0].consensus.ids)
         assert n == 336 and n > 10 * _CONSENSUS_BLOCK
@@ -922,7 +890,7 @@ class TestRefineSequence:
     def test_library_composition_equals_the_pipeline(self, tmp_path):
         # build_consensus normalizes the means by the table's own LAB bounds,
         # so the public pieces composed give the pipeline's consensus
-        seq = open_sequence(_tile_video(tmp_path / "tiles", 60, 120, num_frames=3))
+        seq = open_sequence(write(tmp_path / "tiles", tile_video(60, 120, num_frames=3)))
         result = refine_sequence(seq)
         stats = supervoxel_stats(seq, result.initial.masks)
         assert len(stats.ids) == 72 and (stats.lab_max - stats.lab_min > 1).all()
@@ -933,17 +901,11 @@ class TestRefineSequence:
     def test_matches_pixelwise_normalization(self, tmp_path):
         # the former pipeline: normalize every LAB pixel, average, vote per row
         rng = np.random.default_rng(11)
-        scene = moving_block_arrays(height=24, width=30, num_frames=3)
         labels = [rng.integers(0, 40, size=(24, 30)) for _ in range(3)]
         frames = [rng.integers(0, 256, size=(24, 30, 3), dtype=np.uint8) for _ in range(3)]
-        root = write_video_dir(
-            tmp_path / "noisy",
-            frames=frames,
-            flows=scene["flows"],
-            saliencies=scene["saliencies"],
-            labels=labels,
-        )
-        result = refine_sequence(open_sequence(root))
+        scene = replace(moving_block(height=24, width=30, num_frames=3), frames=frames,
+                        label_maps=labels)
+        result = refine_sequence(open_sequence(write(tmp_path / "noisy", scene)))
         lab = [oracles.rgb_to_lab_pow(f) for f in frames]
         low = np.min([f.min(axis=(0, 1)) for f in lab], axis=0)
         high = np.max([f.max(axis=(0, 1)) for f in lab], axis=0)
@@ -968,10 +930,9 @@ class TestRefineSequence:
         # workers convert the next frames. Either way the error is the one
         # the file raises, no worker is left running, and no output
         # directory is made.
-        scene = moving_block_arrays(height=20, width=24, num_frames=5)
         labels = np.arange(20 * 24).reshape(20, 24) // 40
-        root = write_video_dir(tmp_path / "video", frames=scene["frames"], flows=scene["flows"],
-                               saliencies=scene["saliencies"], labels=[labels] * 5)
+        root = write(tmp_path / "video", replace(moving_block(height=20, width=24, num_frames=5),
+                                                 label_maps=[labels] * 5))
         corrupt = root / name
         corrupt.write_bytes(corrupt.read_bytes()[:-7])
         seq = open_sequence(root)
@@ -988,11 +949,10 @@ class TestRefineSequence:
         assert errors[0] == errors[1] == f"{corrupt}: truncated {kind} payload"
         assert stderr[0] == stderr[1] == f"error: {errors[0]}\n"
 
-    def test_labels_changed_between_passes_raise(self, tmp_path):
+    def test_labels_changed_between_passes_raise(self, video):
         # pass two reads every label map again; a map rewritten since pass
         # one is an error naming the ids the consensus table does not hold
-        root, _, _ = self._video(tmp_path)
-        seq = _RelabelledOnSecondRead(open_sequence(root), new_id=9)
+        seq = _RelabelledOnSecondRead(open_sequence(video[0]), new_id=9)
         with pytest.raises(ValueError, match=r"missing from consensus table: \[9\]"):
             refine_sequence(seq)
 
@@ -1001,22 +961,12 @@ class TestRefineSequence:
         # what refine keeps per frame is its float64 foregroundness (8 B per
         # pixel), its initial mask and its refined mask (1 B each).
         height, width = 120, 160
-        rows, cols = np.indices((height, width))
-        labels = (rows // 10) * (width // 10) + cols // 10
         seqs = {}
         for num_frames in (4, 12):
-            scene = moving_block_arrays(
-                height=height, width=width, block=(slice(40, 80), slice(60, 100)),
-                num_frames=num_frames,
-            )
-            root = write_video_dir(
-                tmp_path / f"tiles{num_frames}",
-                frames=scene["frames"],
-                flows=scene["flows"],
-                saliencies=scene["saliencies"],
-                labels=[labels] * num_frames,
-            )
-            seqs[num_frames] = open_sequence(root)
+            scene = moving_block(height=height, width=width,
+                                 block=(slice(40, 80), slice(60, 100)), num_frames=num_frames)
+            scene = replace(scene, label_maps=[tiles(height, width, (10, 10))] * num_frames)
+            seqs[num_frames] = open_sequence(write(tmp_path / f"tiles{num_frames}", scene))
         refine_sequence(seqs[4])  # lazy imports happen outside the traced runs
         peaks = {}
         for num_frames, seq in seqs.items():

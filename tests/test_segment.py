@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,8 +21,9 @@ from numpy._core import _multiarray_umath
 
 import oracles
 import tukeyseg
-from conftest import adversarial_masks, moving_block_arrays, write_video_dir
-from tukeyseg.io import FlowField, open_sequence
+from conftest import adversarial_masks
+from scenes import Scene, flow_field, moving_block, write
+from tukeyseg.io import open_sequence
 from tukeyseg.metrics import jaccard
 from tukeyseg.io import write_saliency_pgm
 from tukeyseg.stats import _CACHE_ELEMENTS
@@ -37,27 +39,10 @@ from tukeyseg.segment import (
 from tukeyseg.stats import fences, outlier_set, outlier_scale, quartiles
 
 
-def _flow(u, v):
-    return FlowField(np.asarray(u, np.float32), np.asarray(v, np.float32))
-
-
-class _OneFrame:
-    """In-memory stand-in for a FrameSequence: one frame's flow and saliency."""
-
-    def __init__(self, u, v, vs):
-        self._flow = _flow(u, v)
-        self._vs = np.asarray(vs, np.float64)
-
-    def flow(self, index):
-        return self._flow
-
-    def saliency(self, index):
-        return self._vs
-
-
 def _fore(u, v, vs, **cfg):
     """frame_foregroundness of one in-memory frame under SegmenterConfig(**cfg)."""
-    fore, _ = frame_foregroundness(_OneFrame(u, v, vs), 0, SegmenterConfig(**cfg))
+    fore, _ = frame_foregroundness(Scene(flows=[(u, v)], saliencies=[vs]), 0,
+                                   SegmenterConfig(**cfg))
     return fore
 
 
@@ -71,7 +56,7 @@ def _measure_stats(component, k=1.5):
 def _deviation_sum(u, v, min_scale=0.5):
     """Sum over flow measures of max(alpha, min_scale) * |d - median|."""
     total = 0.0
-    for component in flow_measures(_flow(u, v)):
+    for component in flow_measures(flow_field(u, v)):
         median, _, alpha = _measure_stats(component)
         total = total + max(alpha, min_scale) * np.abs(component.astype(np.float64) - median)
     return total
@@ -79,29 +64,29 @@ def _deviation_sum(u, v, min_scale=0.5):
 
 class TestFlowMeasures:
     def test_three_four_five(self):
-        m = flow_measures(_flow([[3.0]], [[4.0]]))
+        m = flow_measures(flow_field([[3.0]], [[4.0]]))
         assert m.magnitude[0, 0] == pytest.approx(5.0)
         assert m.angle[0, 0] == pytest.approx(math.atan2(4, 3))
 
     def test_zero_vector_convention(self):
-        m = flow_measures(_flow([[0.0]], [[0.0]]))
+        m = flow_measures(flow_field([[0.0]], [[0.0]]))
         assert m.magnitude[0, 0] == 0.0
         assert m.angle[0, 0] == 0.0
 
     def test_negative_x_axis(self):
-        m = flow_measures(_flow([[-1.0]], [[0.0]]))
+        m = flow_measures(flow_field([[-1.0]], [[0.0]]))
         assert m.magnitude[0, 0] == pytest.approx(1.0)
         assert m.angle[0, 0] == pytest.approx(math.pi)
 
     def test_angle_range_half_open(self, rng):
         u = rng.normal(size=(10, 10))
         v = rng.normal(size=(10, 10))
-        m = flow_measures(_flow(u, v))
+        m = flow_measures(flow_field(u, v))
         assert np.all(m.angle > -math.pi)
         assert np.all(m.angle <= math.pi)
 
     def test_components_are_the_flows_own_arrays(self, rng):
-        flow = _flow(rng.normal(size=(6, 7)), rng.normal(size=(6, 7)))
+        flow = flow_field(rng.normal(size=(6, 7)), rng.normal(size=(6, 7)))
         m = flow_measures(flow)
         assert m.x is flow.u and m.y is flow.v
         assert m.x.dtype == np.float32
@@ -109,7 +94,7 @@ class TestFlowMeasures:
 
     def test_magnitude_and_angle_of_the_widened_flow(self, rng):
         u, v = rng.standard_cauchy(size=(2, 40, 50)).astype(np.float32)
-        m = flow_measures(_flow(u, v))
+        m = flow_measures(flow_field(u, v))
         wide_u, wide_v = u.astype(np.float64), v.astype(np.float64)
         angle = np.arctan2(wide_v, wide_u)
         angle[angle == -np.pi] = np.pi
@@ -128,7 +113,7 @@ class TestFlowMeasures:
         mixed = (rng.standard_cauchy(size=(2, 4000))
                  * 2.0 ** rng.integers(-160, 100, size=(2, 4000))).astype(np.float32)
         u, v = np.concatenate([pairs, mixed], axis=1).reshape(2, 8, -1)
-        magnitude = flow_measures(_flow(u, v)).magnitude
+        magnitude = flow_measures(flow_field(u, v)).magnitude
         expected = [math.sqrt(float(Fraction(float(a)) ** 2 + Fraction(float(b)) ** 2))
                     for a, b in zip(u.ravel(), v.ravel())]
         assert magnitude.ravel().tolist() == expected
@@ -138,7 +123,7 @@ class TestFlowMeasures:
         # math.hypot, each by one ulp.
         rng = np.random.default_rng(480)
         u, v = rng.standard_cauchy(size=(2, 480, 854)).astype(np.float32)
-        magnitude = flow_measures(_flow(u, v)).magnitude
+        magnitude = flow_measures(flow_field(u, v)).magnitude
         hypot = np.array([math.hypot(a, b) for a, b in zip(u.ravel().tolist(), v.ravel().tolist())])
         ulps = np.abs(magnitude.ravel().view(np.int64) - hypot.view(np.int64))
         assert ulps.max() <= 1
@@ -164,7 +149,7 @@ class TestFlowMeasures:
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
         u, v = np.random.default_rng(480).standard_cauchy(size=(2, 480, 854)).astype(np.float32)
-        here = hashlib.sha256(flow_measures(_flow(u, v)).magnitude.tobytes()).hexdigest()
+        here = hashlib.sha256(flow_measures(flow_field(u, v)).magnitude.tobytes()).hexdigest()
         assert run.stdout.strip() == here
 
     def test_no_float64_copy_of_the_components(self, rng):
@@ -172,7 +157,7 @@ class TestFlowMeasures:
         # would add 16 more. The slack covers the angle's 1 B/pixel bool
         # temporary and the ufunc buffers.
         shape = (480, 854)
-        flow = _flow(*rng.normal(size=(2, *shape)))
+        flow = flow_field(*rng.normal(size=(2, *shape)))
         flow_measures(flow)
         tracemalloc.start()
         try:
@@ -189,19 +174,17 @@ class TestMotionSaliency:
     def test_low_scale_zeroes_field(self):
         # 100 of 1200 pixels move at 8 against background 1: alpha ~ 0.42 < 0.5
         # for x and magnitude; y and angle are constant
-        scene = moving_block_arrays()
-        u, v = scene["flows"][0]
-        assert not _fore(u, v, np.zeros_like(u)).any()
+        flow = moving_block().flows[0]
+        assert not _fore(flow.u, flow.v, np.zeros_like(flow.u)).any()
 
     def test_gated_deviation_values(self):
         # higher-contrast block: alpha >= 0.5, outliers get alpha * |d - median|;
         # with v = 0 and u > 0 the magnitude equals x and y, angle are constant,
         # so x and magnitude each add that term
-        scene = moving_block_arrays(block_flow=(30.0, 0.0))
-        u, v = scene["flows"][0]
-        out = _fore(u, v, np.zeros_like(u))
-        component = np.asarray(u, float)
-        assert np.array_equal(flow_measures(_flow(u, v)).magnitude, component)
+        flow = moving_block(block_flow=(30.0, 0.0)).flows[0]
+        out = _fore(flow.u, flow.v, np.zeros_like(flow.u))
+        component = np.asarray(flow.u, float)
+        assert np.array_equal(flow_measures(flow).magnitude, component)
         median, flags, alpha = _measure_stats(component)
         assert alpha >= 0.5
         assert np.all(out[flags == 0] == 0)
@@ -217,7 +200,7 @@ class TestMotionSaliency:
             out = _fore(u, v, np.zeros((12, 12)))
             expected = np.zeros((12, 12))
             quiet = np.ones((12, 12), dtype=bool)
-            for component in flow_measures(_flow(u, v)):
+            for component in flow_measures(flow_field(u, v)):
                 median, flags, alpha = _measure_stats(component)
                 if alpha >= 0.5:
                     absdev = np.abs(component.astype(np.float64) - median)
@@ -231,18 +214,16 @@ class TestVisualSaliency:
     """The saliency-weighted deviation sum, isolated by one exponent and gated-off motion."""
 
     def test_zero_saliency_zero_output(self):
-        scene = moving_block_arrays()  # motion gated off, as in TestMotionSaliency
-        u, v = scene["flows"][0]
-        vs = np.zeros_like(scene["saliencies"][0])
+        flow = moving_block().flows[0]  # motion gated off, as in TestMotionSaliency
         for k in (1.0, 0.5, 1.0 / 3.0):
-            assert not _fore(u, v, vs, vs_exponents=(k,)).any()
+            assert not _fore(flow.u, flow.v, np.zeros(flow.shape), vs_exponents=(k,)).any()
 
     def test_floor_applies_when_all_scales_zero(self):
         # constant-ish components without outliers: every alpha is 0, the
         # 0.5 floor keeps the deviation sum alive
         u = np.tile(np.array([0.0, 1.0, 2.0, 3.0, 4.0]), (1, 1))
         v = np.zeros_like(u)
-        for comp in flow_measures(_flow(u, v)):
+        for comp in flow_measures(flow_field(u, v)):
             assert _measure_stats(comp)[2] == 0.0
         out = _fore(u, v, np.ones_like(u), vs_exponents=(1.0,))
         # at u=3: x and magnitude contribute 0.5 * |3 - 2| each; y and angle
@@ -250,17 +231,15 @@ class TestVisualSaliency:
         assert out[0, 3] == pytest.approx(2 * 0.5 * 1.0, abs=1e-12)
 
     def test_exponent_sharpens_base(self):
-        scene = moving_block_arrays()  # motion gated off
-        u, v = scene["flows"][0]
-        vs = np.full_like(scene["saliencies"][0], 0.25)
-        full = _fore(u, v, np.ones_like(vs), vs_exponents=(1.0,))
-        half = _fore(u, v, vs, vs_exponents=(0.5,))
+        flow = moving_block().flows[0]  # motion gated off
+        full = _fore(flow.u, flow.v, np.ones(flow.shape), vs_exponents=(1.0,))
+        half = _fore(flow.u, flow.v, np.full(flow.shape, 0.25), vs_exponents=(0.5,))
         assert full.any()
         assert np.allclose(half, 0.5 * full, atol=1e-12)
 
     def test_monotone_in_saliency(self, rng):
-        scene = moving_block_arrays()
-        u, v = scene["flows"][0]
+        flow = moving_block().flows[0]
+        u, v = flow.u, flow.v
         low = rng.random(u.shape) * 0.5
         high = low + 0.25
         assert np.all(
@@ -269,13 +248,7 @@ class TestVisualSaliency:
 
     def test_dimension_mismatch(self, tmp_path):
         # the sequence's accessors reject a saliency map of another size
-        scene = moving_block_arrays()
-        root = write_video_dir(
-            tmp_path / "vid",
-            frames=scene["frames"],
-            flows=scene["flows"],
-            saliencies=scene["saliencies"],
-        )
+        root = write(tmp_path / "vid", moving_block())
         seq = open_sequence(root)
         (root / "saliency" / "00000.pgm").write_bytes(write_saliency_pgm(np.zeros((3, 3))))
         with pytest.raises(ValueError, match="00000.pgm: dimensions 3x3"):
@@ -312,9 +285,9 @@ class TestForegroundness:
         assert np.allclose(a, b, atol=1e-12)
 
     def test_non_negative(self):
-        scene = moving_block_arrays(block_flow=(30.0, 0.0))
-        u, v = scene["flows"][0]
-        out = _fore(u, v, scene["saliencies"][0], vs_exponents=(1.0, 0.5))
+        scene = moving_block(block_flow=(30.0, 0.0))
+        flow = scene.flows[0]
+        out = _fore(flow.u, flow.v, scene.saliencies[0], vs_exponents=(1.0, 0.5))
         assert out.any()
         assert np.all(out >= 0)
 
@@ -329,10 +302,10 @@ class TestForegroundness:
         gated = ungated = 0
         for cfg in configs:
             for _ in range(4):
-                frame = _OneFrame(
-                    rng.standard_cauchy(size=(9, 11)) * rng.uniform(0.1, 10.0),
-                    rng.standard_cauchy(size=(9, 11)),
-                    rng.random((9, 11)),
+                frame = Scene(
+                    flows=[(rng.standard_cauchy(size=(9, 11)) * rng.uniform(0.1, 10.0),
+                            rng.standard_cauchy(size=(9, 11)))],
+                    saliencies=[rng.random((9, 11))],
                 )
                 fore, scales = frame_foregroundness(frame, 0, cfg)
                 flow = frame.flow(0)
@@ -346,16 +319,13 @@ class TestForegroundness:
         assert gated > 0 and ungated > 0
 
 
-def _cauchy_frame(rng, height, width):
-    """A frame with Cauchy flows, a faster block, and saliency drawn uniformly from [0, 1)."""
-    u = rng.standard_cauchy(size=(height, width))
-    u[: height // 2 + 1, : width // 2 + 1] += 20.0
-    return _OneFrame(u, rng.standard_cauchy(size=(height, width)), rng.random((height, width)))
-
-
 @pytest.fixture(scope="module")
 def davis_frame():
-    return _cauchy_frame(np.random.default_rng(480), 480, 854)
+    """A frame with Cauchy flows, a faster block, and saliency drawn uniformly from [0, 1)."""
+    rng = np.random.default_rng(480)
+    u, v = rng.standard_cauchy(size=(2, 480, 854))
+    u[:241, :428] += 20.0
+    return Scene(flows=[(u, v)], saliencies=[rng.random((480, 854))])
 
 
 class TestForegroundnessBands:
@@ -381,7 +351,9 @@ class TestForegroundnessBands:
                              ids=["1", "band-1", "band", "band+1", "2band+3"])
     def test_equals_full_frame_at_band_edges(self, rng, width, bands, rows):
         height = bands * (_CACHE_ELEMENTS // width) + rows
-        frame = _cauchy_frame(rng, height, width)
+        u, v = rng.standard_cauchy(size=(2, height, width))
+        u[: height // 2 + 1, : width // 2 + 1] += 20.0  # a faster block
+        frame = Scene(flows=[(u, v)], saliencies=[rng.random((height, width))])
         gated = []
         for cfg in self.CONFIGS:
             scales = self._assert_equals_full_frame(frame, cfg)
@@ -609,38 +581,26 @@ class TestSegmenterConfig:
 
 class TestSegmentSequence:
     def test_moving_block_matches_oracle(self, tmp_path):
-        scene = moving_block_arrays()
-        root = write_video_dir(
-            tmp_path / "vid",
-            frames=scene["frames"],
-            flows=scene["flows"],
-            saliencies=scene["saliencies"],
-        )
-        result = segment_sequence(open_sequence(root))
+        scene = moving_block()
+        result = segment_sequence(open_sequence(write(tmp_path / "vid", scene)))
         assert len(result.masks) == 1
         mask = result.masks[0]
-        assert jaccard(mask, scene["truth"]) >= 0.95
-        u, v = scene["flows"][0]
+        assert jaccard(mask, scene.truth[0]) >= 0.95
+        flow = scene.flows[0]
         expected = oracles.pipeline_masks(
-            [(u.tolist(), v.tolist())], [scene["saliencies"][0].tolist()]
+            [(flow.u.tolist(), flow.v.tolist())], [scene.saliencies[0].tolist()]
         )
         assert mask.tolist() == expected[0]
 
     def test_motion_route_block(self, tmp_path):
         # strong contrast pushes the flow outlier scale above 0.5 so the
         # gated motion route fires as well
-        scene = moving_block_arrays(height=40, width=60, block_flow=(30.0, 0.0))
-        root = write_video_dir(
-            tmp_path / "vid",
-            frames=scene["frames"],
-            flows=scene["flows"],
-            saliencies=scene["saliencies"],
-        )
-        result = segment_sequence(open_sequence(root))
-        assert jaccard(result.masks[0], scene["truth"]) >= 0.95
-        u, v = scene["flows"][0]
+        scene = moving_block(height=40, width=60, block_flow=(30.0, 0.0))
+        result = segment_sequence(open_sequence(write(tmp_path / "vid", scene)))
+        assert jaccard(result.masks[0], scene.truth[0]) >= 0.95
+        flow = scene.flows[0]
         expected = oracles.pipeline_masks(
-            [(u.tolist(), v.tolist())], [scene["saliencies"][0].tolist()]
+            [(flow.u.tolist(), flow.v.tolist())], [scene.saliencies[0].tolist()]
         )
         assert result.masks[0].tolist() == expected[0]
 
@@ -648,51 +608,30 @@ class TestSegmentSequence:
         h, w = 6, 8
         zero = np.zeros((h, w), np.float32)
         frame = np.zeros((h, w, 3), np.uint8)
-        root = write_video_dir(
-            tmp_path / "vid",
-            frames=[frame] * 3,
-            flows=[(zero, zero)] * 2,
-            saliencies=[np.zeros((h, w))] * 3,
-        )
+        root = write(tmp_path / "vid", Scene(frames=[frame] * 3, flows=[(zero, zero)] * 2,
+                                             saliencies=[np.zeros((h, w))] * 3))
         result = segment_sequence(open_sequence(root))
         assert all(not m.any() for m in result.masks)
 
     def test_stationary_scene_stable_masks(self, tmp_path):
-        scene = moving_block_arrays(num_frames=3)
-        root = write_video_dir(
-            tmp_path / "vid",
-            frames=scene["frames"],
-            flows=scene["flows"],
-            saliencies=scene["saliencies"],
-        )
+        root = write(tmp_path / "vid", moving_block(num_frames=3))
         result = segment_sequence(open_sequence(root))
         assert len(result.masks) == 3
         for mask in result.masks[1:]:
             assert np.array_equal(mask, result.masks[0])
 
     def test_missing_flow_raises(self, tmp_path):
-        scene = moving_block_arrays()
-        root = write_video_dir(
-            tmp_path / "vid", frames=scene["frames"], saliencies=scene["saliencies"]
-        )
+        root = write(tmp_path / "vid", replace(moving_block(), flows=()))
         with pytest.raises(ValueError, match="flow"):
             segment_sequence(open_sequence(root))
 
     def test_missing_saliency_raises(self, tmp_path):
-        scene = moving_block_arrays()
-        root = write_video_dir(tmp_path / "vid", frames=scene["frames"], flows=scene["flows"])
+        root = write(tmp_path / "vid", replace(moving_block(), saliencies=()))
         with pytest.raises(ValueError, match="saliency"):
             segment_sequence(open_sequence(root))
 
     def test_deterministic_across_jobs(self, tmp_path):
-        scene = moving_block_arrays(num_frames=4)
-        root = write_video_dir(
-            tmp_path / "vid",
-            frames=scene["frames"],
-            flows=scene["flows"],
-            saliencies=scene["saliencies"],
-        )
-        seq = open_sequence(root)
+        seq = open_sequence(write(tmp_path / "vid", moving_block(num_frames=4)))
         serial = segment_sequence(seq, jobs=1)
         threaded = segment_sequence(seq, jobs=8)
         for a, b in zip(serial.masks, threaded.masks):
@@ -704,13 +643,11 @@ class TestSegmentSequence:
         assert height % (_CACHE_ELEMENTS // width) != 0
         flows = [(rng.standard_cauchy((height, width)), rng.standard_cauchy((height, width)))
                  for _ in range(4)]
-        root = write_video_dir(
-            tmp_path / "vid",
+        seq = open_sequence(write(tmp_path / "vid", Scene(
             frames=[np.zeros((height, width, 3), np.uint8)] * 5,
             flows=flows,
             saliencies=[rng.random((height, width)) for _ in range(5)],
-        )
-        seq = open_sequence(root)
+        )))
         serial, threaded = (segment_sequence(seq, jobs=jobs) for jobs in (1, 3))
         for field in ("masks", "foregroundness"):
             for a, b in zip(getattr(serial, field), getattr(threaded, field), strict=True):
@@ -718,14 +655,8 @@ class TestSegmentSequence:
         assert serial.flow_scales == threaded.flow_scales
 
     def test_debug_log_counts_foreground_only_when_enabled(self, tmp_path, caplog):
-        scene = moving_block_arrays(block_flow=(30.0, 0.0), num_frames=2)
-        root = write_video_dir(
-            tmp_path / "vid",
-            frames=scene["frames"],
-            flows=scene["flows"],
-            saliencies=scene["saliencies"],
-        )
-        seq = open_sequence(root)
+        seq = open_sequence(write(tmp_path / "vid", moving_block(block_flow=(30.0, 0.0),
+                                                                 num_frames=2)))
         with caplog.at_level(logging.INFO, logger="tukeyseg.segment"):
             quiet = segment_sequence(seq)
         assert not caplog.records
@@ -738,17 +669,11 @@ class TestSegmentSequence:
             assert a.tobytes() == b.tobytes()
 
     def test_flow_scales_reported_per_component(self, tmp_path):
-        scene = moving_block_arrays()
-        root = write_video_dir(
-            tmp_path / "vid",
-            frames=scene["frames"],
-            flows=scene["flows"],
-            saliencies=scene["saliencies"],
-        )
-        result = segment_sequence(open_sequence(root))
+        scene = moving_block()
+        result = segment_sequence(open_sequence(write(tmp_path / "vid", scene)))
         scales = result.flow_scales[0]
         assert set(scales) == {"x", "y", "magnitude", "angle"}
-        measures = flow_measures(_flow(*scene["flows"][0]))
+        measures = flow_measures(scene.flows[0])
         assert scales == {
             name: _measure_stats(component)[2]
             for name, component in zip(COMPONENT_NAMES, measures)
@@ -756,13 +681,7 @@ class TestSegmentSequence:
 
     def test_saliency_resized_after_open_raises(self, tmp_path):
         # a (30, 1) map would broadcast against the (30, 40) flow measures
-        scene = moving_block_arrays(num_frames=3)
-        root = write_video_dir(
-            tmp_path / "vid",
-            frames=scene["frames"],
-            flows=scene["flows"],
-            saliencies=scene["saliencies"],
-        )
+        root = write(tmp_path / "vid", moving_block(num_frames=3))
         seq = open_sequence(root)
         path = root / "saliency" / "00001.pgm"
         path.write_bytes(write_saliency_pgm(np.full((30, 1), 0.5)))
