@@ -4,7 +4,8 @@ Subcommands mirror the pipeline stages. All numeric defaults are the
 pipeline's standard values and every one of them can be overridden for
 ablation runs. Set ``TIS_LOG`` to ``debug``, ``info`` or ``warning``, in any
 case, for logging verbosity; unset or empty means ``warning``, and any other
-value is refused with exit status 2 before any input is read.
+value is refused with exit status 2 before any input is read. The level is
+set on the ``tukeyseg`` logger by every call of :func:`main`.
 An output directory ends up holding exactly the files of one run: each is
 written to a hidden staging directory inside it as soon as it is encoded,
 and all are renamed into place once the last one is written,
@@ -32,11 +33,12 @@ import re
 import shutil
 import sys
 import tempfile
+from dataclasses import astuple, fields
 from itertools import chain
 from pathlib import Path
 
-from tukeyseg.io import (_VIDEO_RASTERS, _check_same_extent, _indexed_name, _name_index,
-                         open_sequence, read_mask_dir, write_mask_pgm)
+from tukeyseg.io import (_VIDEO_RASTERS, _check_same_extent, _indexed_name, _mask_dirs,
+                         _name_index, open_sequence, read_mask_dir, write_mask_pgm)
 
 log = logging.getLogger(__name__)
 
@@ -233,23 +235,17 @@ def _csv(header: str, rows) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def _segmenter_config(args):
-    from tukeyseg.segment import SegmenterConfig
-
-    return SegmenterConfig(
-        k_fences=args.k_fences,
-        vs_exponents=args.vs_exponents,
-        min_flow_scale=args.min_flow_scale,
-        connectivity=args.connectivity,
-    )
+def _config(cls, args):
+    """A stage's config dataclass ``cls``, each field set from the flag of its name."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
 def _cmd_tis0(args) -> int:
-    from tukeyseg.segment import segment_sequence
+    from tukeyseg.segment import SegmenterConfig, segment_sequence
 
     _check_output(Path(args.output), [Path(args.input) / d for d in _VIDEO_RASTERS])
     seq = open_sequence(args.input)
-    result = segment_sequence(seq, _segmenter_config(args), jobs=args.jobs)
+    result = segment_sequence(seq, _config(SegmenterConfig, args), jobs=args.jobs)
     alphas = _csv("frame,component,alpha", (
         (i, name, f"{alpha:.12g}")
         for i, scales in enumerate(result.flow_scales) for name, alpha in scales.items()))
@@ -261,11 +257,12 @@ def _cmd_tis0(args) -> int:
 
 def _cmd_refine(args) -> int:
     from tukeyseg.refine import RefineConfig, refine_sequence
+    from tukeyseg.segment import SegmenterConfig
 
     _check_output(Path(args.output), [Path(args.input) / d for d in _VIDEO_RASTERS])
     seq = open_sequence(args.input)
-    ref_cfg = RefineConfig(mode=args.mode, w0=args.w0)
-    result = refine_sequence(seq, _segmenter_config(args), ref_cfg, jobs=args.jobs)
+    result = refine_sequence(seq, _config(SegmenterConfig, args), _config(RefineConfig, args),
+                             jobs=args.jobs)
     _write_outputs(Path(args.output), _mask_files(result.masks))
     log.info("wrote %d refined masks to %s", len(result.masks), args.output)
     return 0
@@ -274,12 +271,7 @@ def _cmd_refine(args) -> int:
 def _cmd_combine(args) -> int:
     from tukeyseg.fusion import fuse_sequence
 
-    root = Path(args.input)
-    if not root.is_dir():
-        raise ValueError(f"not a directory: {root}")
-    method_dirs = sorted(d for d in root.iterdir() if d.is_dir())
-    if not method_dirs:
-        raise ValueError(f"{root}: no method directories")
+    method_dirs = _mask_dirs(args.input, "method directories")
     _check_output(Path(args.output), method_dirs)
     per_method = [read_mask_dir(d) for d in method_dirs]
     _check_same_extent(per_method)
@@ -300,20 +292,19 @@ def _cmd_combine(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from tukeyseg.metrics import evaluate_dataset
+    from tukeyseg.metrics import _SEQUENCES, DatasetRow, evaluate_dataset
 
     if args.output:
-        out, truth = Path(args.output), Path(args.ground_truth)
+        out = Path(args.output)
         if out.is_dir():
             raise ValueError(f"{out}: is a directory, so it is not written to")
-        names = [d.name for d in truth.iterdir() if d.is_dir()] if truth.is_dir() else []
-        read = [root / name for root in (Path(args.input), truth) for name in names]
+        truth = _mask_dirs(args.ground_truth, _SEQUENCES)
+        read = [*truth, *(Path(args.input) / d.name for d in truth)]
         _check_output(out.parent, read, replaced=())
     rows = evaluate_dataset(args.input, args.ground_truth, tolerance=args.tolerance, jobs=args.jobs)
-    table = _csv("sequence,J_mean,J_recall,J_decay,F_mean,F_recall,F_decay", (
-        (r.sequence, *(f"{v:.6f}" for v in (r.j_mean, r.j_recall, r.j_decay,
-                                           r.f_mean, r.f_recall, r.f_decay)))
-        for r in rows))
+    sequence, *summaries = (f.name for f in fields(DatasetRow))
+    table = _csv(",".join([sequence, *(s.capitalize() for s in summaries)]), (
+        (r.sequence, *(f"{v:.6f}" for v in astuple(r)[1:])) for r in rows))
     sys.stdout.write(table.decode())
     if args.output:
         _write_outputs(out.parent, [(out.name, table)], replaced=())
@@ -327,7 +318,9 @@ def main(argv=None) -> int:
         print(f"error: TIS_LOG must be one of {', '.join(_LOG_LEVELS)}, not {name!r}",
               file=sys.stderr)
         return 2
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig adds the handler once per process; the level is set on every call
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("tukeyseg").setLevel(level)
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)

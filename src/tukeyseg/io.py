@@ -41,7 +41,9 @@ from the file names and the first file's whole header only; each file is
 decoded, and its size checked, when it is accessed. A :class:`FrameSequence`
 holds one per raster directory of a video, and :func:`read_mask_dir`
 returns one for a directory of masks, a method's or a sequence's ground
-truth. One check here decides from these indexes whether a set of
+truth. A tree of such directories, ``combine``'s methods or ``eval``'s
+sequences, is listed by one helper here, ``_mask_dirs``, sorted by name.
+One check here decides from these indexes whether a set of
 directories agrees on file count and size. ``<video>/masks`` contributes
 the names of its method directories only: nothing under them is read
 until a mask directory is itself read.
@@ -400,6 +402,22 @@ def read_mask_dir(directory) -> RasterSequence:
     if not masks:
         raise ValueError(f"{directory}: no masks found")
     return masks
+
+
+def _mask_dirs(root, what: str) -> list[Path]:
+    """The subdirectories of ``root``, sorted: the one listing of a tree of mask directories.
+
+    ``combine`` reads one per method and ``eval`` one per ground-truth
+    sequence. A ``root`` that is not a directory, or holds no subdirectory,
+    raises ``ValueError``; the latter names the ``what`` it lacks.
+    """
+    root = Path(root)
+    if not root.is_dir():
+        raise ValueError(f"not a directory: {root}")
+    dirs = sorted(d for d in root.iterdir() if d.is_dir())
+    if not dirs:
+        raise ValueError(f"{root}: no {what}")
+    return dirs
 
 
 def _check_same_extent(sequences, spare: int = 0) -> None:

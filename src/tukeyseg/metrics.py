@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from tukeyseg.io import _check_same_extent, _foreground_box, _mask_array, read_mask_dir
+from tukeyseg.io import (_check_same_extent, _foreground_box, _mask_array, _mask_dirs,
+                         read_mask_dir)
 from tukeyseg.parallel import parallel_map
 
 RECALL_THRESHOLD = 0.5
@@ -178,15 +179,20 @@ def sequence_scores(masks, references, tolerance: float | None = None) -> Sequen
     ``masks`` and ``references`` may be any iterables. They are walked in
     step, one (prediction, reference) pair at a time, so two lazy sequences
     or generators are never held whole; one that ends before the other
-    raises ``ValueError`` ("length mismatch").
+    raises ``ValueError`` ("length mismatch"). Each pair is cut to its
+    bounding box once, and the default tolerance taken from the whole
+    frame, before the crops are scored.
     """
     j, f = [], []
     for index, (m, g) in enumerate(itertools.zip_longest(masks, references, fillvalue=_END)):
         if m is _END or g is _END:
             ended = "predictions" if m is _END else "references"
             raise ValueError(f"length mismatch: the {ended} end after {index} frames")
-        j.append(jaccard(m, g))
-        f.append(contour_f(m, g, tolerance))
+        crop_m, crop_g = _mask_pair(m, g)
+        height, width = np.shape(m)
+        frame_tolerance = default_tolerance(width, height) if tolerance is None else tolerance
+        j.append(jaccard(crop_m, crop_g))
+        f.append(contour_f(crop_m, crop_g, frame_tolerance))
     if not j:
         raise ValueError("empty sequence")
     j_mean = float(np.mean(j))
@@ -216,6 +222,11 @@ class DatasetRow:
     f_decay: float
 
 
+# The six summaries of a row, in the table's column order: every field after ``sequence``.
+_SUMMARIES = tuple(f.name for f in fields(DatasetRow))[1:]
+_SEQUENCES = "ground-truth sequences"  # what an evaluation's tree of mask directories holds
+
+
 def evaluate_dataset(
     prediction_root,
     ground_truth_root,
@@ -231,41 +242,19 @@ def evaluate_dataset(
     """
     _check_tolerance(tolerance)
     prediction_root = Path(prediction_root)
-    ground_truth_root = Path(ground_truth_root)
-    if not ground_truth_root.is_dir():
-        raise ValueError(f"not a directory: {ground_truth_root}")
-    names = sorted(d.name for d in ground_truth_root.iterdir() if d.is_dir())
-    if not names:
-        raise ValueError(f"{ground_truth_root}: no ground-truth sequences")
-    for name in names:
-        if not (prediction_root / name).is_dir():
-            raise ValueError(f"missing prediction directory for sequence '{name}'")
+    truth_dirs = _mask_dirs(ground_truth_root, _SEQUENCES)
+    for truth in truth_dirs:
+        if not (prediction_root / truth.name).is_dir():
+            raise ValueError(f"missing prediction directory for sequence '{truth.name}'")
 
-    def score_one(name: str) -> DatasetRow:
-        references = read_mask_dir(ground_truth_root / name)
-        predictions = read_mask_dir(prediction_root / name)
+    def score_one(truth: Path) -> DatasetRow:
+        references = read_mask_dir(truth)
+        predictions = read_mask_dir(prediction_root / truth.name)
         _check_same_extent([references, predictions])
         score = sequence_scores(predictions, references, tolerance)
-        return DatasetRow(
-            sequence=name,
-            j_mean=score.j_mean,
-            j_recall=float(score.j_recall),
-            j_decay=score.j_decay,
-            f_mean=score.f_mean,
-            f_recall=float(score.f_recall),
-            f_decay=score.f_decay,
-        )
+        return DatasetRow(truth.name, *(float(getattr(score, s)) for s in _SUMMARIES))
 
-    rows = parallel_map(score_one, names, jobs)
-    rows.append(
-        DatasetRow(
-            sequence="ALL",
-            j_mean=float(np.mean([r.j_mean for r in rows])),
-            j_recall=float(np.mean([r.j_recall for r in rows])),
-            j_decay=float(np.mean([r.j_decay for r in rows])),
-            f_mean=float(np.mean([r.f_mean for r in rows])),
-            f_recall=float(np.mean([r.f_recall for r in rows])),
-            f_decay=float(np.mean([r.f_decay for r in rows])),
-        )
-    )
+    rows = parallel_map(score_one, truth_dirs, jobs)
+    rows.append(DatasetRow("ALL", *(float(np.mean([getattr(r, s) for r in rows]))
+                                    for s in _SUMMARIES)))
     return rows

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import logging
 import threading
 
 import numpy as np
@@ -20,6 +21,15 @@ def no_thread_left():
     yield
     left = [t.name for t in threading.enumerate() if t not in before]
     assert not left, f"threads still running after the test: {left}"
+
+
+@pytest.fixture(autouse=True)
+def package_log_level():
+    """Restore the ``tukeyseg`` logger's level, which each ``cli.main`` call sets."""
+    logger = logging.getLogger("tukeyseg")
+    level = logger.level
+    yield
+    logger.setLevel(level)
 
 
 @pytest.fixture

@@ -129,6 +129,58 @@ MUTANTS = (
     Mutant("log-level-unchecked", "src/tukeyseg/cli.py",
            "level = _LOG_LEVELS.get(name.lower())",
            "level = getattr(logging, name.upper(), logging.WARNING)", ("tests/test_cli.py",)),
+    Mutant("log-level-first-call-only", "src/tukeyseg/cli.py",
+           'logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")\n'
+           '    logging.getLogger("tukeyseg").setLevel(level)\n',
+           'logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")\n',
+           ("tests/test_cli.py",)),
+    Mutant("mask-dirs-unsorted", "src/tukeyseg/io.py",
+           "dirs = sorted(d for d in root.iterdir() if d.is_dir())",
+           "dirs = [d for d in root.iterdir() if d.is_dir()]", ("tests/test_io.py",)),
+    Mutant("mask-root-unchecked", "src/tukeyseg/io.py",
+           '        raise ValueError(f"not a directory: {root}")\n    dirs = ', "    dirs = ",
+           ("tests/test_cli.py",)),
+    Mutant("mask-dirs-empty-admitted", "src/tukeyseg/io.py",
+           "    if not dirs:\n", "    if False:\n", ("tests/test_cli.py",)),
+    Mutant("eval-column-dropped", "src/tukeyseg/cli.py",
+           "for v in astuple(r)[1:])", "for v in astuple(r)[1:-1])", ("tests/test_metrics.py",)),
+    Mutant("eval-columns-reordered", "src/tukeyseg/metrics.py",
+           "*(float(getattr(score, s)) for s in _SUMMARIES)",
+           "*(float(getattr(score, s)) for s in reversed(_SUMMARIES))", ("tests/test_metrics.py",)),
+    Mutant("tolerance-from-crop", "src/tukeyseg/metrics.py",
+           "frame_tolerance = default_tolerance(width, height) if tolerance is None else tolerance",
+           "frame_tolerance = tolerance", ("tests/test_metrics.py",)),
+    Mutant("config-field-dropped", "src/tukeyseg/cli.py",
+           "for f in fields(cls)}", "for f in fields(cls)[:-1]}", ("tests/test_cli.py",)),
+    Mutant("flow-finiteness-unchecked", "src/tukeyseg/io.py",
+           "if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v))):", "if False:",
+           ("tests/test_io.py",)),
+    Mutant("flo-short-header-admitted", "src/tukeyseg/io.py",
+           "if len(data) < 12:", "if False:", ("tests/test_io.py",)),
+    Mutant("flowfield-shape-unchecked", "src/tukeyseg/io.py",
+           "if self.u.ndim != 2 or self.u.shape != self.v.shape:", "if False:",
+           ("tests/test_io.py",)),
+    Mutant("saliency-range-unchecked", "src/tukeyseg/io.py",
+           "if np.any((f < 0) | (f > 1)) or not np.all(np.isfinite(f)):",
+           "if not np.all(np.isfinite(f)):", ("tests/test_io.py",)),
+    Mutant("levels-elementwise-admitted", "src/tukeyseg/io.py",
+           "ok = np.isin(values, np.arange(top + 1)).all()", "ok = True", ("tests/test_io.py",)),
+    Mutant("fuse-no-mask-admitted", "src/tukeyseg/fusion.py",
+           "    if not arrays:\n", "    if False:\n", ("tests/test_fusion.py",)),
+    Mutant("empty-sequence-admitted", "src/tukeyseg/metrics.py",
+           "    if not j:\n", "    if False:\n", ("tests/test_metrics.py",)),
+    Mutant("empty-series-admitted", "src/tukeyseg/metrics.py",
+           "    if not values:\n", "    if False:\n", ("tests/test_metrics.py",)),
+    Mutant("top-segments-weight-shape-unchecked", "src/tukeyseg/segment.py",
+           "if fg.shape != w.shape:", "if False:", ("tests/test_segment.py",)),
+    Mutant("top-segments-connectivity-unchecked", "src/tukeyseg/segment.py",
+           "    if connectivity not in (4, 8):\n", "    if False:\n", ("tests/test_segment.py",)),
+    Mutant("jobs-parse-error-unnamed", "src/tukeyseg/cli.py",
+           """raise argparse.ArgumentTypeError(f"not a valid {kind.__name__}: '{text}'") from exc""",
+           "raise", ("tests/test_cli.py",)),
+    Mutant("exponent-parse-error-unnamed", "src/tukeyseg/cli.py",
+           """raise argparse.ArgumentTypeError(f"bad exponent list '{text}'") from exc""", "raise",
+           ("tests/test_cli.py",)),
 )
 
 

@@ -46,10 +46,6 @@ def tukey_fences(q1, q3, k=1.5):
     return q1 - k * iqr, q3 + k * iqr
 
 
-def outlier_flags(values, o1, o3):
-    return [1 if (v < o1 or v > o3) else 0 for v in values]
-
-
 def outlier_scale(values, flags):
     total = sum(abs(v) for v in values)
     if total == 0:

@@ -98,6 +98,26 @@ class TestParser:
             fusion.fuse_sequence, "k_fences", "strategy")
         assert (defaults("eval").tolerance,) == parameter_defaults(evaluate_dataset, "tolerance")
 
+    def test_every_config_field_comes_from_its_flag(self, tmp_path, monkeypatch, capsys):
+        from tukeyseg import refine
+        from tukeyseg.refine import RefineConfig
+        from tukeyseg.segment import SegmenterConfig
+
+        configs = []
+
+        def record(seq, seg_cfg, ref_cfg, jobs):
+            configs.extend([seg_cfg, ref_cfg])
+            raise ValueError("recorded")
+
+        monkeypatch.setattr(refine, "refine_sequence", record)
+        video = write(tmp_path / "video", blank(4, 4))
+        assert main(["refine", "--input", str(video), "--output", str(tmp_path / "out"),
+                     "--k-fences", "0.5", "--min-flow-scale", "0.8", "--vs-exponents", "2,0.25",
+                     "--connectivity", "4", "--mode", "local", "--w0", "0.5"]) == 1
+        assert configs == [SegmenterConfig(k_fences=0.5, vs_exponents=(2.0, 0.25),
+                                           min_flow_scale=0.8, connectivity=4),
+                           RefineConfig(mode="local", w0=0.5)]
+
     def test_exponent_list_parsing(self):
         args = build_parser().parse_args(
             ["tis0", "--input", "a", "--output", "b", "--vs-exponents", "1,0.5"]
@@ -177,6 +197,16 @@ class TestNumericFlags:
         self._rejected([command, *_REQUIRED[command], "--vs-exponents", value], capsys,
                        "--vs-exponents")
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--jobs", "x", "not a valid int: 'x'"),
+        ("--vs-exponents", "1,a", "bad exponent list '1,a'"),
+    ])
+    def test_unparsable_value_named(self, flag, value, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["tis0", *_REQUIRED["tis0"], flag, value])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: argument {flag}: {message}\n")
+
     @pytest.mark.parametrize("flag, value", [
         ("--k-fences", "-1"), ("--min-flow-scale", "2"), ("--vs-exponents", "nan"),
         ("--vs-exponents", "0"),
@@ -209,16 +239,22 @@ class TestLogLevel:
         ("Info", logging.INFO), ("WARNING", logging.WARNING),
     ])
     def test_documented_values(self, tmp_path, monkeypatch, capsys, value, level):
-        levels = []
-        monkeypatch.setattr(logging, "basicConfig", lambda **kwargs: levels.append(kwargs["level"]))
         if value is None:
             monkeypatch.delenv("TIS_LOG", raising=False)
         else:
             monkeypatch.setenv("TIS_LOG", value)
         assert main(["tis0", "--input", str(tmp_path / "missing"),
                      "--output", str(tmp_path / "out")]) == 1
-        assert levels == [level]
+        assert logging.getLogger("tukeyseg.cli").getEffectiveLevel() == level
         assert capsys.readouterr().err.startswith("error: not a directory")
+
+    def test_every_call_sets_the_level(self, tmp_path, monkeypatch, capsys):
+        argv = ["tis0", "--input", str(tmp_path / "missing"), "--output", str(tmp_path / "out")]
+        for value, level in (("warning", logging.WARNING), ("debug", logging.DEBUG),
+                             ("info", logging.INFO)):
+            monkeypatch.setenv("TIS_LOG", value)
+            assert main(argv) == 1
+            assert logging.getLogger("tukeyseg.cli").getEffectiveLevel() == level
 
     @pytest.mark.parametrize("value", ["loud", "basic_format", "BASIC_FORMAT", "critical",
                                        "error", "warn", " info", "10"])
@@ -680,6 +716,39 @@ class TestCombineCommand:
             assert code == 0
 
 
+class TestMaskTreeRoots:
+    """``combine`` and ``eval`` refuse a root that is no directory or holds none."""
+
+    @staticmethod
+    def _argv(command, root, tmp_path):
+        if command == "combine":
+            return ["combine", "--input", str(root), "--output", str(tmp_path / "out")]
+        argv = ["eval", "--input", str(tmp_path / "pred"), "--ground-truth", str(root)]
+        return argv + ["--output", str(tmp_path / "out.csv")] if command == "eval-output" else argv
+
+    @pytest.mark.parametrize("command", ["combine", "eval", "eval-output"])
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_root_that_is_no_directory(self, tmp_path, capsys, command, kind):
+        root = tmp_path / "root"
+        if kind == "file":
+            root.write_bytes(b"")
+        assert main(self._argv(command, root, tmp_path)) == 1
+        assert capsys.readouterr() == ("", f"error: not a directory: {root}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["root"] if kind == "file" else [])
+
+    @pytest.mark.parametrize("command, what", [
+        ("combine", "method directories"), ("eval", "ground-truth sequences"),
+        ("eval-output", "ground-truth sequences"),
+    ])
+    def test_root_without_subdirectories(self, tmp_path, capsys, command, what):
+        root = tmp_path / "root"
+        write_masks(root, [np.ones((2, 2), np.uint8)])  # files only, no directory
+        (tmp_path / "pred").mkdir()
+        assert main(self._argv(command, root, tmp_path)) == 1
+        assert capsys.readouterr() == ("", f"error: {root}: no {what}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pred", "root"]
+
+
 @pytest.mark.parametrize("command", ["combine", "eval"])
 def test_undecodable_mask_named(tmp_path, capsys, command):
     mask = np.zeros((4, 5), dtype=np.uint8)
@@ -913,17 +982,6 @@ def _all_commands(video, truth, tmp_path, base, jobs):
 
 
 class TestDeterminismAcrossJobs:
-    def test_all_commands_byte_identical(self, block_video, tmp_path, capsys):
-        video, truth = block_video
-        outputs = {}
-        for jobs in ("1", "8"):
-            base = tmp_path / f"jobs{jobs}"
-            for argv in _all_commands(video, truth, tmp_path, base, jobs).values():
-                assert main(argv) == 0
-            outputs[jobs] = _tree_bytes(base)
-        assert outputs["1"] == outputs["8"]
-
-
     def test_tis0_and_refine_byte_identical_over_partial_bands(self, tmp_path, capsys):
         # 2048 columns give foregroundness bands of 32 rows and LAB bands of
         # 10; 45 rows end both in a partial band

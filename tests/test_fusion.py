@@ -114,6 +114,10 @@ class TestFuseFrame:
         with pytest.raises(ValueError, match="strategy"):
             fuse_frame([_mask([[1]])], strategy="vote")
 
+    def test_no_mask_refused(self):
+        with pytest.raises(ValueError, match="^at least one mask is required$"):
+            fuse_frame([])
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             fuse_frame([np.zeros((2, 2), np.uint8), np.zeros((3, 3), np.uint8)])

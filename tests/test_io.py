@@ -58,6 +58,27 @@ class TestFlo:
             with pytest.raises(ValueError, match=f"float32.*{np.dtype(dtype)}"):
                 FlowField(u, v)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_refused(self, value):
+        for pair in ((value, 0.0), (0.0, value)):
+            data = struct.pack("<fii", FLO_SENTINEL, 1, 1) + struct.pack("<ff", *pair)
+            with pytest.raises(ValueError, match="^non-finite flow values$"):
+                read_flo(data)
+
+    @pytest.mark.parametrize("length", [0, 4, 11])
+    def test_header_shorter_than_twelve_bytes(self, length):
+        data = struct.pack("<fii", FLO_SENTINEL, 1, 1)[:length]
+        with pytest.raises(ValueError, match="^not a flo file: header too short$"):
+            read_flo(data)
+
+    @pytest.mark.parametrize("u_shape, v_shape", [
+        ((3,), (3,)), ((2, 2, 1), (2, 2, 1)), ((2, 3), (3, 2)), ((2, 3), (2, 3, 1)),
+    ])
+    def test_components_not_2d_or_of_unequal_shape_refused(self, u_shape, v_shape):
+        u, v = np.zeros(u_shape, np.float32), np.zeros(v_shape, np.float32)
+        with pytest.raises(ValueError, match="^u and v must be 2-D arrays of equal shape$"):
+            FlowField(u, v)
+
     def test_trailing_bytes_rejected(self):
         good = write_flo(FlowField(np.zeros((2, 2), np.float32), np.zeros((2, 2), np.float32)))
         with pytest.raises(ValueError, match="longer"):
@@ -172,6 +193,19 @@ class TestPgm:
             else:
                 with pytest.raises(ValueError, match="0 or 1"):
                     write_mask_pgm(m)
+
+    def test_mask_of_another_dtype_checked_value_by_value(self):
+        # object and complex arrays take check_levels' element-wise branch
+        encoded = write_mask_pgm(np.array([[0, 1]], dtype=object))
+        assert encoded == b"P5\n2 1\n255\n\x00\xff"
+        for mask in (np.array([[0, 2]], dtype=object), np.array([[0, 1j]])):
+            with pytest.raises(ValueError, match="^mask values must be 0 or 1$"):
+                write_mask_pgm(mask)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -0.1, 1.5])
+    def test_saliency_writer_refuses_values_outside_the_unit_interval(self, value):
+        with pytest.raises(ValueError, match=re.escape("saliency values must lie in [0, 1]")):
+            write_saliency_pgm(np.array([[0.0, value]]))
 
     def test_saliency_quantization_round_trip(self, rng):
         field = rng.integers(0, 256, size=(4, 6)) / 255.0
@@ -659,6 +693,30 @@ class TestReadMaskDir:
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: dimensions 2x3 do not match sequence 3x2")):
             masks[1]
+
+
+class TestMaskDirs:
+    """``_mask_dirs`` is the one listing of a tree of mask directories."""
+
+    def test_subdirectories_sorted_by_name(self, tmp_path):
+        names = [f"{letter}{i}" for i in range(10) for letter in "ba"]
+        for name in names:
+            (tmp_path / name).mkdir()
+        (tmp_path / "00000.pgm").write_bytes(b"")
+        assert io._mask_dirs(tmp_path, "methods") == [tmp_path / n for n in sorted(names)]
+
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_root_that_is_no_directory_refused(self, tmp_path, kind):
+        root = tmp_path / "root"
+        if kind == "file":
+            root.write_bytes(b"")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'not a directory: {root}')}$"):
+            io._mask_dirs(root, "methods")
+
+    def test_root_without_subdirectories_refused(self, tmp_path):
+        (tmp_path / "00000.pgm").write_bytes(b"")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{tmp_path}: no methods')}$"):
+            io._mask_dirs(tmp_path, "methods")
 
 
 class TestIndexNames:

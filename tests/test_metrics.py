@@ -376,6 +376,22 @@ class TestDecayAndSequences:
         assert scores.j_recall and scores.f_recall
         assert scores.j_decay == 0.0
 
+    def test_default_tolerance_is_the_whole_frames(self):
+        # at 480x854 the default is 8 px; the 10x15 box of the pair alone would give 1 px
+        g = np.zeros((480, 854), dtype=np.uint8)
+        g[100:110, 100:110] = 1
+        m = np.roll(g, 5, axis=1)
+        assert default_tolerance(854, 480) == 8 and contour_f(m, g, 1) < 1.0
+        scores = sequence_scores([m, g], [g, g])
+        assert scores.f_per_frame == (contour_f(m, g), 1.0) == (1.0, 1.0)
+        assert scores.j_per_frame == (jaccard(m, g), 1.0) == (50 / 150, 1.0)
+
+    def test_empty_series_and_sequence_refused(self):
+        with pytest.raises(ValueError, match="^empty score series$"):
+            score_decay([])
+        with pytest.raises(ValueError, match="^empty sequence$"):
+            sequence_scores([], [])
+
     def test_length_mismatch(self):
         g = np.zeros((2, 2))
         with pytest.raises(ValueError, match="length mismatch"):
@@ -451,9 +467,9 @@ class TestEvaluateDataset:
         assert main(["eval", "--input", str(tmp_path / "pred"),
                      "--ground-truth", str(tmp_path / "gt")]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
-        assert lines[0] == "sequence,J_mean,J_recall,J_decay,F_mean,F_recall,F_decay"
-        assert lines[-1].startswith("ALL,")
-        assert len(lines) == 3
+        assert lines == ["sequence,J_mean,J_recall,J_decay,F_mean,F_recall,F_decay",
+                         "s,1.000000,1.000000,0.000000,1.000000,1.000000,0.000000",
+                         "ALL,1.000000,1.000000,0.000000,1.000000,1.000000,0.000000"]
 
     @pytest.mark.parametrize("tolerance", [math.nan, -0.5, math.inf])
     def test_invalid_tolerance_refused_before_reading(self, tmp_path, monkeypatch, tolerance):

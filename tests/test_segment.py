@@ -487,6 +487,18 @@ class TestSelectTopSegments:
         assert out8.sum() == 2  # diagonal joins into one component
         assert out4.tolist() == [[1, 0], [0, 0]]
 
+    @pytest.mark.parametrize("shape", [(1, 2), (3, 1), (3,)])
+    def test_rejects_weight_of_another_shape(self, shape):
+        mask = np.array([[1, 0, 1]], dtype=np.uint8)
+        with pytest.raises(ValueError, match=re.escape(
+                f"dimension mismatch: mask (1, 3) vs weight {shape}")):
+            select_top_segments(mask, np.ones(shape))
+
+    def test_rejects_connectivity_6(self):
+        mask = np.array([[1, 0, 1]], dtype=np.uint8)
+        with pytest.raises(ValueError, match="^connectivity must be 4 or 8$"):
+            select_top_segments(mask, np.ones((1, 3)), connectivity=6)
+
     @pytest.mark.parametrize("n_segments", [0, -1])
     def test_rejects_fewer_than_one_segment(self, n_segments):
         mask = np.array([[1, 0, 1]], dtype=np.uint8)
