@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import logging
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,21 @@ def package_log_level():
 @pytest.fixture
 def rng():
     return np.random.default_rng(0xC0FFEE)
+
+
+def traced_peak(call, *args, **kwargs):
+    """``call(*args, **kwargs)``'s result and the peak bytes ``tracemalloc`` traced during it.
+
+    The peak counts numpy and Python allocations, not the process's RSS.
+    Tracing starts just before the call and stops after it, also when it
+    raises; the call may open its own windows with ``tracemalloc.reset_peak()``.
+    """
+    tracemalloc.start()
+    try:
+        result = call(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def mask_dtype_matrix():

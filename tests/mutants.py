@@ -181,6 +181,20 @@ MUTANTS = (
     Mutant("exponent-parse-error-unnamed", "src/tukeyseg/cli.py",
            """raise argparse.ArgumentTypeError(f"bad exponent list '{text}'") from exc""", "raise",
            ("tests/test_cli.py",)),
+    Mutant("scores-crop-row-dropped", "src/tukeyseg/metrics.py",
+           "crop_m, crop_g = _mask_pair(m, g)",
+           "crop_m, crop_g = (a[1:] for a in _mask_pair(m, g))", ("tests/test_metrics.py",)),
+    # each memory mutant keeps the outputs and holds more per frame
+    Mutant("tis0-fields-copied", "src/tukeyseg/segment.py",
+           "foregroundness=[fore for fore, _ in per_frame]",
+           "foregroundness=[fore.copy() for fore, _ in per_frame]", ("tests/test_memory.py",)),
+    Mutant("combine-files-listed", "src/tukeyseg/cli.py",
+           "for name, data in files:", "for name, data in list(files):",
+           ("tests/test_memory.py",)),
+    Mutant("eval-masks-listed", "src/tukeyseg/metrics.py",
+           "itertools.zip_longest(masks, references, fillvalue=_END)",
+           "itertools.zip_longest(list(masks), references, fillvalue=_END)",
+           ("tests/test_memory.py",)),
 )
 
 

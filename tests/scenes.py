@@ -4,7 +4,8 @@ Every builder returns a :class:`Scene` of arrays, and returns the same
 arrays, bit for bit, for the same arguments. A scene reads by frame index
 like ``tukeyseg.io.FrameSequence``, so a stage can run on it without files;
 :func:`write` puts it on disk in the layout of ``tukeyseg.io``, through the
-package's own encoders, for a stage or subcommand to open. A scene that one
+package's own encoders, for a stage or subcommand to open, and
+:func:`read_tree` reads back what a run wrote. A scene that one
 test needs is built in that test, as arrays handed to :class:`Scene`.
 """
 
@@ -112,6 +113,12 @@ def write(root: Path, scene: Scene) -> Path:
     for method, masks in scene.masks.items():
         write_masks(root / "masks" / method, masks)
     return root
+
+
+def read_tree(root: Path) -> dict[str, bytes]:
+    """Every file under ``root``, as {path relative to ``root``: bytes}, in sorted order."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 def moving_block(height=30, width=40, block=(slice(10, 20), slice(15, 25)),

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 import oracles
-from scenes import Scene, labelled_block, moving_block, tiles, write, write_masks
+from scenes import Scene, labelled_block, moving_block, read_tree, tiles, write, write_masks
+from test_cli import _all_commands
 from test_fusion import nine_mask_fixture
 from tukeyseg.cli import main
 from tukeyseg.fusion import fuse_frame, fuse_sequence
@@ -359,31 +360,13 @@ def test_codec_round_trips():
 @criterion("every CLI subcommand byte-identical across --jobs 1 and --jobs 8")
 def test_cli_determinism(tmp_path):
     scene = labelled_block()
-    truth = scene.truth[0]
     video = write(tmp_path / "video", scene)
-    pred, gt = tmp_path / "pred", tmp_path / "gt"
-    write_masks(pred / "seq", [np.roll(truth, i, axis=0) for i in range(3)])
-    write_masks(gt / "seq", scene.truth)
-
-    def tree(root: Path):
-        return {
-            p.relative_to(root).as_posix(): p.read_bytes()
-            for p in sorted(root.rglob("*"))
-            if p.is_file()
-        }
-
     outputs = {}
     for jobs in ("1", "8"):
         base = tmp_path / f"jobs{jobs}"
-        assert main(["tis0", "--input", str(video), "--output", str(base / "tis0"),
-                     "--jobs", jobs]) == 0
-        assert main(["refine", "--input", str(video), "--output", str(base / "refine"),
-                     "--jobs", jobs]) == 0
-        assert main(["combine", "--input", str(video / "masks"),
-                     "--output", str(base / "combine"), "--jobs", jobs]) == 0
-        assert main(["eval", "--input", str(pred), "--ground-truth", str(gt),
-                     "--output", str(base / "eval.csv"), "--jobs", jobs]) == 0
-        outputs[jobs] = tree(base)
+        for argv in _all_commands(video, scene.truth[0], tmp_path, base, jobs).values():
+            assert main(argv) == 0
+        outputs[jobs] = read_tree(base)
     assert outputs["1"] == outputs["8"]
 
 

@@ -4,15 +4,12 @@ import errno
 import inspect
 import json
 import logging
-import math
 import os
 import pathlib
 import re
-import shutil
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,18 +18,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tukeyseg
-from scenes import blank, encode, flat, labelled_block, moving_block, tiles, write, write_masks
+from scenes import (
+    blank, encode, flat, labelled_block, moving_block, read_tree, tiles, write, write_masks,
+)
 from tukeyseg import cli, fusion
 from tukeyseg.cli import _STRATEGIES, build_parser, main
 from tukeyseg.io import read_mask_dir, write_mask_pgm
-
-
-def _tree_bytes(root):
-    return {
-        p.relative_to(root).as_posix(): p.read_bytes()
-        for p in sorted(root.rglob("*"))
-        if p.is_file()
-    }
 
 
 @pytest.fixture
@@ -363,14 +354,14 @@ class TestOutputDirectory:
         video, _ = block_video
         out = tmp_path / "out"
         assert main(["combine", "--input", str(video / "masks"), "--output", str(out)]) == 0
-        before = _tree_bytes(out)
+        before = read_tree(out)
 
         def failing_write(path, data):
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(pathlib.Path, "write_bytes", failing_write)
         assert main(["tis0", "--input", str(video), "--output", str(out)]) == 1
-        assert _tree_bytes(out) == before
+        assert read_tree(out) == before
         assert sorted(p.name for p in out.iterdir()) == sorted(before)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "video"]
 
@@ -382,7 +373,7 @@ class TestOutputDirectory:
         video, _ = block_video
         out = tmp_path / "out"
         assert main(["combine", "--input", str(video / "masks"), "--output", str(out)]) == 0
-        before = _tree_bytes(out)
+        before = read_tree(out)
         real_replace = os.replace
         calls = []
 
@@ -395,7 +386,7 @@ class TestOutputDirectory:
         monkeypatch.setattr(os, "replace", failing_replace)
         assert main(["tis0", "--input", str(video), "--output", str(out)]) == 1
         assert "resource busy" in capsys.readouterr().err
-        assert _tree_bytes(out) == before
+        assert read_tree(out) == before
         assert sorted(p.name for p in out.iterdir()) == sorted(before)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "video"]
 
@@ -454,7 +445,7 @@ class TestOutputDirectory:
     def test_input_directory_refused_as_output(self, block_video, monkeypatch, capsys,
                                                command, output):
         video, _ = block_video
-        before = _tree_bytes(video)
+        before = read_tree(video)
         decoded = []
         for name in ("read_ppm", "read_flo", "read_saliency_pgm", "read_pgm16", "read_mask_pgm"):
             real = getattr(tukeyseg.io, name)
@@ -463,7 +454,7 @@ class TestOutputDirectory:
         source = video / "masks" if command == "combine" else video
         argv = [command, "--input", str(source), "--output", str(video / output)]
         assert main(argv) == 1
-        assert _tree_bytes(video) == before
+        assert read_tree(video) == before
         assert capsys.readouterr().err == (
             f"error: {video / output}: the run reads input rasters from it, "
             "so it is not written to\n")
@@ -507,11 +498,11 @@ class TestStreamedOutputs:
         out = tmp_path / "out"
         assert main(["combine", "--input", str(methods), "--output", str(out),
                      "--strategy", "mean"]) == 0
-        return ["combine", "--input", str(methods), "--output", str(out)], out, _tree_bytes(out)
+        return ["combine", "--input", str(methods), "--output", str(out)], out, read_tree(out)
 
     @staticmethod
     def _unchanged(tmp_path, out, before):
-        assert _tree_bytes(out) == before
+        assert read_tree(out) == before
         assert sorted(p.name for p in out.iterdir()) == sorted(before)  # no .tukeyseg-* left
         assert sorted(p.name for p in tmp_path.iterdir()) == ["methods", "out"]
 
@@ -563,27 +554,6 @@ class TestStreamedOutputs:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {corrupt}: truncated PGM payload\n"
         self._unchanged(tmp_path, out, before)
-
-    def test_combine_memory_per_frame(self, tmp_path):
-        # The fused bool masks are 1 B per pixel per frame, held until written;
-        # their encoded PGMs, if all were held too, would be one more. At these
-        # lengths the peak is that held output, not one frame's fusion temporaries.
-        shape = (96, 128)
-        argvs = {}
-        for frames in (32, 64):
-            methods = _method_masks(tmp_path / f"methods{frames}", frames, shape)
-            argvs[frames] = ["combine", "--input", str(methods), "--output", str(tmp_path / "out")]
-        assert main(argvs[32]) == 0  # loads what a first run loads
-        peaks = {}
-        for frames, argv in argvs.items():
-            shutil.rmtree(tmp_path / "out")
-            tracemalloc.start()
-            try:
-                assert main(argv) == 0
-                peaks[frames] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert (peaks[64] - peaks[32]) / 32 / math.prod(shape) < 1.5
 
 
 class TestRefineCommand:
@@ -881,14 +851,14 @@ class TestEvalCommand:
         mask[1:4, 1:4] = 1
         write_masks(tmp_path / "gt" / "seq", [mask] * 3)
         write_masks(tmp_path / "pred" / "seq", [mask] * 3)
-        before = _tree_bytes(tmp_path)
+        before = read_tree(tmp_path)
         argv = ["eval", "--input", str(tmp_path / "pred"), "--ground-truth", str(tmp_path / "gt"),
                 "--output", str(tmp_path / root / "seq" / name)]
         assert main(argv) == 1
         assert capsys.readouterr() == ("", f"error: {tmp_path / root / 'seq'}: the run reads "
                                            "input rasters from it, so it is not written to\n")
         assert counted_mask_decodes == []
-        assert _tree_bytes(tmp_path) == before
+        assert read_tree(tmp_path) == before
 
     @pytest.mark.parametrize("output", ["gt/seq", "gt"])
     def test_output_naming_a_directory_refused(self, tmp_path, capsys, counted_mask_decodes,
@@ -898,7 +868,7 @@ class TestEvalCommand:
         mask[1:4, 1:4] = 1
         write_masks(tmp_path / "gt" / "seq", [mask] * 3)
         write_masks(tmp_path / "pred" / "seq", [mask] * 3)
-        before = _tree_bytes(tmp_path)
+        before = read_tree(tmp_path)
         argv = ["eval", "--input", str(tmp_path / "pred"), "--ground-truth", str(tmp_path / "gt"),
                 "--output", str(tmp_path / output)]
         assert main(argv) == 1
@@ -906,7 +876,7 @@ class TestEvalCommand:
                                            "so it is not written to\n")
         assert counted_mask_decodes == []
         assert not list(tmp_path.rglob(".tukeyseg-*"))
-        assert _tree_bytes(tmp_path) == before
+        assert read_tree(tmp_path) == before
 
     def test_empty_ground_truth_fails(self, tmp_path, capsys):
         (tmp_path / "gt").mkdir()
@@ -994,7 +964,7 @@ class TestDeterminismAcrossJobs:
             for command in ("tis0", "refine"):
                 argv = [command, "--input", str(video), "--output", str(base / command)]
                 assert main([*argv, "--jobs", jobs]) == 0
-            outputs[jobs] = _tree_bytes(base)
+            outputs[jobs] = read_tree(base)
         assert outputs["1"] == outputs["2"] == outputs["3"]
 
 
@@ -1059,18 +1029,18 @@ class TestScipyLoadedOnDemand:
         _run_fresh(fresh)
         here = _all_commands(video, truth, tmp_path, tmp_path / "here", "2")["combine"]
         assert main(here) == 0
-        assert _tree_bytes(tmp_path / "fresh") == _tree_bytes(tmp_path / "here")
+        assert read_tree(tmp_path / "fresh") == read_tree(tmp_path / "here")
 
     @pytest.mark.parametrize("command", ["tis0", "refine", "eval"])
     def test_first_import_in_worker_threads(self, block_video, tmp_path, capsys, command):
         video, truth = block_video
         _run_fresh(_all_commands(video, truth, tmp_path, tmp_path / "fresh", "2")[command])
         assert main(_all_commands(video, truth, tmp_path, tmp_path / "here", "1")[command]) == 0
-        assert _tree_bytes(tmp_path / "fresh") == _tree_bytes(tmp_path / "here")
+        assert read_tree(tmp_path / "fresh") == read_tree(tmp_path / "here")
 
     def test_one_job_loads_no_scipy(self, block_video, tmp_path, capsys):
         video, truth = block_video
         _run_fresh(*_all_commands(video, truth, tmp_path, tmp_path / "fresh", "1").values())
         for argv in _all_commands(video, truth, tmp_path, tmp_path / "here", "1").values():
             assert main(argv) == 0
-        assert _tree_bytes(tmp_path / "fresh") == _tree_bytes(tmp_path / "here")
+        assert read_tree(tmp_path / "fresh") == read_tree(tmp_path / "here")

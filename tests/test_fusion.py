@@ -1,14 +1,13 @@
 """Tests for reliability-weighted mask fusion."""
 
 import functools
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
 import scenes
-from conftest import mask_dtype_matrix
+from conftest import mask_dtype_matrix, traced_peak
 from tukeyseg import fusion, stats
 from tukeyseg.cli import main
 from tukeyseg.fusion import (
@@ -361,12 +360,7 @@ class TestFuseSequenceStreams:
 
     def _peak(self, count, jobs):
         made = []
-        tracemalloc.start()
-        try:
-            fused, records = fuse_sequence(self._frames(count, made), jobs=jobs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (fused, records), peak = traced_peak(fuse_sequence, self._frames(count, made), jobs=jobs)
         assert made == list(range(count)) and len(fused) == count
         assert len(records) == count * self.METHODS
         return peak

@@ -2,7 +2,7 @@
 
 import math
 import re
-import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from conftest import adversarial_masks
+from conftest import adversarial_masks, traced_peak
 from scenes import write_masks
 from tukeyseg import metrics
 from tukeyseg.cli import main
 from tukeyseg.io import _mask_array, read_mask_pgm, write_mask_pgm
 from tukeyseg.metrics import (
+    RECALL_THRESHOLD,
+    DatasetRow,
     contour_f,
     default_tolerance,
     evaluate_dataset,
@@ -110,13 +112,7 @@ class TestJaccard:
 def test_decoded_pair_is_scored_without_a_full_frame_copy(score):
     m, g = (read_mask_pgm(write_mask_pgm(_square(480, 854, slice(r, r + 30), slice(r, r + 40))))
             for r in (200, 205))
-    tracemalloc.start()
-    try:
-        score(m, g)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < m.size  # one full-frame bool array is 409,920 B
+    assert traced_peak(score, m, g)[1] < m.size  # one full-frame bool array is 409,920 B
 
 
 class TestBoundary:
@@ -233,12 +229,8 @@ class TestContourF:
     def test_huge_tolerance_allocates_nothing_large(self):
         m = _square(480, 854, slice(100, 105), slice(200, 205))
         g = _square(480, 854, slice(140, 150), slice(250, 260))
-        tracemalloc.start()
-        try:
-            assert contour_f(m, g, 1e5) == 1.0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        score, peak = traced_peak(contour_f, m, g, 1e5)
+        assert score == 1.0
         # the full-frame bool copies of both masks, and next to nothing for the box
         assert peak < 3 * m.size
 
@@ -336,24 +328,25 @@ class TestContourFOnBoundingBox:
                 assert contour_f(*masks, tolerance) == oracles.contour_f_full_frame(
                     *masks, tolerance)
 
-    def test_dataset_csv_matches_full_frame(self, tmp_path, monkeypatch):
-        # border-touching objects in every frame; the default tolerance is used
+    def test_dataset_csv_matches_full_frame(self, tmp_path):
+        # border-touching objects in every frame; the default tolerance is used.
+        # The reference scores each whole frame with the oracles; an empty pair's J is 1.
         names = sorted(_SMALL_OBJECTS)
+        reference = []
         for s, start in enumerate((0, 7, 14)):
             frames = [_SMALL_OBJECTS[names[(start + i) % len(names)]] for i in range(7)]
             for root, pick in (("pred", 0), ("gt", 1)):
                 write_masks(tmp_path / root / f"seq{s}", [pair[pick] for pair in frames])
-        tables = {
-            jobs: evaluate_dataset(tmp_path / "pred", tmp_path / "gt", jobs=jobs)
-            for jobs in (1, 2)
-        }
-        monkeypatch.setattr(
-            metrics, "contour_f",
-            lambda m, g, t: oracles.contour_f_full_frame(m, g, default_tolerance(_W, _H)),
-        )
-        reference = evaluate_dataset(tmp_path / "pred", tmp_path / "gt")
-        assert tables[1] == reference
-        assert tables[2] == reference
+            j = [oracles.jaccard_full_frame(m, g) for m, g in frames]
+            f = [oracles.contour_f_full_frame(m, g, default_tolerance(_W, _H)) for m, g in frames]
+            reference.append(DatasetRow(f"seq{s}", *(
+                summary for series in (j, f) for summary in (
+                    float(np.mean(series)), float(np.mean(series) > RECALL_THRESHOLD),
+                    score_decay(series)))))
+        columns = list(zip(*map(astuple, reference)))[1:]
+        reference.append(DatasetRow("ALL", *(float(np.mean(c)) for c in columns)))
+        for jobs in (1, 2):
+            assert evaluate_dataset(tmp_path / "pred", tmp_path / "gt", jobs=jobs) == reference
 
 
 class TestDecayAndSequences:
@@ -486,27 +479,6 @@ class TestEvaluateDataset:
         with pytest.raises(ValueError, match=re.escape(f"tolerance {tolerance}")):
             evaluate_dataset(tmp_path / "pred", tmp_path / "gt", tolerance=tolerance)
         assert reads == []
-
-    def _peak(self, root, frames):
-        shape = (240, 320)  # 76.8 KB per decoded mask
-        for side, shift in (("pred", 0), ("gt", 2)):
-            masks = [_square(*shape, slice(20 + i + shift, 120 + i), slice(30, 150 + shift))
-                     for i in range(frames)]
-            write_masks(root / side / "s", masks)
-        tracemalloc.start()
-        try:
-            evaluate_dataset(root / "pred", root / "gt")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        return peak
-
-    def test_peak_does_not_grow_with_frames(self, tmp_path):
-        # one (prediction, reference) pair is decoded at a time; holding every
-        # pair of the 16-frame sequence would add 12 pairs, 1.8 MB
-        pair = 2 * 240 * 320
-        growth = self._peak(tmp_path / "long", 16) - self._peak(tmp_path / "short", 4)
-        assert growth < pair // 4
 
     def test_jobs_do_not_change_rows(self, tmp_path):
         g = _square(4, 4, slice(1, 3), slice(1, 3))

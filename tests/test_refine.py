@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import traced_peak
 from scenes import Scene, moving_block, tile_video, tiles, write
 from tukeyseg import refine
 from tukeyseg.cli import main
@@ -136,13 +137,7 @@ class TestRgbToLabBands:
         # leaves 14% for allocator drift.
         image = rng.integers(0, 256, size=(480, 854, 3), dtype=np.uint8)
         rgb_to_lab(image)
-        tracemalloc.start()
-        try:
-            rgb_to_lab(image)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / (480 * 854) <= 32.0
+        assert traced_peak(rgb_to_lab, image)[1] / (480 * 854) <= 32.0
 
 
 class TestNormalizeLab:
@@ -378,12 +373,7 @@ class TestTallyMemory:
             label_maps=[rng.integers(0, 1100, size=(height, width)).astype(np.int32)])
         masks = [rng.random((height, width)) < 0.05]
         supervoxel_stats(video, masks)
-        tracemalloc.start()
-        try:
-            supervoxel_stats(video, masks)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(supervoxel_stats, video, masks)[1]
         assert peak < 24 * height * width, f"{peak / (height * width):.1f} B per pixel"
 
     def test_lab_is_converted_a_band_at_a_time(self, tmp_path, monkeypatch):
@@ -435,11 +425,7 @@ class TestTallyMemory:
         refine_sequence(seqs[2], jobs=2)  # lazy imports happen outside the traced runs
         windows.clear()
         for seq in seqs.values():
-            tracemalloc.start()
-            try:
-                refine_sequence(seq, jobs=2)
-            finally:
-                tracemalloc.stop()
+            traced_peak(refine_sequence, seq, jobs=2)
         (start2, peak2), (start6, peak6) = windows
         beyond_kept = (peak6 - peak2 - (start6 - start2)) / (height * width)
         assert start6 - start2 >= 4 * 9 * height * width
@@ -955,29 +941,6 @@ class TestRefineSequence:
         seq = _RelabelledOnSecondRead(open_sequence(video[0]), new_id=9)
         with pytest.raises(ValueError, match=r"missing from consensus table: \[9\]"):
             refine_sequence(seq)
-
-    def test_memory_growth_per_frame(self, tmp_path):
-        # Pass two holds one frame's labels and adjusted field at a time, so
-        # what refine keeps per frame is its float64 foregroundness (8 B per
-        # pixel), its initial mask and its refined mask (1 B each).
-        height, width = 120, 160
-        seqs = {}
-        for num_frames in (4, 12):
-            scene = moving_block(height=height, width=width,
-                                 block=(slice(40, 80), slice(60, 100)), num_frames=num_frames)
-            scene = replace(scene, label_maps=[tiles(height, width, (10, 10))] * num_frames)
-            seqs[num_frames] = open_sequence(write(tmp_path / f"tiles{num_frames}", scene))
-        refine_sequence(seqs[4])  # lazy imports happen outside the traced runs
-        peaks = {}
-        for num_frames, seq in seqs.items():
-            tracemalloc.start()
-            try:
-                refine_sequence(seq)
-                peaks[num_frames] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        per_frame_pixel = (peaks[12] - peaks[4]) / (8 * height * width)
-        assert per_frame_pixel <= 10.0, f"{per_frame_pixel:.1f} B per frame per pixel"
 
 
 class _RelabelledOnSecondRead:

@@ -7,7 +7,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -21,7 +20,7 @@ from numpy._core import _multiarray_umath
 
 import oracles
 import tukeyseg
-from conftest import adversarial_masks
+from conftest import adversarial_masks, traced_peak
 from scenes import Scene, flow_field, moving_block, write
 from tukeyseg.io import open_sequence
 from tukeyseg.metrics import jaccard
@@ -159,13 +158,7 @@ class TestFlowMeasures:
         shape = (480, 854)
         flow = flow_field(*rng.normal(size=(2, *shape)))
         flow_measures(flow)
-        tracemalloc.start()
-        try:
-            flow_measures(flow)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / (shape[0] * shape[1]) <= 18.0
+        assert traced_peak(flow_measures, flow)[1] / (shape[0] * shape[1]) <= 18.0
 
 
 class TestMotionSaliency:
@@ -368,12 +361,7 @@ class TestForegroundnessBands:
         # float64 measures, their outlier flags, the field and the statistics'
         # copies peak at 47.8 B; the bound leaves 17% for allocator drift.
         frame_foregroundness(davis_frame, 0)
-        tracemalloc.start()
-        try:
-            frame_foregroundness(davis_frame, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(frame_foregroundness, davis_frame, 0)[1]
         assert peak / davis_frame.saliency(0).size <= 56.0
 
 

@@ -2,7 +2,6 @@
 
 import itertools
 import sys
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -11,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import traced_peak
 from tukeyseg.io import FlowField
 from tukeyseg.segment import flow_measures
 from tukeyseg.stats import (
@@ -198,13 +198,7 @@ class TestQuartilesOnIntegerKeys:
         # float64 copy would be 8, and keys flipped whole-array another 4
         sample = rng.normal(size=400_000).astype(np.float32)
         self._assert_matches_widened(sample)  # keys flipped over several blocks
-        tracemalloc.start()
-        try:
-            quartiles(sample)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / sample.size <= 6
+        assert traced_peak(quartiles, sample)[1] / sample.size <= 6
 
 
 class TestFloat32FencesAreNotRounded:
